@@ -37,7 +37,7 @@ from .lax import (CompatibilityError, GmcData, LaxFrames,
                   lax_matrices)
 from .nullcurves import (KIND_F1, KIND_F2_MU, KIND_F2_NU, FrameCurve,
                          IntegrationError, SurfaceGridH31, assemble_mu,
-                         assemble_nu, frame_metric, frame_metric_grid,
+                         assemble_nu, frame_metric_grid,
                          integrate_frame, null_coefficient)
 from .weierstrass import (QuadratureError, SurfaceGridE31, WeierstrassData,
                           adaptive_quadrature, integrate_minimal,

@@ -199,9 +199,12 @@ class _Parser:
                 self.pos = mark
         text = src[start:self.pos]
         try:
-            return Num(float(text))
+            value = float(text)
         except ValueError:
             self.error(f"bad number {text!r}", start)
+        if not np.isfinite(value):
+            self.error(f"number {text!r} overflows a double", start)
+        return Num(value)
 
 
 def parse_expression(src, variables=("u", "v", "t")):

@@ -20,9 +20,11 @@ Derivatives of closed-form omega are evaluated in forward mode through
 the expression tree, so the compatibility gate tests the equation
 itself, not a discretization of it; sampled omega falls back to
 4th-order differences.  Integration marches the bottom edge in u and
-then every column in v; a second sweep (left edge, then rows) measures
-the path-independence defect, which is the numerical witness of the
-zero-curvature condition.
+then all columns together in v, both frames stacked in one state, with
+RK4 coefficients evaluated once per v node for the whole column batch.
+A second path to the far corner (up the left edge, then along the top
+edge) measures the path-independence defect there, which is the
+numerical witness of the zero-curvature condition.
 """
 
 import warnings
@@ -34,7 +36,7 @@ from .algebra import adjugate, det2, check_unimodular
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d, as_field2d, fd_derivative
 from .nullcurves import (KIND_F1, KIND_F2_MU, KIND_F2_NU, IntegrationError,
-                         SurfaceGridH31)
+                         SurfaceGridH31, rk4_march, stage_times)
 from .weierstrass import WeierstrassData
 
 
@@ -140,63 +142,42 @@ class LaxFrames:
                               mask=mask, assembly=self.action)
 
 
-def _rk4_batch(y, coef, t, h):
-    """One RK4 step of dY = Y C(t) for a batch of matrices."""
-    k1 = y @ coef(t)
-    k2 = (y + 0.5 * h * k1) @ coef(t + 0.5 * h)
-    k3 = (y + 0.5 * h * k2) @ coef(t + 0.5 * h)
-    k4 = (y + h * k3) @ coef(t + h)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _coefs(data, action, u, v, along_u):
+    """(U1, U2) or (V1, V2) at points (u, v) batched along their last axis.
+
+    The frame axis goes right before the batch axis, as in the state.
+    """
+    m = lax_matrices(data, action, u, v)
+    k = 0 if along_u else 1
+    return np.stack((m[k], m[k + 2]), axis=-4)
 
 
-def _sweep(data, action, us, vs, init1, init2, substeps, u_first):
-    nu, nv = len(us), len(vs)
-    out1 = np.empty((nu, nv, 2, 2))
-    out2 = np.empty((nu, nv, 2, 2))
+def _edge(data, action, y, ts, fixed, substeps, along_u):
+    """Both frames (2, 1, 2, 2) at the nodes ts of one grid line.
 
-    def mats(u, v):
-        return lax_matrices(data, action, u, v)
+    The coefficients of the whole line come from one call.
+    """
+    h = (ts[-1] - ts[0]) / ((len(ts) - 1) * substeps)
+    times = stage_times(ts[:-1], h, substeps)[..., None]
+    u, v = (times, fixed) if along_u else (fixed, times)
+    return list(rk4_march(y, _coefs(data, action, u, v, along_u), h))
 
-    if u_first:
-        # bottom edge in u, then every column in v
-        edge1, edge2 = np.array(init1), np.array(init2)
-        out1[0, 0], out2[0, 0] = edge1, edge2
-        h = (us[-1] - us[0]) / ((nu - 1) * substeps) if nu > 1 else 0.0
-        for i in range(1, nu):
-            t = us[i - 1]
-            for k in range(substeps):
-                edge1 = _rk4_batch(edge1, lambda s: mats(s, vs[0])[0], t + k * h, h)
-                edge2 = _rk4_batch(edge2, lambda s: mats(s, vs[0])[2], t + k * h, h)
-            out1[i, 0], out2[i, 0] = edge1, edge2
-        col1, col2 = out1[:, 0].copy(), out2[:, 0].copy()
-        h = (vs[-1] - vs[0]) / ((nv - 1) * substeps) if nv > 1 else 0.0
-        for j in range(1, nv):
-            t = vs[j - 1]
-            for k in range(substeps):
-                col1 = _rk4_batch(col1, lambda s: mats(us, np.full(nu, s))[1], t + k * h, h)
-                col2 = _rk4_batch(col2, lambda s: mats(us, np.full(nu, s))[3], t + k * h, h)
-            out1[:, j], out2[:, j] = col1, col2
-        return out1, out2
 
-    # left edge in v, then every row in u
-    edge1, edge2 = np.array(init1), np.array(init2)
-    out1[0, 0], out2[0, 0] = edge1, edge2
-    h = (vs[-1] - vs[0]) / ((nv - 1) * substeps) if nv > 1 else 0.0
-    for j in range(1, nv):
-        t = vs[j - 1]
-        for k in range(substeps):
-            edge1 = _rk4_batch(edge1, lambda s: mats(us[0], s)[1], t + k * h, h)
-            edge2 = _rk4_batch(edge2, lambda s: mats(us[0], s)[3], t + k * h, h)
-        out1[0, j], out2[0, j] = edge1, edge2
-    row1, row2 = out1[0].copy(), out2[0].copy()
-    h = (us[-1] - us[0]) / ((nu - 1) * substeps) if nu > 1 else 0.0
-    for i in range(1, nu):
-        t = us[i - 1]
-        for k in range(substeps):
-            row1 = _rk4_batch(row1, lambda s: mats(np.full(nv, s), vs)[0], t + k * h, h)
-            row2 = _rk4_batch(row2, lambda s: mats(np.full(nv, s), vs)[2], t + k * h, h)
-        out1[i], out2[i] = row1, row2
-    return out1, out2
+def _sweep(data, action, us, vs, init, substeps):
+    """Both frames (2, nu, nv, 2, 2): bottom edge in u, then all columns in v.
+
+    The columns advance together, with one coefficient call per v node
+    covering every stage time of its substeps.
+    """
+    out = np.empty((2, len(us), len(vs), 2, 2))
+    bottom = _edge(data, action, init, us, vs[0], substeps, True)
+    out[:, :, 0] = np.concatenate(bottom, axis=1)
+    h = (vs[-1] - vs[0]) / ((len(vs) - 1) * substeps)
+    columns = (_coefs(data, action, us, t[..., None], False)
+               for t in stage_times(vs[:-1], h, substeps))
+    for j, y in enumerate(rk4_march(out[:, :, 0], columns, h)):
+        out[:, :, j] = y
+    return out
 
 
 def integrate_lax(data, action, domain, nu, nv, init=None, substeps=1,
@@ -205,12 +186,16 @@ def integrate_lax(data, action, domain, nu, nv, init=None, substeps=1,
 
     The compatibility gate evaluates the integrability residual on the
     grid (exactly for closed-form omega) and rejects incompatible data.
-    The main sweep is bottom edge then columns; the alternate sweep
-    (left edge then rows) only measures the path-independence defect at
-    the far corner, where it is largest.
+    The sweep is bottom edge then columns, with one coefficient call per
+    column node (all its RK4 stage times at once) and one per edge.  A
+    single alternate path, up the left edge and then along the top edge,
+    reaches the far corner, where the path-independence defect is
+    largest; only that corner of it is compared.
     """
     if nu < 2 or nv < 2:
         raise ValueError("need at least a 2x2 frame grid")
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1, got {substeps}")
     u0, u1, v0, v1 = domain
     us = np.linspace(u0, u1, nu)
     vs = np.linspace(v0, v1, nv)
@@ -226,20 +211,20 @@ def integrate_lax(data, action, domain, nu, nv, init=None, substeps=1,
     for m in init:
         check_unimodular(np.asarray(m, dtype=float), tol, what="initial frame")
 
-    a1, a2 = _sweep(data, action, us, vs, init[0], init[1], substeps, True)
-    b1, b2 = _sweep(data, action, us, vs, init[0], init[1], substeps, False)
-    defect = max(float(np.max(np.abs(a1[-1, -1] - b1[-1, -1]))),
-                 float(np.max(np.abs(a2[-1, -1] - b2[-1, -1]))))
+    init = np.stack(init).astype(float)[:, None]
+    frames = _sweep(data, action, us, vs, init, substeps)
+    up = _edge(data, action, init, vs, us[0], substeps, False)
+    corner = _edge(data, action, up[-1], us, vs[-1], substeps, True)[-1]
+    defect = float(np.max(np.abs(frames[:, -1, -1:] - corner)))
     if defect > tol.path:
         warnings.warn(f"far-corner path defect {defect:.3e} exceeds {tol.path:g}",
                       RuntimeWarning, stacklevel=2)
 
-    drift = max(float(np.max(np.abs(det2(a1) - 1.0))),
-                float(np.max(np.abs(det2(a2) - 1.0))))
+    drift = float(np.max(np.abs(det2(frames) - 1.0)))
     if drift > tol.drift:
         raise IntegrationError(
             f"determinant drift {drift:.3e} exceeds {tol.drift:g} in the frame sweep")
-    return LaxFrames(us=us, vs=vs, phi1=a1, phi2=a2, action=action,
+    return LaxFrames(us=us, vs=vs, phi1=frames[0], phi2=frames[1], action=action,
                      path_defect=defect, data=data)
 
 

@@ -81,18 +81,46 @@ def null_coefficient(kind, s, w):
     return c * w[..., None, None]
 
 
-def _rk4(coef_at, y, t, h, left):
+def stage_times(starts, h, substeps):
+    """RK4 stage times after each node start, shape (len(starts), substeps, 3).
+
+    Substep k after node t runs from t + k h; its three stage times are
+    its start, midpoint and end.
+    """
+    t = np.asarray(starts, dtype=float)[:, None] + np.arange(substeps) * h
+    return np.stack((t, t + 0.5 * h, t + h), axis=-1)
+
+
+def _rk4_step(y, c, h, left=False):
+    """One RK4 step of dY = Y C (or dY = C Y if left) for batched Y.
+
+    c[0], c[1], c[2] are the coefficients at the start, midpoint and end
+    of the step.
+    """
     if left:
-        k1 = coef_at(t) @ y
-        k2 = coef_at(t + 0.5 * h) @ (y + 0.5 * h * k1)
-        k3 = coef_at(t + 0.5 * h) @ (y + 0.5 * h * k2)
-        k4 = coef_at(t + h) @ (y + h * k3)
+        k1 = c[0] @ y
+        k2 = c[1] @ (y + 0.5 * h * k1)
+        k3 = c[1] @ (y + 0.5 * h * k2)
+        k4 = c[2] @ (y + h * k3)
     else:
-        k1 = y @ coef_at(t)
-        k2 = (y + 0.5 * h * k1) @ coef_at(t + 0.5 * h)
-        k3 = (y + 0.5 * h * k2) @ coef_at(t + 0.5 * h)
-        k4 = (y + h * k3) @ coef_at(t + h)
+        k1 = y @ c[0]
+        k2 = (y + 0.5 * h * k1) @ c[1]
+        k3 = (y + 0.5 * h * k2) @ c[1]
+        k4 = (y + h * k3) @ c[2]
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_march(y, coefs, h, left=False):
+    """Yield the state at every node of an RK4 march, starting with y.
+
+    coefs yields, node after node, the stage coefficients of that node's
+    substeps, indexed [substep, stage] as stage_times lays them out.
+    """
+    yield y
+    for node in coefs:
+        for c in node:
+            y = _rk4_step(y, c, h, left)
+        yield y
 
 
 def integrate_frame(kind, s, w, t_range, n, init=None, substeps=1, tol=DEFAULT_TOL):
@@ -107,6 +135,8 @@ def integrate_frame(kind, s, w, t_range, n, init=None, substeps=1, tol=DEFAULT_T
         raise ValueError(f"unknown leg kind {kind!r}; expected one of {_KINDS}")
     if n < 2:
         raise ValueError("need at least 2 nodes")
+    if substeps < 1:
+        raise ValueError(f"substeps must be at least 1, got {substeps}")
     var = "u" if kind == KIND_F1 else "v"
     s = as_field1d(s, var=var)
     w = as_field1d(w, var=var)
@@ -114,19 +144,11 @@ def integrate_frame(kind, s, w, t_range, n, init=None, substeps=1, tol=DEFAULT_T
     init = np.eye(2) if init is None else np.asarray(init, dtype=float)
     check_unimodular(init, tol, what="initial frame")
 
-    def coef_at(t):
-        return null_coefficient(kind, s(t), w(t))
-
     left = kind == KIND_F2_NU
-    y = adjugate(init) if left else init.copy()
-    out = np.empty((n, 2, 2))
-    out[0] = y
+    y = adjugate(init) if left else init
     h = (t1 - t0) / ((n - 1) * substeps)
-    for i in range(1, n):
-        t = t0 + (i - 1) * (t1 - t0) / (n - 1)
-        for k in range(substeps):
-            y = _rk4(coef_at, y, t + k * h, h, left)
-        out[i] = y
+    ts = stage_times(t0 + np.arange(n - 1) * (t1 - t0) / (n - 1), h, substeps)
+    out = np.stack(list(rk4_march(y, null_coefficient(kind, s(ts), w(ts)), h, left)))
     drift = float(np.max(np.abs(det2(out) - 1.0)))
     if drift > tol.drift:
         raise IntegrationError(
@@ -167,15 +189,6 @@ def frame_metric_grid(f1, f2, assembly):
         raise ValueError("assembly must be 'mu' or 'nu'")
     total = c1[:, None] + c2[None, :]
     return -det2(total)
-
-
-def frame_metric(f1, f2, assembly, i, j):
-    """Metric coefficient at one grid index pair."""
-    c1 = null_coefficient(f1.kind, f1.s_field(f1.ts[i]), f1.w_field(f1.ts[i]))
-    c2 = null_coefficient(f2.kind, f2.s_field(f2.ts[j]), f2.w_field(f2.ts[j]))
-    if assembly == "mu":
-        c2 = c2.T
-    return float(-det2(c1 + c2))
 
 
 def _check_tags(f1, f2, want_f2, assembly):

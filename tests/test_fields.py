@@ -53,6 +53,14 @@ def test_error_carries_byte_offset(src, offset):
     assert f"offset {offset}" in str(err.value)
 
 
+def test_overflowing_literal_rejected_at_its_offset():
+    # float("1e400") is inf, which would print as 'inf' and not re-parse
+    with pytest.raises(ExprError, match="overflows") as err:
+        parse_expression("u + 1e400*v")
+    assert err.value.offset == 4
+    assert print_expression(parse_expression("1e300*u")) == "1e+300*u"
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ExprError):
         parse_expression("sinc(u)")

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from adscmc.config import DEFAULT_TOL
 from adscmc.fields import as_field1d
 from adscmc.geometry import fundamental_data
 from adscmc.lax import (CompatibilityError, GmcData, extract_weierstrass_data,
@@ -192,3 +193,52 @@ def test_data_fields_broadcast():
     assert data.H == 1.0
     same = as_field1d(data.Q, "u")
     assert same is data.Q
+
+
+def _far_corner(frames):
+    return np.stack([frames.phi1[-1, -1], frames.phi2[-1, -1]])
+
+
+@pytest.mark.parametrize("action", ["mu", "nu"])
+def test_substep_halving_shows_fourth_order(action):
+    dom = (0.0, 1.2, 0.0, 1.2)
+    ref = _far_corner(integrate_lax(LIOUVILLE, action, dom, 21, 21, substeps=16))
+    err = [np.max(np.abs(_far_corner(integrate_lax(LIOUVILLE, action, dom, 21, 21,
+                                                   substeps=k)) - ref))
+           for k in (1, 2, 4)]
+    assert 14.0 <= err[0] / err[1] <= 18.0
+    assert 14.0 <= err[1] / err[2] <= 18.0
+
+
+@pytest.mark.parametrize("action", ["mu", "nu"])
+def test_substeps_keep_shape_and_path_defect(action):
+    frames = integrate_lax(LIOUVILLE, action, (0.1, 0.9, 0.05, 0.8), 31, 23,
+                           substeps=3)
+    assert frames.phi1.shape == (31, 23, 2, 2)
+    assert frames.phi2.shape == (31, 23, 2, 2)
+    assert frames.path_defect < DEFAULT_TOL.path
+
+
+@pytest.mark.parametrize("action", ["mu", "nu"])
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_omega_evaluations_are_batched(monkeypatch, action, substeps):
+    # one call per column step, one for the gate, one per edge march
+    data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
+    calls = []
+    evaluate = data.omega.with_derivatives
+
+    def counted(u, v):
+        calls.append(1)
+        return evaluate(u, v)
+
+    monkeypatch.setattr(data.omega, "with_derivatives", counted)
+    nv = 17
+    integrate_lax(data, action, (0.0, 1.0, 0.0, 1.0), 13, nv, substeps=substeps)
+    assert 0 < len(calls) <= (nv - 1) * substeps + 4
+
+
+def test_substeps_must_be_positive():
+    with pytest.raises(ValueError, match="substeps"):
+        integrate_lax(LIOUVILLE, "mu", (0.0, 1.0, 0.0, 1.0), 5, 5, substeps=0)
+    with pytest.raises(ValueError, match="substeps"):
+        integrate_frame(KIND_F1, "u", "1", (0.0, 1.0), 5, substeps=0)

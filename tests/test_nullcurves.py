@@ -44,6 +44,18 @@ def test_halving_shows_fourth_order():
     assert 14.0 <= ratio <= 18.0
 
 
+def test_nu_leg_substeps_refine_at_fourth_order():
+    def end(substeps):
+        curve = integrate_frame(KIND_F2_NU, "sin(3*v)", "cosh(v)", (-0.5, 1.0), 41,
+                                substeps=substeps)
+        assert np.allclose(curve.samples @ curve.inv_samples, np.eye(2), atol=1e-12)
+        return curve.samples[-1]
+
+    ref = end(16)
+    ratio = np.max(np.abs(end(1) - ref)) / np.max(np.abs(end(2) - ref))
+    assert 14.0 <= ratio <= 18.0
+
+
 def test_determinant_drift_stays_tiny():
     curve = integrate_frame(KIND_F1, "u", "1", (-2.0, 2.0), 4000)
     assert curve.det_drift < 1e-10
