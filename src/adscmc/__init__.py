@@ -12,7 +12,7 @@ and holomorphicity of the Gauss maps.
 
 from .algebra import (BASIS, E1, E2, E3, IDENT, METRIC3, METRIC4, adjugate,
                       check_unimodular, cross3, cross4, det2, inv2,
-                      mat_of_vec, mu_action, nu_action, ad_action,
+                      mat_of_vec, mu_action, nu_action, ad_action, pack2,
                       project_h31, renormalize, scalar_product,
                       scalar_product3, scalar_product4, stereographic_s21,
                       vec_of_mat)
@@ -29,17 +29,16 @@ from .gaussmaps import (GaussMapGrid, HolomorphicityReport, chart_coordinates,
                         generalized_gauss, holomorphicity_check,
                         hyperbolic_gauss)
 from .geometry import (AmbientSpec, FundamentalData, GeometryReport,
-                       fundamental_data, geometry_report, lawson_shift,
-                       lawson_shift_residual, second_form_residual,
-                       umbilic_detect)
+                       SurfaceGrid, fundamental_data, geometry_report,
+                       lawson_shift, lawson_shift_residual,
+                       second_form_residual, umbilic_detect)
 from .lax import (CompatibilityError, GmcData, LaxFrames,
                   extract_weierstrass_data, gmc_residual, integrate_lax,
                   lax_matrices)
 from .nullcurves import (KIND_F1, KIND_F2_MU, KIND_F2_NU, FrameCurve,
-                         IntegrationError, SurfaceGridH31, assemble_mu,
-                         assemble_nu, frame_metric_grid,
-                         integrate_frame, null_coefficient)
-from .weierstrass import (QuadratureError, SurfaceGridE31, WeierstrassData,
+                         IntegrationError, assemble_mu, assemble_nu,
+                         frame_metric_grid, integrate_frame, null_coefficient)
+from .weierstrass import (QuadratureError, WeierstrassData,
                           adaptive_quadrature, integrate_minimal,
                           minimal_metric_factor, minimal_normal,
                           projected_gauss_minimal, weierstrass_derivatives)

@@ -42,15 +42,22 @@ METRIC4 = np.array([-1.0, -1.0, 1.0, 1.0])
 METRIC3 = np.array([-1.0, 1.0, 1.0])
 
 
+def pack2(a, b, c, d):
+    """Matrices [[a, b], [c, d]] of shape (..., 2, 2) from broadcastable entries."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in (a, b, c, d)))
+    m = np.empty(shape + (2, 2))
+    m[..., 0, 0] = a
+    m[..., 0, 1] = b
+    m[..., 1, 0] = c
+    m[..., 1, 1] = d
+    return m
+
+
 def mat_of_vec(x):
     """Component vector(s) (..., 4) to matrix form (..., 2, 2)."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[:-1] + (2, 2))
-    out[..., 0, 0] = x[..., 0] + x[..., 3]
-    out[..., 0, 1] = x[..., 1] + x[..., 2]
-    out[..., 1, 0] = -x[..., 1] + x[..., 2]
-    out[..., 1, 1] = x[..., 0] - x[..., 3]
-    return out
+    return pack2(x[..., 0] + x[..., 3], x[..., 1] + x[..., 2],
+                 -x[..., 1] + x[..., 2], x[..., 0] - x[..., 3])
 
 
 def vec_of_mat(m):
@@ -101,12 +108,7 @@ def det2(m):
 def adjugate(m):
     """Adjugate of 2x2 matrices; equals the inverse when det = 1."""
     m = np.asarray(m, dtype=float)
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    out[..., 1, 1] = m[..., 0, 0]
-    return out
+    return pack2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
 
 
 def inv2(m, tol=DEFAULT_TOL):
@@ -192,13 +194,13 @@ def cross3(a, b):
     return out
 
 
-def project_h31(x, pole="plus", strict=True):
+def project_h31(x, pole="plus", strict=True, tol=DEFAULT_TOL):
     """Stereographic chart of the unimodular quadric into 3-space.
 
     Components (x1, x2, x3) are divided by 1 + x0 (pole "plus") or
     1 - x0 (pole "minus").  Input may be component vectors (..., 4) or
     matrices (..., 2, 2).  By default points must lie on the quadric
-    within 1e-8 and clear the pole by more than 1e-10, else this
+    within 1e-8 and clear the pole by more than tol.pole, else this
     raises; strict=False instead maps pole-adjacent points to NaN and
     skips the quadric check (grid exports mask rather than abort).
     """
@@ -216,7 +218,7 @@ def project_h31(x, pole="plus", strict=True):
         den = 1.0 - x[..., 0]
     else:
         raise ValueError("pole must be 'plus' or 'minus'")
-    at_pole = np.abs(den) <= 1e-10
+    at_pole = np.abs(den) <= tol.pole
     if strict and np.any(at_pole):
         raise ZeroDivisionError("projection evaluated at its pole (1 +- x0 = 0)")
     with np.errstate(divide="ignore", invalid="ignore"):

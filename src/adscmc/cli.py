@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import vec_of_mat
+from .algebra import project_h31
 from .config import DEFAULT_TOL, Tolerances
 from .export import _dumps, export_surface
 from .export import read_json as read_surface_json
@@ -182,10 +182,10 @@ def _export(cfg, surface, report):
         return
     fmt = _infer_format(cfg)
     projection = None
-    if fmt == "obj" and np.ndim(surface.points) == 4:
+    if fmt == "obj" and surface.ambient.name == "H31":
         projection = cfg.pole
     export_surface(surface, projection, fmt, cfg.out,
-                   report=report, fd=report.fd if report else None)
+                   report=report, fd=report.fd if report else None, tol=cfg.tol)
     print(f"wrote {cfg.out}")
 
 
@@ -296,29 +296,27 @@ def _cmd_gauss(cfg):
 def _cmd_project(cfg):
     _require(cfg, "path", "out")
     surface, meta, _ = read_surface_json(cfg.path)
-    if np.ndim(surface.points) != 4:
+    if surface.ambient.name != "H31":
         raise UsageError("project needs a raw quadric surface (4-component vertices)")
     fmt = _infer_format(cfg)
     if fmt == "csv":
         raise UsageError("project writes obj or json, not csv")
 
-    x = vec_of_mat(surface.points)
-    den = 1.0 + x[..., 0] if cfg.pole == "plus" else 1.0 - x[..., 0]
-    good = ~surface.mask & (np.abs(den) > cfg.tol.pole)
+    x = surface.components()
+    y = project_h31(x, cfg.pole, strict=False, tol=cfg.tol)
+    good = ~surface.mask & np.isfinite(y).all(axis=-1)
     # Each pole maps its own half {±x0 > 0} into the open unit indefinite
     # ball; points from the other half land outside by construction, so
     # the interior gate only ranges over the matching half.
     half = x[..., 0] > 0.0 if cfg.pole == "plus" else x[..., 0] < 0.0
     gated = good & half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = x[..., 1:] / den[..., None]
-        inside = -y[..., 0] ** 2 + y[..., 1] ** 2 + y[..., 2] ** 2
+    inside = -y[..., 0] ** 2 + y[..., 1] ** 2 + y[..., 2] ** 2
     print(f"n_matching_half = {int(np.sum(gated))}")
     print(f"n_other_half = {int(np.sum(good & ~half))}")
     worst = float(np.max(inside[gated])) if np.any(gated) else float("nan")
     print(f"max_indefinite_radius = {worst!r}")
 
-    export_surface(surface, cfg.pole, fmt, cfg.out)
+    export_surface(surface, cfg.pole, fmt, cfg.out, tol=cfg.tol)
     print(f"wrote {cfg.out}")
     if np.any(gated) and not (np.isfinite(worst) and worst < 1.0):
         print(f"gate projection_interior = {worst!r} bound 1.0 -> FAIL")

@@ -11,8 +11,12 @@ bytes on every platform.  The JSON layout is
      "mask": [true/false, ..],               # present when any point masked
      "report": {..}}                          # optional statistics
 
-Quadric surfaces are stored with their four ambient components unless a
-projection pole is requested; 3-space surfaces always store three.
+"ambient" is the surface's AmbientSpec.name in lower case.  Quadric
+surfaces are stored with their four ambient components unless a
+projection pole is requested; 3-space surfaces always store three.  A
+projected file keeps "ambient": "h31", adds "projected": <pole>, and
+reads back as a 3-space grid.  Projection masks the points whose chart
+denominator is within the run's tol.pole of zero.
 
 The bulk arrays (OBJ vertices and faces, JSON vertices, CSV rows) are
 formatted in blocks of _BLOCK_ROWS rows, one C-level ``%`` call per
@@ -29,9 +33,9 @@ import json
 
 import numpy as np
 
-from .algebra import mat_of_vec, project_h31, vec_of_mat
-from .nullcurves import SurfaceGridH31
-from .weierstrass import SurfaceGridE31
+from .algebra import mat_of_vec, project_h31
+from .config import DEFAULT_TOL
+from .geometry import AmbientSpec, SurfaceGrid
 
 # rows per % call: one call over a whole 301 x 301 CSV raised peak memory
 # by 15% at no gain in speed
@@ -84,24 +88,20 @@ def _dumps(value):
     return "".join(out)
 
 
-def _grid_vertices(surface, projection):
+def _grid_vertices(surface, projection, tol):
     """Zero-filled (nu*nv, k) vertex rows and the effective (nu, nv) mask."""
-    pts = np.asarray(surface.points, dtype=float)
-    if pts.ndim == 4:
-        comps = vec_of_mat(pts)
-        if projection is not None:
-            comps = project_h31(comps, pole=projection, strict=False)
-    else:
-        if projection is not None:
+    comps = surface.components()
+    if projection is not None:
+        if surface.ambient.name != "H31":
             raise ValueError("projection applies only to quadric surfaces")
-        comps = pts
+        comps = project_h31(comps, pole=projection, strict=False, tol=tol)
     finite = np.isfinite(comps)
     mask = np.asarray(surface.mask, dtype=bool) | ~finite.all(axis=-1)
     return np.where(finite, comps, 0.0).reshape(-1, comps.shape[-1]), mask
 
 
-def export_obj(surface, projection, path):
-    vertices, mask = _grid_vertices(surface, projection)
+def export_obj(surface, projection, path, tol=DEFAULT_TOL):
+    vertices, mask = _grid_vertices(surface, projection, tol)
     if vertices.shape[1] != 3:
         raise ValueError("OBJ output needs 3 coordinates; project the surface first")
     nv = mask.shape[1]
@@ -119,14 +119,13 @@ def export_obj(surface, projection, path):
 
 def _meta(surface):
     us, vs = np.asarray(surface.us), np.asarray(surface.vs)
-    ambient = "h31" if np.asarray(surface.points).ndim == 4 else "e31"
     return {"domain": [float(us[0]), float(us[-1]), float(vs[0]), float(vs[-1])],
             "nu": int(len(us)), "nv": int(len(vs)),
-            "ambient": ambient, "assembly": str(surface.assembly)}
+            "ambient": surface.ambient.name.lower(), "assembly": str(surface.assembly)}
 
 
-def export_json(surface, projection, path, report=None):
-    vertices, mask = _grid_vertices(surface, projection)
+def export_json(surface, projection, path, report=None, tol=DEFAULT_TOL):
+    vertices, mask = _grid_vertices(surface, projection, tol)
     meta = _meta(surface)
     if projection is not None:
         meta["projected"] = str(projection)
@@ -167,7 +166,15 @@ def read_json(path):
         doc = json.load(fh)
     if doc.get("schema") != 1:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
-    meta = doc["meta"]
+    meta = doc.get("meta")
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: field 'meta' is missing or not an object")
+    for key in ("nu", "nv", "domain", "ambient"):
+        if key not in meta:
+            raise ValueError(f"{path}: field 'meta.{key}' is missing")
+    if meta["ambient"] not in ("h31", "e31"):
+        raise ValueError(f"{path}: field 'meta.ambient' should be 'h31' or 'e31', "
+                         f"found {meta['ambient']!r}")
     nu, nv = meta["nu"], meta["nv"]
     u0, u1, v0, v1 = meta["domain"]
     us = np.linspace(u0, u1, nu)
@@ -179,12 +186,11 @@ def read_json(path):
     else:
         mask = np.zeros((nu, nv), dtype=bool)
     if quadric:
-        pts = mat_of_vec(verts.reshape(nu, nv, 4))
-        surface = SurfaceGridH31(us=us, vs=vs, points=pts, mask=mask,
-                                 assembly=meta.get("assembly", "mu"))
+        surface = SurfaceGrid(us, vs, mat_of_vec(verts.reshape(nu, nv, 4)), mask,
+                              AmbientSpec.h31(), meta.get("assembly", "mu"))
     else:
-        surface = SurfaceGridE31(us=us, vs=vs, points=verts.reshape(nu, nv, 3),
-                                 mask=mask, assembly=meta.get("assembly", "minimal"))
+        surface = SurfaceGrid(us, vs, verts.reshape(nu, nv, 3), mask,
+                              AmbientSpec.e31(), meta.get("assembly", "minimal"))
     return surface, meta, doc.get("report")
 
 
@@ -204,12 +210,12 @@ def export_csv(fd, path):
     return path
 
 
-def export_surface(surface, projection, fmt, path, report=None, fd=None):
+def export_surface(surface, projection, fmt, path, report=None, fd=None, tol=DEFAULT_TOL):
     """Write a surface grid in the requested format."""
     if fmt == "obj":
-        return export_obj(surface, projection, path)
+        return export_obj(surface, projection, path, tol=tol)
     if fmt == "json":
-        return export_json(surface, projection, path, report=report)
+        return export_json(surface, projection, path, report=report, tol=tol)
     if fmt == "csv":
         if fd is None:
             raise ValueError("CSV export needs measured fundamental data")

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import pack2
 from .config import DEFAULT_TOL
 from .fields import ScalarField2D
-from .weierstrass import SurfaceGridE31, WeierstrassData
-from .nullcurves import SurfaceGridH31
+from .geometry import AmbientSpec, SurfaceGrid
+from .weierstrass import WeierstrassData
 
 DEFAULT_DOMAIN = (-1.5, 1.5, -1.5, 1.5)
 
@@ -32,35 +33,25 @@ GALLERY_NAMES = ("enneper-isothermic", "enneper-anti", "b-scroll",
                  "horosphere", "minimal-enneper", "minimal-b-scroll")
 
 
-def _mats(a, b, c, d):
-    shape = np.broadcast_shapes(*(np.shape(x) for x in (a, b, c, d)))
-    m = np.empty(shape + (2, 2))
-    m[..., 0, 0] = a
-    m[..., 0, 1] = b
-    m[..., 1, 0] = c
-    m[..., 1, 1] = d
-    return m
-
-
 def _frame_hyp(t):
     """Leg for direction t with unit density: hyperbolic rotation part."""
     t = np.asarray(t, dtype=float)
     ch, sh = np.cosh(t), np.sinh(t)
-    return _mats(ch, sh - t * ch, sh, ch - t * sh)
+    return pack2(ch, sh - t * ch, sh, ch - t * sh)
 
 
 def _frame_trig(t):
     """Leg for direction -t with unit density."""
     t = np.asarray(t, dtype=float)
     c, s = np.cos(t), np.sin(t)
-    return _mats(c, -s + t * c, s, c + t * s)
+    return pack2(c, -s + t * c, s, c + t * s)
 
 
 def _frame_lower(t):
     """Leg for constant zero direction: unipotent lower triangular."""
     t = np.asarray(t, dtype=float)
     one = np.ones_like(t)
-    return _mats(one, 0.0 * t, t, one)
+    return pack2(one, 0.0 * t, t, one)
 
 
 def _product_phi(f1, f2):
@@ -76,14 +67,14 @@ def _bscroll_phi(u, v):
     v = np.asarray(v, dtype=float)
     ch, sh = np.cosh(u), np.sinh(u)
     w = u - v
-    return _mats(ch + 0.0 * v, -w * ch + sh, sh + 0.0 * v, -w * sh + ch)
+    return pack2(ch + 0.0 * v, -w * ch + sh, sh + 0.0 * v, -w * sh + ch)
 
 
 def _horosphere_phi(u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     one = np.ones(np.broadcast_shapes(np.shape(u), np.shape(v)))
-    return _mats(one, v + 0.0 * u, u + 0.0 * v, 1.0 + u * v)
+    return pack2(one, v + 0.0 * u, u + 0.0 * v, 1.0 + u * v)
 
 
 def _minimal_enneper_psi(u, v):
@@ -206,5 +197,5 @@ def oracle_surface(entry, domain=DEFAULT_DOMAIN, nu=101, nv=101, tol=DEFAULT_TOL
     mask = entry.metric_field()(us[:, None], vs[None, :]) < tol.degen
     mask = np.broadcast_to(mask, (nu, nv)).copy()
     if entry.ambient == "h31":
-        return SurfaceGridH31(us=us, vs=vs, points=pts, mask=mask, assembly="mu")
-    return SurfaceGridE31(us=us, vs=vs, points=pts, mask=mask, assembly="minimal")
+        return SurfaceGrid(us, vs, pts, mask, AmbientSpec.h31(), "mu")
+    return SurfaceGrid(us, vs, pts, mask, AmbientSpec.e31(), "minimal")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import mat_of_vec, scalar_product4, vec_of_mat
+from .algebra import mat_of_vec, scalar_product4
 from .config import DEFAULT_TOL
 from .fields import fd_derivative
 from .geometry import _cd1, _uniform_step, fundamental_data
@@ -80,7 +80,7 @@ def chart_coordinates(rep, tol=DEFAULT_TOL):
 
 
 def _require_h31(surface):
-    if np.ndim(surface.points) != 4:
+    if surface.ambient.name != "H31":
         raise ValueError("Gauss map charts need a surface in the matrix model")
 
 
@@ -89,7 +89,7 @@ def hyperbolic_gauss(surface, fd, sign="plus", tol=DEFAULT_TOL):
     _require_h31(surface)
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    x = vec_of_mat(surface.points)
+    x = surface.components()
     s = 1.0 if sign == "plus" else -1.0
     rep = mat_of_vec(x + s * fd.normal)
     g1, g2, bad = chart_coordinates(rep, tol)
@@ -299,7 +299,7 @@ def gauss_conformality_check(surface, fd=None, sign="plus", tol=DEFAULT_TOL):
     _require_h31(surface)
     if fd is None:
         fd = fundamental_data(surface, tol=tol)
-    x = vec_of_mat(surface.points)
+    x = surface.components()
     s = 1.0 if sign == "plus" else -1.0
     m = x + s * fd.normal
     mu = _cd1(m, fd.hu, 0)

@@ -1,7 +1,12 @@
-"""First and second fundamental forms of sampled conformal surfaces.
+"""Sampled surfaces and their first and second fundamental forms.
 
-Given a grid of surface points in the unimodular quadric (curvature -1)
-or in Minkowski 3-space (curvature 0), this module measures everything
+A SurfaceGrid is a grid of surface points in one of two ambient spaces,
+named by its AmbientSpec: the unimodular quadric H31 (curvature -1,
+points stored as 2x2 matrices) or Minkowski 3-space E31 (curvature 0,
+points stored as three components).  Every builder in the package
+returns one, and every consumer reads the ambient off the grid.
+
+Given such a grid, this module measures everything
 the constructions upstream claim: the null-coordinate conformality
 residuals <phi_u, phi_u> and <phi_v, phi_v>, the conformal factor
 e^omega = 2 <phi_u, phi_v>, the oriented unit normal, the mean curvature
@@ -32,8 +37,6 @@ import numpy as np
 from .algebra import (METRIC3, METRIC4, cross3, cross4, scalar_product3,
                       scalar_product4, vec_of_mat)
 from .config import DEFAULT_TOL
-from .nullcurves import SurfaceGridH31
-from .weierstrass import SurfaceGridE31
 
 
 @dataclass(frozen=True)
@@ -51,13 +54,31 @@ class AmbientSpec:
     def e31(cls):
         return cls("E31", 0.0)
 
-    @classmethod
-    def named(cls, name):
-        if name == "H31":
-            return cls.h31()
-        if name == "E31":
-            return cls.e31()
-        raise ValueError(f"unknown ambient {name!r}")
+
+@dataclass
+class SurfaceGrid:
+    """Sampled surface over a uniform (u, v) grid, u along axis 0.
+
+    points has shape (nu, nv, 2, 2) in H31 and (nu, nv, 3) in E31.
+    assembly names the construction that produced the grid.
+    """
+
+    us: np.ndarray
+    vs: np.ndarray
+    points: np.ndarray
+    mask: np.ndarray    # True where the metric factor is below tolerance
+    ambient: AmbientSpec
+    assembly: str
+
+    @property
+    def shape(self):
+        return self.points.shape[:2]
+
+    def components(self):
+        """Ambient component vectors (nu, nv, 4) in H31 or (nu, nv, 3) in E31."""
+        if self.ambient.name == "H31":
+            return vec_of_mat(self.points)
+        return np.asarray(self.points, dtype=float)
 
 
 def _cd1(a, h, axis):
@@ -134,15 +155,7 @@ class FundamentalData:
             return self.valid() & (self.metric >= tol.metric_floor)
 
 
-def _surface_vectors(surface):
-    if isinstance(surface, SurfaceGridH31) or (
-            hasattr(surface, "points") and np.ndim(surface.points) == 4):
-        return vec_of_mat(surface.points), AmbientSpec.h31()
-    return np.asarray(surface.points, dtype=float), AmbientSpec.e31()
-
-
-def fundamental_data(surface, ambient=None, tol=DEFAULT_TOL, flip_normal=False,
-                     strict=False):
+def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False, strict=False):
     """Measure fundamental forms of a sampled surface grid.
 
     Degenerate points (2 <phi_u, phi_v> <= 0) and points where the
@@ -150,8 +163,8 @@ def fundamental_data(surface, ambient=None, tol=DEFAULT_TOL, flip_normal=False,
     raise instead.  flip_normal reverses the normal field, which flips
     the signs of H, Q and R while preserving K.
     """
-    x, inferred = _surface_vectors(surface)
-    ambient = inferred if ambient is None else ambient
+    x = surface.components()
+    ambient = surface.ambient
     nu, nv = x.shape[0], x.shape[1]
     if nu < 5 or nv < 5:
         raise ValueError("fundamental data needs at least a 5x5 grid")
@@ -237,6 +250,8 @@ def _second_form(fd, x, xu, xv, sp):
         det_ii = ii_xx * ii_yy - ii_xy ** 2
         fd.K_shape = fd.ambient.kbar - det_ii / e ** 2
         fd.gauss_eq = fd.K - fd.K_shape
+        # filled entry by entry: packing four finished entry grids would
+        # hold them all at once, which raised peak memory on long grids
         s = np.empty(ii_xx.shape + (2, 2))
         s[..., 0, 0] = -ii_xx / e
         s[..., 0, 1] = -ii_xy / e
@@ -247,7 +262,7 @@ def _second_form(fd, x, xu, xv, sp):
 
 def second_form_residual(surface, fd):
     """Entrywise gap between differenced and modelled second forms."""
-    x, _ = _surface_vectors(surface)
+    x = surface.components()
     sp = scalar_product4 if fd.ambient.name == "H31" else scalar_product3
     xu = _cd1(x, fd.hu, 0)
     xv = _cd1(x, fd.hv, 1)
@@ -298,8 +313,8 @@ class GeometryReport:
     """Summary statistics of a FundamentalData measurement."""
 
     fd: FundamentalData
-    assembly: str
     stats: dict
+    core: np.ndarray    # the points the statistics range over
 
     def worst(self, tol=DEFAULT_TOL, target_h=None):
         """The residual gate: (ok, offender name, value, threshold)."""
@@ -320,7 +335,7 @@ class GeometryReport:
         return ratio <= 1.0, name, value, bound
 
     def stats_h_error(self, target_h):
-        sel = self._core & np.isfinite(self.fd.H)
+        sel = self.core & np.isfinite(self.fd.H)
         if not np.any(sel):
             return float("nan")
         return float(np.max(np.abs(self.fd.H[sel] - target_h)))
@@ -329,14 +344,14 @@ class GeometryReport:
         return dict(self.stats)
 
 
-def geometry_report(surface, ambient=None, tol=DEFAULT_TOL, flip_normal=False):
+def geometry_report(surface, tol=DEFAULT_TOL, flip_normal=False):
     """Measure a surface and aggregate residual statistics.
 
     Statistics run over core points: valid interior points whose
     conformal factor clears the floor in the tolerance context, since
     curvature carries no meaning against a collapsing metric.
     """
-    fd = fundamental_data(surface, ambient=ambient, tol=tol, flip_normal=flip_normal)
+    fd = fundamental_data(surface, tol=tol, flip_normal=flip_normal)
     core = fd.core(tol)
     h_vals = fd.H[core & np.isfinite(fd.H)]
     h_median = float(np.median(h_vals)) if h_vals.size else float("nan")
@@ -357,6 +372,4 @@ def geometry_report(surface, ambient=None, tol=DEFAULT_TOL, flip_normal=False):
         "h_spread": _stat_max(fd.H - h_median, core),
         "umbilic_fraction": float(np.sum(umb & core) / max(1, np.sum(core))),
     }
-    report = GeometryReport(fd=fd, assembly=getattr(surface, "assembly", "unknown"), stats=stats)
-    report._core = core
-    return report
+    return GeometryReport(fd=fd, stats=stats, core=core)

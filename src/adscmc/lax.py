@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import adjugate, det2, check_unimodular
+from .algebra import adjugate, check_unimodular, det2, pack2
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d, as_field2d, fd_derivative
+from .geometry import AmbientSpec, SurfaceGrid
 from .nullcurves import (KIND_F1, KIND_F2_MU, KIND_F2_NU, IntegrationError,
-                         SurfaceGridH31, rk4_march, stage_times)
+                         rk4_march, stage_times)
 from .weierstrass import WeierstrassData
 
 
@@ -60,17 +61,13 @@ class GmcData:
 
 
 def gmc_residual(data, us, vs):
-    """Pointwise residuals of the integrability conditions on a grid.
+    """Signed residual of the integrability condition on a grid,
 
-    Returns two grids: the signed residual of
+        omega_uv + (H^2 - 1)/2 * e^omega - 2 Q R e^-omega.
 
-        omega_uv + (H^2 - 1)/2 * e^omega - 2 Q R e^-omega
-
-    and the larger of the two mean-curvature flux residuals
-    |H_u - 2 e^-omega Q_v| and |H_v - 2 e^-omega R_u|.  The second is
-    zero by construction for split data with constant H, and is
-    computed (trivially) rather than assumed so the return shape does
-    not depend on the data.
+    The two mean-curvature flux conditions, H_u = 2 e^-omega Q_v and
+    H_v = 2 e^-omega R_u, hold identically for split data with constant
+    H, so this is the only residual there is to measure.
     """
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
@@ -78,21 +75,7 @@ def gmc_residual(data, us, vs):
     q = np.asarray(data.Q(us), dtype=float)[:, None]
     r = np.asarray(data.R(vs), dtype=float)[None, :]
     e = np.exp(w)
-    first = wuv + 0.5 * (data.H ** 2 - 1.0) * e - 2.0 * q * r / e
-    # H is a constant and Q, R split by variable: both flux terms vanish.
-    second = np.zeros_like(first)
-    return first, second
-
-
-def _pack(a, b, c, d):
-    """Stack four broadcastable entry grids into (..., 2, 2) matrices."""
-    shape = np.broadcast_shapes(*(np.shape(x) for x in (a, b, c, d)))
-    m = np.empty(shape + (2, 2))
-    m[..., 0, 0] = a
-    m[..., 0, 1] = b
-    m[..., 1, 0] = c
-    m[..., 1, 1] = d
-    return m
+    return wuv + 0.5 * (data.H ** 2 - 1.0) * e - 2.0 * q * r / e
 
 
 def lax_matrices(data, action, u, v):
@@ -105,14 +88,14 @@ def lax_matrices(data, action, u, v):
     h = data.H
     ep = np.exp(0.5 * w)
     em = np.exp(-0.5 * w)
-    u1 = _pack(wu / 4.0, 0.5 * ep * (h + 1.0), -em * q, -wu / 4.0)
-    v1 = _pack(-wv / 4.0, em * r, -0.5 * ep * (h - 1.0), wv / 4.0)
+    u1 = pack2(wu / 4.0, 0.5 * ep * (h + 1.0), -em * q, -wu / 4.0)
+    v1 = pack2(-wv / 4.0, em * r, -0.5 * ep * (h - 1.0), wv / 4.0)
     if action == "mu":
-        u2 = _pack(-wu / 4.0, em * q, -0.5 * ep * (h - 1.0), wu / 4.0)
-        v2 = _pack(wv / 4.0, 0.5 * ep * (h + 1.0), -em * r, -wv / 4.0)
+        u2 = pack2(-wu / 4.0, em * q, -0.5 * ep * (h - 1.0), wu / 4.0)
+        v2 = pack2(wv / 4.0, 0.5 * ep * (h + 1.0), -em * r, -wv / 4.0)
     elif action == "nu":
-        u2 = _pack(wu / 4.0, 0.5 * ep * (h - 1.0), -em * q, -wu / 4.0)
-        v2 = _pack(-wv / 4.0, em * r, -0.5 * ep * (h + 1.0), wv / 4.0)
+        u2 = pack2(wu / 4.0, 0.5 * ep * (h - 1.0), -em * q, -wu / 4.0)
+        v2 = pack2(-wv / 4.0, em * r, -0.5 * ep * (h + 1.0), wv / 4.0)
     else:
         raise ValueError("action must be 'mu' or 'nu'")
     return u1, v1, u2, v2
@@ -138,8 +121,8 @@ class LaxFrames:
             points = np.einsum("ijab,ijbc->ijac", self.phi1, adjugate(self.phi2))
         w = self.data.omega(self.us[:, None], self.vs[None, :])
         mask = np.broadcast_to(np.exp(w) < tol.degen, points.shape[:2]).copy()
-        return SurfaceGridH31(us=self.us, vs=self.vs, points=points,
-                              mask=mask, assembly=self.action)
+        return SurfaceGrid(us=self.us, vs=self.vs, points=points, mask=mask,
+                           ambient=AmbientSpec.h31(), assembly=self.action)
 
 
 def _coefs(data, action, u, v, along_u):
@@ -200,8 +183,7 @@ def integrate_lax(data, action, domain, nu, nv, init=None, substeps=1,
     us = np.linspace(u0, u1, nu)
     vs = np.linspace(v0, v1, nv)
     if gate:
-        first, second = gmc_residual(data, us, vs)
-        res = max(float(np.max(np.abs(first))), float(np.max(second)))
+        res = float(np.max(np.abs(gmc_residual(data, us, vs))))
         if res > tol.compat:
             raise CompatibilityError(
                 f"data fails the integrability condition: max residual {res:.3e} "

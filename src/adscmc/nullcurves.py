@@ -20,13 +20,14 @@ mean curvature -1.  The induced metric coefficient of either product is
 the attached fields rather than by differencing the grid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import adjugate, det2, check_unimodular
+from .algebra import adjugate, check_unimodular, det2, pack2
 from .config import DEFAULT_TOL
 from .fields import as_field1d
+from .geometry import AmbientSpec, SurfaceGrid
 
 KIND_F1 = "F1-holomorphic"
 KIND_F2_MU = "F2-antiholomorphic-mu"
@@ -65,17 +66,10 @@ def null_coefficient(kind, s, w):
     """
     s = np.asarray(s, dtype=float)
     w = np.asarray(w, dtype=float)
-    c = np.empty(np.broadcast(s, w).shape + (2, 2))
     if kind in (KIND_F1, KIND_F2_MU):
-        c[..., 0, 0] = s
-        c[..., 0, 1] = -s * s
-        c[..., 1, 0] = 1.0
-        c[..., 1, 1] = -s
+        c = pack2(s, -s * s, 1.0, -s)
     elif kind == KIND_F2_NU:
-        c[..., 0, 0] = s
-        c[..., 0, 1] = 1.0
-        c[..., 1, 0] = -s * s
-        c[..., 1, 1] = -s
+        c = pack2(s, 1.0, -s * s, -s)
     else:
         raise ValueError(f"unknown leg kind {kind!r}; expected one of {_KINDS}")
     return c * w[..., None, None]
@@ -159,21 +153,6 @@ def integrate_frame(kind, s, w, t_range, n, init=None, substeps=1, tol=DEFAULT_T
     return FrameCurve(kind, s, w, t0, t1, n, samples=out, det_drift=drift)
 
 
-@dataclass
-class SurfaceGridH31:
-    """Sampled surface in the unimodular quadric, u along axis 0."""
-
-    us: np.ndarray
-    vs: np.ndarray
-    points: np.ndarray  # (nu, nv, 2, 2)
-    mask: np.ndarray    # True where the exact metric coefficient is tiny
-    assembly: str
-
-    @property
-    def shape(self):
-        return self.points.shape[:2]
-
-
 def _leg_coefs(curve):
     ts = curve.ts
     return null_coefficient(curve.kind, curve.s_field(ts), curve.w_field(ts))
@@ -204,8 +183,8 @@ def assemble_mu(f1, f2, tol=DEFAULT_TOL):
     _check_tags(f1, f2, KIND_F2_MU, "mu")
     points = np.einsum("iab,jcb->ijac", f1.samples, f2.samples)
     coef = frame_metric_grid(f1, f2, "mu")
-    return SurfaceGridH31(us=f1.ts, vs=f2.ts, points=points,
-                          mask=np.abs(coef) < tol.degen, assembly="mu")
+    return SurfaceGrid(us=f1.ts, vs=f2.ts, points=points, mask=np.abs(coef) < tol.degen,
+                       ambient=AmbientSpec.h31(), assembly="mu")
 
 
 def assemble_nu(f1, f2, tol=DEFAULT_TOL):
@@ -213,5 +192,5 @@ def assemble_nu(f1, f2, tol=DEFAULT_TOL):
     _check_tags(f1, f2, KIND_F2_NU, "nu")
     points = np.einsum("iab,jbc->ijac", f1.samples, f2.inv_samples)
     coef = frame_metric_grid(f1, f2, "nu")
-    return SurfaceGridH31(us=f1.ts, vs=f2.ts, points=points,
-                          mask=np.abs(coef) < tol.degen, assembly="nu")
+    return SurfaceGrid(us=f1.ts, vs=f2.ts, points=points, mask=np.abs(coef) < tol.degen,
+                       ambient=AmbientSpec.h31(), assembly="nu")

@@ -20,6 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from .algebra import cross3, scalar_product3, METRIC3
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d
+from .geometry import AmbientSpec, SurfaceGrid
 
 _GL7 = leggauss(7)
 _GL15 = leggauss(15)
@@ -42,21 +43,6 @@ class WeierstrassData:
     def build(cls, q, f, r, g):
         return cls(as_field1d(q, var="u"), as_field1d(f, var="u"),
                    as_field1d(r, var="v"), as_field1d(g, var="v"))
-
-
-@dataclass
-class SurfaceGridE31:
-    """Sampled surface in Minkowski 3-space, u along axis 0."""
-
-    us: np.ndarray
-    vs: np.ndarray
-    points: np.ndarray  # (nu, nv, 3)
-    mask: np.ndarray    # True where the metric factor is below tolerance
-    assembly: str = "minimal"
-
-    @property
-    def shape(self):
-        return self.points.shape[:2]
 
 
 def _du_direction(q):
@@ -157,7 +143,8 @@ def integrate_minimal(data, domain, nu, nv, tol=DEFAULT_TOL):
     points = a[:, None, :] + b[None, :, :]
     factor = minimal_metric_factor(data, us[:, None], vs[None, :])
     mask = np.abs(factor) < tol.degen
-    return SurfaceGridE31(us=us, vs=vs, points=points, mask=mask)
+    return SurfaceGrid(us=us, vs=vs, points=points, mask=mask,
+                       ambient=AmbientSpec.e31(), assembly="minimal")
 
 
 def minimal_normal(data, u, v, tol=DEFAULT_TOL):

@@ -245,6 +245,25 @@ def test_project_minus_pole_is_vacuous_for_this_orbit(tmp_path, capsys):
     assert "n_other_half = 100" in out
 
 
+def test_projected_faces_follow_the_gate_tolerance(tmp_path, capsys):
+    raw, obj = tmp_path / "raw.json", tmp_path / "wide.obj"
+    # the residual gates fail at this spacing; only the written grid matters
+    main(["cmc1", "--q", "u", "--f", "1", "--r", "v", "--g", "1",
+          "--domain", "0.05", "0.95", "0.02", "0.92", "--nu", "21", "--nv", "21",
+          "--out", str(raw)])
+    capsys.readouterr()
+    assert main(["project", str(raw), "--tol", "pole=2.2", "--out", str(obj)]) == 0
+    out = capsys.readouterr().out
+    surface, _, _ = read_json(str(raw))
+    x0 = surface.components()[..., 0]
+    good = ~surface.mask & (np.abs(1.0 + x0) > 2.2)
+    assert f"n_matching_half = {int(good.sum())}" in out
+    # a quad keeps its two faces exactly when the gate kept all four corners
+    quads = good[:-1, :-1] & good[1:, :-1] & good[1:, 1:] & good[:-1, 1:]
+    faces = sum(1 for l in obj.read_text().splitlines() if l.startswith("f "))
+    assert 0 < faces == 2 * int(quads.sum()) < 2 * 20 * 20
+
+
 def test_project_rejects_flat_surfaces(tmp_path, capsys):
     flat = tmp_path / "flat.json"
     assert main(["minimal", *ENNEPER_ARGS, "--out", str(flat)]) == 0

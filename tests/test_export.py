@@ -118,3 +118,25 @@ def test_absent_mask_reads_as_an_unmasked_array(tmp_path):
     assert isinstance(surface.mask, np.ndarray)
     assert surface.mask.dtype == bool and surface.mask.shape == (7, 7)
     assert not surface.mask.any()
+
+
+@pytest.mark.parametrize("field", ["meta", "meta.nu", "meta.nv", "meta.domain",
+                                   "meta.ambient"])
+def test_missing_meta_field_names_the_file_and_field(tmp_path, field):
+    def edit(doc):
+        *parent, key = field.split(".")
+        (doc["meta"] if parent else doc).pop(key)
+    path = _doctored(tmp_path, edit)
+    with pytest.raises(ValueError) as err:
+        read_json(str(path))
+    assert str(path) in str(err.value) and f"'{field}'" in str(err.value)
+
+
+def test_unknown_ambient_is_rejected(tmp_path):
+    def edit(doc):
+        doc["meta"]["ambient"] = "ads"
+    path = _doctored(tmp_path, edit)
+    with pytest.raises(ValueError) as err:
+        read_json(str(path))
+    msg = str(err.value)
+    assert str(path) in msg and "meta.ambient" in msg and "'ads'" in msg

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from adscmc.geometry import (
     DEFAULT_TOL,
+    AmbientSpec,
+    SurfaceGrid,
     fundamental_data,
     geometry_report,
     lawson_shift,
@@ -13,7 +15,6 @@ from adscmc.geometry import (
     second_form_residual,
     umbilic_detect,
 )
-from adscmc.weierstrass import SurfaceGridE31
 
 from conftest import E31_NAMES, H31_NAMES, STD_DOMAIN
 
@@ -182,7 +183,7 @@ def _cousin_grid(shear):
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     points = _cousin_leg_a(uu + shear * vv**2) + _cousin_leg_b(vv)
     mask = np.zeros_like(uu, dtype=bool)
-    return SurfaceGridE31(us=us, vs=vs, points=points, mask=mask, assembly="control")
+    return SurfaceGrid(us, vs, points, mask, AmbientSpec.e31(), "control")
 
 
 def test_report_gate_names_broken_conformality():

@@ -40,14 +40,13 @@ def test_matrices_are_trace_free():
 def test_compatible_data_has_zero_residual():
     us = np.linspace(0.0, 1.0, 21)[:, None]
     vs = np.linspace(0.0, 1.0, 21)[None, :]
-    first, second = gmc_residual(LIOUVILLE, us, vs)
+    first = gmc_residual(LIOUVILLE, us, vs)
     assert np.max(np.abs(first)) < 1e-12
-    assert np.max(np.abs(second)) < 1e-12
 
 
 def test_incompatible_data_residual_value():
     bad = GmcData.build("0", 1.0, "1", "1")
-    first, _ = gmc_residual(bad, np.zeros((1, 1)), np.zeros((1, 1)))
+    first = gmc_residual(bad, np.zeros((1, 1)), np.zeros((1, 1)))
     assert np.allclose(first, -2.0, atol=1e-14)
     with pytest.raises(CompatibilityError, match="2.000e\\+00"):
         integrate_lax(bad, "mu", (0.0, 1.0, 0.0, 1.0), 11, 11)
@@ -90,7 +89,7 @@ def test_constant_curvature_two_family():
     data = GmcData.build("-2*ln(1+0.75*u*v)", 2.0, "0", "0")
     us = np.linspace(0.0, 0.8, 9)[:, None]
     vs = np.linspace(0.0, 0.8, 9)[None, :]
-    first, second = gmc_residual(data, us, vs)
+    first = gmc_residual(data, us, vs)
     assert np.max(np.abs(first)) < 1e-12
     frames = integrate_lax(data, "mu", (0.0, 0.8, 0.0, 0.8), 61, 61)
     fd = fundamental_data(frames.assemble())
