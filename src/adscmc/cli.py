@@ -236,8 +236,8 @@ def _cmd_lax(cfg):
 def _cmd_verify(cfg):
     _require(cfg, "path")
     surface, meta, _ = read_surface_json(cfg.path)
-    print(f"loaded {cfg.path}: ambient {meta.get('ambient')}, "
-          f"{meta.get('nu')}x{meta.get('nv')}")
+    print(f"loaded {cfg.path}: ambient {surface.ambient.name.lower()}, "
+          f"{meta['nu']}x{meta['nv']}")
     report = geometry_report(surface, tol=cfg.tol, flip_normal=cfg.flip_normal)
     return _finish(cfg, surface, report, target_h=cfg.target_h)
 
@@ -302,7 +302,7 @@ def _cmd_project(cfg):
     if fmt == "csv":
         raise UsageError("project writes obj or json, not csv")
 
-    x = surface.components()
+    x = surface.points
     y = project_h31(x, cfg.pole, strict=False, tol=cfg.tol)
     good = ~surface.mask & np.isfinite(y).all(axis=-1)
     # Each pole maps its own half {±x0 > 0} into the open unit indefinite

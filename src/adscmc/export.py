@@ -16,7 +16,9 @@ surfaces are stored with their four ambient components unless a
 projection pole is requested; 3-space surfaces always store three.  A
 projected file keeps "ambient": "h31", adds "projected": <pole>, and
 reads back as a 3-space grid.  Projection masks the points whose chart
-denominator is within the run's tol.pole of zero.
+denominator is within the run's tol.pole of zero.  read_json keeps the
+vertices as written, so a grid read back holds bit for bit the
+components of the surface that was exported.
 
 The bulk arrays (OBJ vertices and faces, JSON vertices, CSV rows) are
 formatted in blocks of _BLOCK_ROWS rows, one C-level ``%`` call per
@@ -30,10 +32,11 @@ writes non-finite floats as null.
 """
 
 import json
+import sys
 
 import numpy as np
 
-from .algebra import mat_of_vec, project_h31
+from .algebra import project_h31
 from .config import DEFAULT_TOL
 from .geometry import AmbientSpec, SurfaceGrid
 
@@ -90,7 +93,7 @@ def _dumps(value):
 
 def _grid_vertices(surface, projection, tol):
     """Zero-filled (nu*nv, k) vertex rows and the effective (nu, nv) mask."""
-    comps = surface.components()
+    comps = surface.points
     if projection is not None:
         if surface.ambient.name != "H31":
             raise ValueError("projection applies only to quadric surfaces")
@@ -160,8 +163,18 @@ def _grid_field(path, doc, key, shape, dtype):
                      f"(nu*nv = {shape[0]} entries), found {found}")
 
 
+def _is_number(x):
+    """A JSON number (not a bool) that is finite as a float64."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max
+
+
 def read_json(path):
-    """Rebuild (surface, meta, report) from an exported JSON grid."""
+    """Rebuild (surface, meta, report) from an exported JSON grid.
+
+    The vertices are kept as written, so the grid holds exactly the
+    values of the surface that was exported.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema") != 1:
@@ -175,22 +188,26 @@ def read_json(path):
     if meta["ambient"] not in ("h31", "e31"):
         raise ValueError(f"{path}: field 'meta.ambient' should be 'h31' or 'e31', "
                          f"found {meta['ambient']!r}")
-    nu, nv = meta["nu"], meta["nv"]
-    u0, u1, v0, v1 = meta["domain"]
-    us = np.linspace(u0, u1, nu)
-    vs = np.linspace(v0, v1, nv)
+    nu, nv, domain = meta["nu"], meta["nv"], meta["domain"]
+    for key, n in (("nu", nu), ("nv", nv)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"{path}: field 'meta.{key}' should be a positive "
+                             f"integer, found {n!r}")
+    if not (isinstance(domain, list) and len(domain) == 4 and all(map(_is_number, domain))):
+        raise ValueError(f"{path}: field 'meta.domain' should be four finite "
+                         f"numbers, found {domain!r}")
     quadric = meta["ambient"] == "h31" and "projected" not in meta
-    verts = _grid_field(path, doc, "vertices", (nu * nv, 4 if quadric else 3), float)
+    ambient, assembly, k = ((AmbientSpec.h31(), "mu", 4) if quadric
+                            else (AmbientSpec.e31(), "minimal", 3))
+    verts = _grid_field(path, doc, "vertices", (nu * nv, k), float)
     if "mask" in doc:
         mask = _grid_field(path, doc, "mask", (nu * nv,), bool).reshape(nu, nv)
     else:
         mask = np.zeros((nu, nv), dtype=bool)
-    if quadric:
-        surface = SurfaceGrid(us, vs, mat_of_vec(verts.reshape(nu, nv, 4)), mask,
-                              AmbientSpec.h31(), meta.get("assembly", "mu"))
-    else:
-        surface = SurfaceGrid(us, vs, verts.reshape(nu, nv, 3), mask,
-                              AmbientSpec.e31(), meta.get("assembly", "minimal"))
+    u0, u1, v0, v1 = domain
+    surface = SurfaceGrid(np.linspace(u0, u1, nu), np.linspace(v0, v1, nv),
+                          verts.reshape(nu, nv, k), mask, ambient,
+                          meta.get("assembly", assembly))
     return surface, meta, doc.get("report")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import pack2
+from .algebra import pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import ScalarField2D
 from .geometry import AmbientSpec, SurfaceGrid
@@ -197,5 +197,5 @@ def oracle_surface(entry, domain=DEFAULT_DOMAIN, nu=101, nv=101, tol=DEFAULT_TOL
     mask = entry.metric_field()(us[:, None], vs[None, :]) < tol.degen
     mask = np.broadcast_to(mask, (nu, nv)).copy()
     if entry.ambient == "h31":
-        return SurfaceGrid(us, vs, pts, mask, AmbientSpec.h31(), "mu")
+        return SurfaceGrid(us, vs, vec_of_mat(pts), mask, AmbientSpec.h31(), "mu")
     return SurfaceGrid(us, vs, pts, mask, AmbientSpec.e31(), "minimal")

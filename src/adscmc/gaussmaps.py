@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import mat_of_vec, scalar_product4
 from .config import DEFAULT_TOL
 from .fields import fd_derivative
-from .geometry import _cd1, _uniform_step, fundamental_data
+from .geometry import _cd1, fundamental_data
 from .nullcurves import KIND_F1, KIND_F2_MU, KIND_F2_NU
 
 
@@ -89,9 +89,8 @@ def hyperbolic_gauss(surface, fd, sign="plus", tol=DEFAULT_TOL):
     _require_h31(surface)
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    x = surface.components()
     s = 1.0 if sign == "plus" else -1.0
-    rep = mat_of_vec(x + s * fd.normal)
+    rep = mat_of_vec(surface.points + s * fd.normal)
     g1, g2, bad = chart_coordinates(rep, tol)
     return GaussMapGrid(us=surface.us, vs=surface.vs, rep=rep, g1=g1, g2=g2,
                         mask=bad | ~np.isfinite(g1) | ~np.isfinite(g2),
@@ -161,14 +160,6 @@ def _stable_column(m, tol):
     return col, bad
 
 
-def _stable_row(m, tol):
-    pick = np.abs(m[..., 1, 1]) + np.abs(m[..., 1, 0]) \
-        > np.abs(m[..., 0, 1]) + np.abs(m[..., 0, 0])
-    row = np.where(pick[..., None], m[..., 1, :], m[..., 0, :])
-    bad = ~(np.abs(row[..., 1]) > tol.pole)
-    return row, bad
-
-
 def generalized_gauss(surface, fd, tol=DEFAULT_TOL):
     """Both null-line maps from the tangent directions alone.
 
@@ -177,15 +168,14 @@ def generalized_gauss(surface, fd, tol=DEFAULT_TOL):
     other half of each.  Returns the (plus, minus) pair of chart grids.
     """
     _require_h31(surface)
-    hu = _uniform_step(surface.us, "u")
-    hv = _uniform_step(surface.vs, "v")
-    xu = _cd1(surface.points, hu, 0)
-    xv = _cd1(surface.points, hv, 1)
+    xu = mat_of_vec(_cd1(surface.points, fd.hu, 0))
+    xv = mat_of_vec(_cd1(surface.points, fd.hv, 1))
     out = []
     for sign, cm, rm in (("plus", xu, xv), ("minus", xv, xu)):
         with np.errstate(invalid="ignore"):
             col, bad_c = _stable_column(cm, tol)
-            row, bad_r = _stable_row(rm, tol)
+            # a common row direction is a common column of the transpose
+            row, bad_r = _stable_column(np.swapaxes(rm, -1, -2), tol)
             rep = _outer(col, row)
             g1 = np.where(bad_c, np.nan, col[..., 0] / np.where(bad_c, 1.0, col[..., 1]))
             g2 = np.where(bad_r, np.nan, row[..., 0] / np.where(bad_r, 1.0, row[..., 1]))
@@ -221,7 +211,7 @@ def _wronskian(a, c, h, axis):
     return fd_derivative(a, h, axis) * c - a * fd_derivative(c, h, axis)
 
 
-def holomorphicity_check(frames, data=None, sign="plus", tol=DEFAULT_TOL):
+def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     """Test the frame-entry Wronskian identities and classify the map.
 
     Works on integrated coordinate frames of the product action (the
@@ -237,20 +227,13 @@ def holomorphicity_check(frames, data=None, sign="plus", tol=DEFAULT_TOL):
     if frames.action != "mu":
         raise ValueError("the Wronskian identities are stated for the product "
                          "action; inverse-action frames are out of scope")
-    if data is None:
-        data = frames.data
+    data = frames.data
     us, vs = frames.us, frames.vs
     hu = float(us[1] - us[0])
     hv = float(vs[1] - vs[0])
-    if hasattr(data, "metric"):
-        # measured fundamental data on the same grid
-        w = np.asarray(data.omega, dtype=float)
-        q = np.asarray(data.Q, dtype=float)
-        r = np.asarray(data.R, dtype=float)
-    else:
-        w = data.omega(us[:, None], vs[None, :])
-        q = np.asarray(data.Q(us), dtype=float)[:, None] + np.zeros_like(w)
-        r = np.asarray(data.R(vs), dtype=float)[None, :] + np.zeros_like(w)
+    w = data.omega(us[:, None], vs[None, :])
+    q = np.asarray(data.Q(us), dtype=float)[:, None] + np.zeros_like(w)
+    r = np.asarray(data.R(vs), dtype=float)[None, :] + np.zeros_like(w)
     h = data.H
     ep = np.exp(0.5 * w)
     em = np.exp(-0.5 * w)
@@ -299,9 +282,8 @@ def gauss_conformality_check(surface, fd=None, sign="plus", tol=DEFAULT_TOL):
     _require_h31(surface)
     if fd is None:
         fd = fundamental_data(surface, tol=tol)
-    x = surface.components()
     s = 1.0 if sign == "plus" else -1.0
-    m = x + s * fd.normal
+    m = surface.points + s * fd.normal
     mu = _cd1(m, fd.hu, 0)
     mv = _cd1(m, fd.hv, 1)
     coef = 2.0 * scalar_product4(mu, mv)

@@ -1,10 +1,11 @@
 """Sampled surfaces and their first and second fundamental forms.
 
-A SurfaceGrid is a grid of surface points in one of two ambient spaces,
-named by its AmbientSpec: the unimodular quadric H31 (curvature -1,
-points stored as 2x2 matrices) or Minkowski 3-space E31 (curvature 0,
-points stored as three components).  Every builder in the package
-returns one, and every consumer reads the ambient off the grid.
+A SurfaceGrid is a grid of surface points in one of two flat ambient
+spaces, named by its AmbientSpec: the unimodular quadric H31 (curvature
+-1), stored as four components in R^4_2, or Minkowski 3-space E31
+(curvature 0), stored as three components.  Builders that form matrix
+products convert once, so every consumer reads component vectors, and a
+grid read back from its JSON file holds exactly the values written.
 
 Given such a grid, this module measures everything
 the constructions upstream claim: the null-coordinate conformality
@@ -34,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (METRIC3, METRIC4, cross3, cross4, scalar_product3,
-                      scalar_product4, vec_of_mat)
+from .algebra import METRIC3, METRIC4, cross3, cross4, scalar_product3, scalar_product4
 from .config import DEFAULT_TOL
 
 
@@ -59,8 +59,9 @@ class AmbientSpec:
 class SurfaceGrid:
     """Sampled surface over a uniform (u, v) grid, u along axis 0.
 
-    points has shape (nu, nv, 2, 2) in H31 and (nu, nv, 3) in E31.
-    assembly names the construction that produced the grid.
+    points holds ambient components: shape (nu, nv, 4) in H31 and
+    (nu, nv, 3) in E31.  assembly names the construction that produced
+    the grid.
     """
 
     us: np.ndarray
@@ -73,12 +74,6 @@ class SurfaceGrid:
     @property
     def shape(self):
         return self.points.shape[:2]
-
-    def components(self):
-        """Ambient component vectors (nu, nv, 4) in H31 or (nu, nv, 3) in E31."""
-        if self.ambient.name == "H31":
-            return vec_of_mat(self.points)
-        return np.asarray(self.points, dtype=float)
 
 
 def _cd1(a, h, axis):
@@ -163,7 +158,7 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False, strict=False):
     raise instead.  flip_normal reverses the normal field, which flips
     the signs of H, Q and R while preserving K.
     """
-    x = surface.components()
+    x = surface.points
     ambient = surface.ambient
     nu, nv = x.shape[0], x.shape[1]
     if nu < 5 or nv < 5:
@@ -262,7 +257,7 @@ def _second_form(fd, x, xu, xv, sp):
 
 def second_form_residual(surface, fd):
     """Entrywise gap between differenced and modelled second forms."""
-    x = surface.components()
+    x = surface.points
     sp = scalar_product4 if fd.ambient.name == "H31" else scalar_product3
     xu = _cd1(x, fd.hu, 0)
     xv = _cd1(x, fd.hv, 1)

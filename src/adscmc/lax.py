@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import adjugate, check_unimodular, det2, pack2
+from .algebra import adjugate, check_unimodular, det2, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d, as_field2d, fd_derivative
 from .geometry import AmbientSpec, SurfaceGrid
@@ -121,7 +121,7 @@ class LaxFrames:
             points = np.einsum("ijab,ijbc->ijac", self.phi1, adjugate(self.phi2))
         w = self.data.omega(self.us[:, None], self.vs[None, :])
         mask = np.broadcast_to(np.exp(w) < tol.degen, points.shape[:2]).copy()
-        return SurfaceGrid(us=self.us, vs=self.vs, points=points, mask=mask,
+        return SurfaceGrid(us=self.us, vs=self.vs, points=vec_of_mat(points), mask=mask,
                            ambient=AmbientSpec.h31(), assembly=self.action)
 
 

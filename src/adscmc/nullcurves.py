@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import adjugate, check_unimodular, det2, pack2
+from .algebra import adjugate, check_unimodular, det2, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import as_field1d
 from .geometry import AmbientSpec, SurfaceGrid
@@ -181,7 +181,7 @@ def _check_tags(f1, f2, want_f2, assembly):
 def assemble_mu(f1, f2, tol=DEFAULT_TOL):
     """Grid of products F1(u_i) F2(v_j)^T with the degeneracy mask."""
     _check_tags(f1, f2, KIND_F2_MU, "mu")
-    points = np.einsum("iab,jcb->ijac", f1.samples, f2.samples)
+    points = vec_of_mat(np.einsum("iab,jcb->ijac", f1.samples, f2.samples))
     coef = frame_metric_grid(f1, f2, "mu")
     return SurfaceGrid(us=f1.ts, vs=f2.ts, points=points, mask=np.abs(coef) < tol.degen,
                        ambient=AmbientSpec.h31(), assembly="mu")
@@ -190,7 +190,7 @@ def assemble_mu(f1, f2, tol=DEFAULT_TOL):
 def assemble_nu(f1, f2, tol=DEFAULT_TOL):
     """Grid of products F1(u_i) F2(v_j)^-1 using the stored inverses."""
     _check_tags(f1, f2, KIND_F2_NU, "nu")
-    points = np.einsum("iab,jbc->ijac", f1.samples, f2.inv_samples)
+    points = vec_of_mat(np.einsum("iab,jbc->ijac", f1.samples, f2.inv_samples))
     coef = frame_metric_grid(f1, f2, "nu")
     return SurfaceGrid(us=f1.ts, vs=f2.ts, points=points, mask=np.abs(coef) < tol.degen,
                        ambient=AmbientSpec.h31(), assembly="nu")

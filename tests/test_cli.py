@@ -123,18 +123,15 @@ def test_json_round_trip_is_lossless(tmp_path, capsys):
     surface, meta, report = read_json(str(out))
     assert meta["ambient"] == "h31"
     assert meta["nu"] == meta["nv"] == 11
-    assert surface.points.shape == (11, 11, 2, 2)
+    assert surface.points.shape == (11, 11, 4)
     # the measurement border falls away, leaving the 9x9 interior
     assert report["n_valid"] == 81
-    from adscmc.algebra import vec_of_mat
     from adscmc.gallery import oracle_surface
     exact = oracle_surface("b-scroll", (-0.5, 0.5, -0.5, 0.5), 11, 11)
-    # the stored components round-trip bitwise; reassembling matrices
-    # from them costs half an ulp in the summed entries
+    # the components are written and read back bit for bit
     doc = json.loads(out.read_text())
-    assert np.array_equal(np.asarray(doc["vertices"]),
-                          vec_of_mat(exact.points).reshape(-1, 4))
-    assert np.allclose(surface.points, exact.points, rtol=0.0, atol=1e-15)
+    assert np.array_equal(np.asarray(doc["vertices"]), exact.points.reshape(-1, 4))
+    assert np.array_equal(surface.points, exact.points)
 
 
 def test_csv_rows_cover_the_double_interior(tmp_path, capsys):
@@ -153,6 +150,39 @@ def test_verify_round_trip(tmp_path, capsys):
     assert main(["verify", str(out), "--H", "2.0"]) == 1
     final = capsys.readouterr().out.strip().splitlines()[-1]
     assert "mean_curvature" in final
+
+
+WRITERS = {
+    "cmc1": (["cmc1", *ENNEPER_ARGS[:-4], "--nu", "31", "--nv", "31"], "1"),
+    "lax": (["lax", "--omega=2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1",
+             "--domain", "0.2", "0.6", "0.2", "0.6", "--nu", "31", "--nv", "31"], "1"),
+    "gallery": (["gallery", "minimal-enneper", "--domain", "-0.3", "0.3", "-0.3", "0.3",
+                 "--nu", "31", "--nv", "31"], "0"),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_verify_prints_the_writers_measurement(tmp_path, capsys, writer):
+    argv, target = WRITERS[writer]
+    out = tmp_path / "grid.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    wrote = capsys.readouterr().out.splitlines()
+    assert main(["verify", str(out), "--H", target]) == 0
+    checked = capsys.readouterr().out.splitlines()
+    # the file holds the written surface exactly, so every statistic and
+    # the gate line agree to the last digit
+    assert [l for l in wrote if not l.startswith(("path_defect", "wrote"))] == checked[1:]
+
+
+def test_verify_names_the_ambient_it_measures(tmp_path, capsys):
+    raw, proj = tmp_path / "raw.json", tmp_path / "proj.json"
+    assert main(["gallery", "horosphere", *SMALL, "--out", str(raw)]) == 0
+    assert main(["project", str(raw), "--pole", "plus", "--out", str(proj)]) == 0
+    capsys.readouterr()
+    main(["verify", str(proj)])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"loaded {proj}: ambient e31, 11x11"
+    assert "ambient = 'E31'" in out
 
 
 def test_verify_flip_normal_flips_the_target(tmp_path, capsys):
@@ -255,7 +285,7 @@ def test_projected_faces_follow_the_gate_tolerance(tmp_path, capsys):
     assert main(["project", str(raw), "--tol", "pole=2.2", "--out", str(obj)]) == 0
     out = capsys.readouterr().out
     surface, _, _ = read_json(str(raw))
-    x0 = surface.components()[..., 0]
+    x0 = surface.points[..., 0]
     good = ~surface.mask & (np.abs(1.0 + x0) > 2.2)
     assert f"n_matching_half = {int(good.sum())}" in out
     # a quad keeps its two faces exactly when the gate kept all four corners

@@ -33,15 +33,15 @@ CASES = {
     "lax-nu-flipped": ([], ["lax", *LIOUVILLE, "--action", "nu", "--flip-normal"], 0,
         "9a205808db693c64f9c55350be70ba6a266dca8f76b6278e81af1c3547820d09"),
     "gauss": ([], ["gauss", *LIOUVILLE, "--out", "g.json"], 0,
-        "d368bec9510d95cbc6a9bd7c02584a751c6652537943399ec75514457a391094"),
+        "9c7a828d5570735686670589f9e15eb5fbefecacf5f1c4571f8cfb765a63728e"),
     "verify": ([GRID], ["verify", "grid.json", "--H", "1"], 0,
-        "623b46f6512b50e41ed75736e63c84f374ed1d31335e5340ea1c9c34d66ffb35"),
+        "353e2986a3809d0b28070d264e1a66f97453e6ea8ca8e9ce3cd65753fe94ff16"),
     "project-plus-json": ([GRID], PROJECTED, 0,
         "e0cda421f75f2d13b33c3b5899290b80d32def57762b1c66e8d9e0de976134f0"),
     "project-minus-obj": ([GRID], ["project", "grid.json", "--pole", "minus", "--out", "p.obj"], 0,
         "c825c9838916ea1676117954eb8970685579f8fdca0bd50cfc2505ed5707571f"),
     "verify-projected": ([GRID, PROJECTED], ["verify", "proj.json"], 1,
-        "157b41cdb951e97a9cc1de907afce4501f2aaa0a351e0f1b16c62e9320378ac4"),
+        "0f22ae7a7946ecca76b0556563277c8b4c8e0b50f1870c357ed55e3cce5ad431"),
     "gallery-fail": ([], ["gallery", "b-scroll", *SMALL], 1,
         "5a1bcb5605ce04676d567ea89d01c35aebea35f843647bcc633303e34fa76d87"),
     "gallery-minimal-json": ([], ["gallery", "minimal-enneper", "--domain", "-0.3", "0.3",

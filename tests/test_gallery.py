@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adscmc.algebra import det2
+from adscmc.algebra import det2, mat_of_vec
 from adscmc.gallery import GALLERY_NAMES, GalleryEntry, gallery, oracle_frame, oracle_surface
 from adscmc.nullcurves import KIND_F1, KIND_F2_MU, null_coefficient
 
@@ -78,9 +78,9 @@ def test_oracle_frame_rejects_unknown_leg():
 @pytest.mark.parametrize("name", H31_NAMES)
 def test_quadric_surfaces_sample_as_matrices(name):
     surface = oracle_surface(name, (-0.4, 0.4, -0.4, 0.4), 9, 7)
-    assert surface.points.shape == (9, 7, 2, 2)
+    assert surface.points.shape == (9, 7, 4)
     assert surface.assembly == "mu"
-    assert np.max(np.abs(det2(surface.points) - 1.0)) < 1e-12
+    assert np.max(np.abs(det2(mat_of_vec(surface.points)) - 1.0)) < 1e-12
     assert surface.shape == (9, 7)
 
 

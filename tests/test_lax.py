@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from adscmc.algebra import mat_of_vec
 from adscmc.config import DEFAULT_TOL
 from adscmc.fields import as_field1d
 from adscmc.geometry import fundamental_data
@@ -69,7 +70,7 @@ def test_flat_umbilic_frames_are_polynomial():
     want1[..., 0, 1] = us + 0 * vs
     assert np.max(np.abs(frames.phi1 - want1)) < 1e-13
     surface = frames.assemble()
-    phi = surface.points
+    phi = mat_of_vec(surface.points)
     assert np.max(np.abs(phi[..., 0, 0] - (1 + us * vs))) < 1e-13
     assert np.max(np.abs(phi[..., 0, 1] - us + 0 * vs)) < 1e-13
     assert np.max(np.abs(phi[..., 1, 0] - vs + 0 * us)) < 1e-13

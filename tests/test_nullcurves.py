@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adscmc.algebra import det2
+from adscmc.algebra import det2, mat_of_vec
 from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, KIND_F2_NU, assemble_mu,
                                assemble_nu, frame_metric_grid, integrate_frame,
                                null_coefficient)
@@ -100,7 +100,7 @@ def test_assembled_surface_matches_closed_form(gallery_module):
                          init=entry.frame_f2(-1.0))
     surf = assemble_mu(f1, f2)
     want = entry.surface_fn(surf.us[:, None], surf.vs[None, :])
-    assert np.max(np.abs(surf.points - want)) < 1e-8
+    assert np.max(np.abs(mat_of_vec(surf.points) - want)) < 1e-8
 
 
 def test_both_assemblies_agree_from_identity_frames():
@@ -112,7 +112,7 @@ def test_both_assemblies_agree_from_identity_frames():
     f2n = integrate_frame(KIND_F2_NU, "v", "1", (-0.5, 0.5), 101)
     sm = assemble_mu(f1, f2m)
     sn = assemble_nu(f1, f2n)
-    assert np.max(np.abs(sm.points - sn.points)) < 1e-12
+    assert np.max(np.abs(mat_of_vec(sm.points) - mat_of_vec(sn.points))) < 1e-12
 
 
 def test_degenerate_data_builds_the_flat_orbit():
@@ -120,7 +120,7 @@ def test_degenerate_data_builds_the_flat_orbit():
     f2 = integrate_frame(KIND_F2_NU, "0", "1", (0.0, 1.0), 11)
     surf = assemble_nu(f1, f2)
     want = np.array([[1.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(surf.points[-1, -1], want, atol=1e-12)
+    assert np.allclose(mat_of_vec(surf.points[-1, -1]), want, atol=1e-12)
     assert not surf.mask.any()
     metric = frame_metric_grid(f1, f2, "nu")
     assert np.allclose(metric, 1.0, atol=1e-12)

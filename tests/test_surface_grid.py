@@ -26,7 +26,7 @@ def _check(surface, ambient, assembly, shape):
     assert surface.ambient == ambient and surface.assembly == assembly
     assert surface.shape == shape and surface.mask.shape == shape
     k = 4 if ambient == H31 else 3
-    assert surface.components().shape == shape + (k,)
+    assert surface.points.shape == shape + (k,)
 
 
 def test_null_curve_assembly_builds_quadric_grids():
