@@ -316,7 +316,7 @@ def _cmd_project(cfg):
     worst = float(np.max(inside[gated])) if np.any(gated) else float("nan")
     print(f"max_indefinite_radius = {worst!r}")
 
-    export_surface(surface, cfg.pole, fmt, cfg.out, tol=cfg.tol)
+    export_surface(surface, cfg.pole, fmt, cfg.out, tol=cfg.tol, chart=y)
     print(f"wrote {cfg.out}")
     if np.any(gated) and not (np.isfinite(worst) and worst < 1.0):
         print(f"gate projection_interior = {worst!r} bound 1.0 -> FAIL")

@@ -43,7 +43,10 @@ class Tolerances:
     cmc: float = 5e-5
     # |Q|, |R| below this count as umbilic
     umbilic: float = 1e-4
-    # quadrature target for Weierstrass antiderivatives
+    # quadrature target for Weierstrass antiderivatives: a Gauss-Kronrod
+    # panel is accepted when |K15 - G7| <= quad * max(1, |K15|), i.e.
+    # max(epsabs, epsrel * |I|) with both equal to quad (absolute below
+    # |I| = 1, relative above)
     quad: float = 1e-12
     # residual statistics and exit-code gates ignore points whose
     # conformal factor is below this floor; near a degenerate curve the

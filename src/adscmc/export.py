@@ -91,20 +91,26 @@ def _dumps(value):
     return "".join(out)
 
 
-def _grid_vertices(surface, projection, tol):
-    """Zero-filled (nu*nv, k) vertex rows and the effective (nu, nv) mask."""
+def _grid_vertices(surface, projection, tol, chart=None):
+    """Zero-filled (nu*nv, k) vertex rows and the effective (nu, nv) mask.
+
+    chart, when given, is the caller's own
+    project_h31(surface.points, projection, strict=False, tol=tol),
+    so that a grid is projected once.
+    """
     comps = surface.points
     if projection is not None:
         if surface.ambient.name != "H31":
             raise ValueError("projection applies only to quadric surfaces")
-        comps = project_h31(comps, pole=projection, strict=False, tol=tol)
+        comps = chart if chart is not None else project_h31(
+            comps, pole=projection, strict=False, tol=tol)
     finite = np.isfinite(comps)
     mask = np.asarray(surface.mask, dtype=bool) | ~finite.all(axis=-1)
     return np.where(finite, comps, 0.0).reshape(-1, comps.shape[-1]), mask
 
 
-def export_obj(surface, projection, path, tol=DEFAULT_TOL):
-    vertices, mask = _grid_vertices(surface, projection, tol)
+def export_obj(surface, projection, path, tol=DEFAULT_TOL, chart=None):
+    vertices, mask = _grid_vertices(surface, projection, tol, chart)
     if vertices.shape[1] != 3:
         raise ValueError("OBJ output needs 3 coordinates; project the surface first")
     nv = mask.shape[1]
@@ -127,8 +133,8 @@ def _meta(surface):
             "ambient": surface.ambient.name.lower(), "assembly": str(surface.assembly)}
 
 
-def export_json(surface, projection, path, report=None, tol=DEFAULT_TOL):
-    vertices, mask = _grid_vertices(surface, projection, tol)
+def export_json(surface, projection, path, report=None, tol=DEFAULT_TOL, chart=None):
+    vertices, mask = _grid_vertices(surface, projection, tol, chart)
     meta = _meta(surface)
     if projection is not None:
         meta["projected"] = str(projection)
@@ -227,12 +233,17 @@ def export_csv(fd, path):
     return path
 
 
-def export_surface(surface, projection, fmt, path, report=None, fd=None, tol=DEFAULT_TOL):
-    """Write a surface grid in the requested format."""
+def export_surface(surface, projection, fmt, path, report=None, fd=None, tol=DEFAULT_TOL,
+                   chart=None):
+    """Write a surface grid in the requested format.
+
+    chart is the projected grid when the caller has already projected it
+    (see _grid_vertices).
+    """
     if fmt == "obj":
-        return export_obj(surface, projection, path, tol=tol)
+        return export_obj(surface, projection, path, tol=tol, chart=chart)
     if fmt == "json":
-        return export_json(surface, projection, path, report=report, tol=tol)
+        return export_json(surface, projection, path, report=report, tol=tol, chart=chart)
     if fmt == "csv":
         if fd is None:
             raise ValueError("CSV export needs measured fundamental data")

@@ -10,24 +10,64 @@ vectors are null, the induced metric is (1 + q r)^2 f g du dv, and the
 surface degenerates exactly where that factor vanishes.  The unit normal
 has stereographic image (q(u), r(v)), which is what makes (q, r)
 projected Gauss data rather than just integration input.
+
+integrate_minimal builds each leg as the running sum of its cell
+integrals.  adaptive_quadrature takes all cells of a leg at once with
+the nested 15-point Gauss-Kronrod rule of QUADPACK (qk15): one integrand
+call per refinement level on the nodes of every open panel, only the
+panels that fail the test being halved, under a depth limit and a
+global evaluation cap (Kronrod 1965; Piessens et al., QUADPACK, 1983).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .algebra import cross3, scalar_product3, METRIC3
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d
 from .geometry import AmbientSpec, SurfaceGrid
 
-_GL7 = leggauss(7)
-_GL15 = leggauss(15)
+
+def _mirror(half, sign):
+    """A symmetric rule on [-1, 1] from its half listed from 1 down to 0."""
+    half = np.asarray(half)
+    return np.concatenate([sign * half[:-1], half[::-1]])
+
+
+# QUADPACK qk15: the 15-point Kronrod nodes and weights, and the weights
+# of the 7-point Gauss rule embedded in them (zero on the Kronrod-only
+# nodes), so that one set of integrand values gives both estimates
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+       0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
+K15_NODES = _mirror(_XGK, -1.0)
+K15_WEIGHTS = _mirror(_WGK, 1.0)
+G7_WEIGHTS = _mirror(_WG, 1.0)
+_RULES = np.stack([K15_WEIGHTS, G7_WEIGHTS], axis=-1)
+
+# integrand points one adaptive_quadrature call may spend on refinement,
+# beyond the 15 per cell of its first pass
+MAX_EVALUATIONS = 1 << 20
 
 
 class QuadratureError(RuntimeError):
-    pass
+    """An unconverged quadrature; names its worst panel and the work spent."""
+
+    def __init__(self, cell, lo, hi, err, depth, evaluations):
+        super().__init__(
+            f"quadrature did not converge; worst panel [{lo!r}, {hi!r}] of cell {cell} "
+            f"with error estimate {err:.3e} at depth {depth} after {evaluations} "
+            f"integrand points")
+        self.cell, self.lo, self.hi, self.err = cell, lo, hi, err
+        self.depth, self.evaluations = depth, evaluations
 
 
 @dataclass
@@ -72,51 +112,58 @@ def minimal_metric_factor(data, u, v):
     return (1.0 + q * r) ** 2 * np.asarray(data.f(u), dtype=float) * np.asarray(data.g(v), dtype=float)
 
 
-def _gl(rule, fun, a, b):
-    nodes, weights = rule
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    vals = fun(mid + half * nodes)
-    return half * np.tensordot(weights, vals, axes=(0, 0))
-
-
 def adaptive_quadrature(fun, a, b, tol=1e-12, max_depth=40):
-    """Adaptive Gauss-Legendre integral of a vector-valued integrand.
+    """Adaptive Gauss-Kronrod integrals of a vector-valued integrand.
 
-    fun maps an array of parameters (n,) to values (n, k).  Failure to
-    converge raises QuadratureError naming the worst subinterval.
+    a and b are scalars or equal-shape arrays of cell endpoints; the
+    result holds one integral per cell, shape a.shape + value shape.
+    fun maps a 1-D array of parameters (n,) to values (n,) or (n, k).
+    Every cell is first integrated by one 15-point Kronrod panel, and
+    the panels of all cells are evaluated together: one fun call per
+    refinement level, on the flattened (panels, 15) node array.  A panel
+    is accepted when |K15 - G7| <= tol * max(1, |K15|) (max norm over
+    the components), an absolute test for integrals below 1 and a
+    relative one above; the others are halved for the next level.
+
+    Raises QuadratureError naming the unconverged panel with the largest
+    error estimate when a panel still fails at max_depth, or when the
+    next level would spend more than MAX_EVALUATIONS integrand points
+    beyond the first pass.
     """
-    total = 0.0
-    stack = [(float(a), float(b), 0)]
-    worst = (0.0, a, b)
-    while stack:
-        lo, hi, depth = stack.pop()
-        coarse = _gl(_GL7, fun, lo, hi)
-        fine = _gl(_GL15, fun, lo, hi)
-        # a non-finite estimate (integrand pole at a node) fails the
-        # comparison below and keeps subdividing toward the error path
-        with np.errstate(invalid="ignore"):
-            err = float(np.max(np.abs(fine - coarse)))
-        if err <= tol * max(1.0, hi - lo) or hi - lo < 1e-14:
-            total = total + fine
-            continue
-        if depth >= max_depth:
-            if err > worst[0]:
-                worst = (err, lo, hi)
-            raise QuadratureError(
-                f"quadrature did not converge; worst subinterval [{worst[1]:.6g}, {worst[2]:.6g}] "
-                f"with error estimate {err:.3e}")
+    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = lo.shape
+    lo, hi = lo.ravel(), hi.ravel()
+    cell = np.arange(lo.size)
+    budget = lo.size * K15_NODES.size + MAX_EVALUATIONS
+    spent = 0
+    total = None
+    for depth in range(max_depth + 1):
+        half = 0.5 * (hi - lo)
+        nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * K15_NODES
+        vals = np.asarray(fun(nodes.ravel()), dtype=float)
+        spent += nodes.size
+        trail = vals.shape[1:]
+        vals = vals.reshape(nodes.shape + (-1,))
+        # a non-finite value (integrand pole at a node) yields a NaN
+        # estimate, which fails the test below and keeps subdividing
+        with np.errstate(invalid="ignore", over="ignore"):
+            kron, gauss = np.einsum("pnk,nr->rpk", vals, _RULES) * half[:, None]
+            err = np.max(np.abs(kron - gauss), axis=-1)
+            ok = err <= tol * np.maximum(1.0, np.max(np.abs(kron), axis=-1))
+        if total is None:
+            total = np.zeros((cell.size, kron.shape[-1]))
+        np.add.at(total, cell[ok], kron[ok])
+        if ok.all():
+            # [()] turns the 0-d result of scalar endpoints into a scalar
+            return total.reshape(shape + trail)[()]
+        lo, hi, cell, err = lo[~ok], hi[~ok], cell[~ok], err[~ok]
+        if depth == max_depth or spent + 2 * K15_NODES.size * lo.size > budget:
+            worst = int(np.argmax(np.where(np.isnan(err), np.inf, err)))
+            raise QuadratureError(int(cell[worst]), float(lo[worst]), float(hi[worst]),
+                                  float(err[worst]), depth, spent)
         mid = 0.5 * (lo + hi)
-        stack.append((lo, mid, depth + 1))
-        stack.append((mid, hi, depth + 1))
-    return total
-
-
-def _cumulative(fun, nodes, tol):
-    out = np.zeros((len(nodes), 3))
-    for i in range(1, len(nodes)):
-        out[i] = out[i - 1] + adaptive_quadrature(fun, nodes[i - 1], nodes[i], tol=tol)
-    return out
+        lo, hi = np.stack([lo, mid], axis=-1).ravel(), np.stack([mid, hi], axis=-1).ravel()
+        cell = np.repeat(cell, 2)
 
 
 def integrate_minimal(data, domain, nu, nv, tol=DEFAULT_TOL):
@@ -138,8 +185,11 @@ def integrate_minimal(data, domain, nu, nv, tol=DEFAULT_TOL):
     def dv_leg(t):
         return _dv_direction(data.r(t)) * np.asarray(data.g(t), dtype=float)[..., None]
 
-    a = _cumulative(du_leg, us, tol.quad)
-    b = _cumulative(dv_leg, vs, tol.quad)
+    # each leg is the running sum of its cell integrals, from the lower corner
+    a = np.zeros((nu, 3))
+    b = np.zeros((nv, 3))
+    np.cumsum(adaptive_quadrature(du_leg, us[:-1], us[1:], tol=tol.quad), axis=0, out=a[1:])
+    np.cumsum(adaptive_quadrature(dv_leg, vs[:-1], vs[1:], tol=tol.quad), axis=0, out=b[1:])
     points = a[:, None, :] + b[None, :, :]
     factor = minimal_metric_factor(data, us[:, None], vs[None, :])
     mask = np.abs(factor) < tol.degen

@@ -308,3 +308,29 @@ def test_project_rejects_csv(tmp_path, capsys):
     assert main(["gallery", "horosphere", *SMALL, "--out", str(raw)]) == 0
     assert main(["project", str(raw), "--pole", "plus",
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_project_projects_the_grid_once(tmp_path, capsys, monkeypatch):
+    from adscmc import algebra, cli, export
+    grid = tmp_path / "grid.json"
+    assert main(["gallery", "horosphere", *SMALL, "--out", str(grid)]) == 0
+    calls = []
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return algebra.project_h31(x, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "project_h31", counted)
+    monkeypatch.setattr(export, "project_h31", counted)
+    for out in ("p.obj", "p.json"):
+        del calls[:]
+        assert main(["project", str(grid), "--pole", "plus", "--out", str(tmp_path / out)]) == 0
+        assert calls == [(11, 11, 4)]
+
+
+def test_unconverged_quadrature_names_its_panel(capsys):
+    code = main(["minimal", "--q", "u", "--f", "1/(u-0.537)", "--r", "v", "--g", "1",
+                 "--domain", "0", "1", "0", "1", "--nu", "11", "--nv", "11"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "quadrature did not converge" in err and "of cell 5" in err

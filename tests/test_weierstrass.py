@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
+from adscmc import weierstrass
 from adscmc.config import DEFAULT_TOL
+from adscmc.fields import ScalarField1D
 from adscmc.geometry import fundamental_data
 from adscmc.weierstrass import (QuadratureError, WeierstrassData,
                                 adaptive_quadrature, integrate_minimal,
                                 minimal_metric_factor, minimal_normal,
                                 projected_gauss_minimal,
                                 weierstrass_derivatives)
+from adscmc.weierstrass import G7_WEIGHTS, K15_NODES, K15_WEIGHTS, MAX_EVALUATIONS
 
 ENNEPER = WeierstrassData.build("u", "1", "v", "1")
 
@@ -132,3 +136,172 @@ def test_build_coerces_strings_and_numbers():
     data = WeierstrassData.build("u^2", 2.0, "0", "1")
     assert np.isclose(data.q(3.0), 9.0)
     assert np.isclose(data.f(123.0), 2.0)
+
+
+# --- the batched Gauss-Kronrod rule -------------------------------------
+
+def _counted(fun, calls):
+    """fun, appending the size of each argument it is called with to calls."""
+    def wrapped(t):
+        calls.append(np.size(t))
+        return fun(t)
+    return wrapped
+
+
+def _monomial_integral(k):
+    return 2.0 / (k + 1) if k % 2 == 0 else 0.0
+
+
+@pytest.mark.parametrize("k", range(23))
+def test_kronrod_rule_is_exact_through_degree_22(k):
+    assert abs(K15_WEIGHTS @ K15_NODES ** k - _monomial_integral(k)) < 1e-15
+
+
+def test_embedded_gauss_rule_is_gauss_legendre_7():
+    nodes, weights = leggauss(7)
+    gauss = G7_WEIGHTS != 0.0
+    assert gauss.sum() == 7
+    assert np.max(np.abs(K15_NODES[gauss] - nodes)) < 1e-15
+    assert np.max(np.abs(G7_WEIGHTS[gauss] - weights)) < 1e-15
+
+
+@pytest.mark.parametrize("k", range(14))
+def test_embedded_gauss_rule_is_exact_through_degree_13(k):
+    assert abs(G7_WEIGHTS @ K15_NODES ** k - _monomial_integral(k)) < 1e-15
+
+
+def test_steep_cell_converges_relatively_in_one_panel():
+    # |I| ~ 1e11: an absolute 1e-12 cannot be met here, the relative
+    # acceptance test takes the first panel
+    calls = []
+    val = adaptive_quadrature(_counted(lambda t: np.cosh(30.0 * t), calls), 1.0, 1.02)
+    want = (np.sinh(30.6) - np.sinh(30.0)) / 30.0
+    assert np.ndim(val) == 0
+    assert abs(val - want) < 1e-13 * want
+    assert calls == [15]
+
+
+def test_cells_are_integrated_together():
+    edges = np.linspace(-1.0, 2.0, 31)
+    calls = []
+    vals = adaptive_quadrature(_counted(np.sin, calls), edges[:-1], edges[1:])
+    assert vals.shape == (30,)
+    assert np.max(np.abs(vals - (np.cos(edges[:-1]) - np.cos(edges[1:])))) < 1e-15
+    # one integrand call per refinement level over all cells
+    assert calls == [30 * 15]
+
+
+def test_vector_integrands_keep_their_components():
+    vals = adaptive_quadrature(lambda t: np.stack([t, t * t], axis=-1),
+                               np.array([0.0, 1.0]), np.array([1.0, 3.0]))
+    assert vals.shape == (2, 2)
+    assert np.allclose(vals, [[0.5, 1.0 / 3.0], [4.0, 26.0 / 3.0]], rtol=1e-15)
+
+
+def test_singular_cell_is_named():
+    edges = np.linspace(0.0, 1.0, 11)
+    pole = 0.537
+
+    def fun(t):
+        return 1.0 / (t - pole)
+
+    with pytest.raises(QuadratureError) as info:
+        adaptive_quadrature(fun, edges[:-1], edges[1:])
+    err = info.value
+    assert err.cell == 5
+    assert err.lo <= pole <= err.hi
+    assert f"cell {err.cell}" in str(err) and repr(err.lo) in str(err)
+
+
+def test_failure_names_the_largest_error_panel():
+    # two poles; the strong one is left of the weak one, so a depth-first
+    # search working from the right would reach the weak one first
+    edges = np.linspace(0.0, 1.0, 11)
+
+    def fun(t):
+        return 1.0 / (t - 0.23) + 1e-6 / (t - 0.71)
+
+    with pytest.raises(QuadratureError) as info:
+        adaptive_quadrature(fun, edges[:-1], edges[1:])
+    assert info.value.cell == 2
+    assert info.value.lo <= 0.23 <= info.value.hi
+    assert info.value.depth == 40
+
+
+def test_evaluations_are_bounded():
+    # noise fails every panel, so the panels double at each level until
+    # the evaluation cap stops the refinement
+    rng = np.random.default_rng(3)
+    calls = []
+    with pytest.raises(QuadratureError) as info:
+        adaptive_quadrature(_counted(lambda t: rng.standard_normal(t.shape), calls),
+                            np.zeros(4), np.ones(4))
+    assert sum(calls) == info.value.evaluations
+    assert 4 * 15 + MAX_EVALUATIONS // 2 < sum(calls) <= 4 * 15 + MAX_EVALUATIONS
+    assert info.value.depth < 40
+
+
+# --- integrate_minimal on the batched rule ------------------------------
+
+def _enneper_legs(us, vs, u0, v0):
+    def a_leg(u):
+        return np.stack([u / 2 + u ** 3 / 6, -u / 2 + u ** 3 / 6, -u ** 2 / 2], axis=-1)
+
+    def b_leg(v):
+        return np.stack([-v / 2 - v ** 3 / 6, -v / 2 + v ** 3 / 6, -v ** 2 / 2], axis=-1)
+
+    return ((a_leg(us) - a_leg(u0))[:, None, :]
+            + (b_leg(vs) - b_leg(v0))[None, :, :])
+
+
+@pytest.mark.parametrize("dom, nu, nv", [((-0.2, 0.2, -0.2, 0.2), 21, 21),
+                                         ((0.05, 1.05, 0.05, 1.05), 4001, 41)])
+def test_enneper_legs_match_the_closed_form(dom, nu, nv):
+    surf = integrate_minimal(ENNEPER, dom, nu, nv)
+    want = _enneper_legs(surf.us, surf.vs, dom[0], dom[2])
+    assert np.max(np.abs(surf.points - want)) < 1e-14
+
+
+def test_batched_legs_equal_per_cell_quadrature():
+    # a pole just past the u range: the cells nearest it refine deepest
+    data = WeierstrassData.build("u", "1/(1.05-u)", "v", "1")
+    us = np.linspace(0.0, 1.0, 7)
+    surf = integrate_minimal(data, (0.0, 1.0, 0.0, 1.0), 7, 3)
+
+    def leg(t):
+        return weierstrass._du_direction(data.q(t)) * data.f(t)[..., None]
+
+    cells, levels = [], []
+    for lo, hi in zip(us[:-1], us[1:]):
+        calls = []
+        cells.append(adaptive_quadrature(_counted(leg, calls), lo, hi))
+        levels.append(len(calls))
+    assert len(set(levels)) > 1
+    want = np.concatenate([np.zeros((1, 3)), np.cumsum(cells, axis=0)])
+    assert np.allclose(surf.points[:, 0, :], want, rtol=4e-16, atol=0.0)
+
+
+def test_field_evaluations_follow_levels_not_grid_size(monkeypatch):
+    evaluate = ScalarField1D.__call__
+    fields, levels = [], []
+    quadrature = weierstrass.adaptive_quadrature
+
+    def counted_field(field, t):
+        fields.append(1)
+        return evaluate(field, t)
+
+    def counted_quadrature(fun, *args, **kwargs):
+        return quadrature(_counted(fun, levels), *args, **kwargs)
+
+    monkeypatch.setattr(ScalarField1D, "__call__", counted_field)
+    monkeypatch.setattr(weierstrass, "adaptive_quadrature", counted_quadrature)
+    seen = []
+    for data in (ENNEPER, WeierstrassData.build("u", "1/(1.05-u)", "v", "1")):
+        for nu, nv in ((11, 11), (401, 41), (4001, 41)):
+            del fields[:], levels[:]
+            integrate_minimal(data, (0.0, 1.0, 0.0, 1.0), nu, nv)
+            # two fields per leg and level, four for the metric factor
+            assert len(fields) == 2 * len(levels) + 4
+            seen.append(len(levels))
+    assert seen[:3] == [2, 2, 2]
+    assert max(seen[3:]) > 2
