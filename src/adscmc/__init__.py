@@ -10,12 +10,9 @@ mean curvature, the Hopf differential pair, the curvature relation,
 and holomorphicity of the Gauss maps.
 """
 
-from .algebra import (BASIS, E1, E2, E3, IDENT, METRIC3, METRIC4, adjugate,
-                      check_unimodular, cross3, cross4, det2, inv2,
-                      mat_of_vec, mu_action, nu_action, ad_action, pack2,
-                      project_h31, renormalize, scalar_product,
-                      scalar_product3, scalar_product4, stereographic_s21,
-                      vec_of_mat)
+from .algebra import (METRIC3, METRIC4, adjugate, check_unimodular, cross3,
+                      cross4, det2, mat_of_vec, pack2, project_h31,
+                      scalar_product3, scalar_product4, vec_of_mat)
 from .config import DEFAULT_TOL, Tolerances
 from .export import (export_csv, export_json, export_obj, export_surface,
                      read_json)

@@ -17,8 +17,10 @@ group SL(2,R) is exactly the quadric <u,u> = -1, i.e. anti-de Sitter
 carries signature (-,+,+) and models Minkowski 3-space.
 
 Pairs of unimodular matrices act by u -> g1 u g2^T (both factors act on
-the same side of the quadric) and by u -> g1 u g2^(-1); single elements
-act by conjugation.  All three actions are isometries of the quadric.
+the same side of the quadric) and by u -> g1 u g2^(-1); both actions are
+isometries of the quadric.  The surfaces are these products of two
+frame families: nullcurves.assemble_mu and assemble_nu form them from
+null-curve legs, LaxFrames.assemble from Lax frames.
 
 Everything here is vectorized: matrix arguments may carry arbitrary
 leading axes, with the last two axes of shape (2, 2) (or a last axis of
@@ -28,13 +30,6 @@ shape (4,) for component vectors).
 import numpy as np
 
 from .config import DEFAULT_TOL
-
-IDENT = np.eye(2)
-E1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-E2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-E3 = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-BASIS = np.stack([IDENT, E1, E2, E3])
 
 # metric signs of the component representation
 METRIC4 = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -71,25 +66,6 @@ def vec_of_mat(m):
     return out
 
 
-def mat_of_vec3(x):
-    """Minkowski components (..., 3) = (x1, x2, x3) to traceless matrices."""
-    x = np.asarray(x, dtype=float)
-    full = np.concatenate([np.zeros(x.shape[:-1] + (1,)), x], axis=-1)
-    return mat_of_vec(full)
-
-
-def vec3_of_mat(m):
-    return vec_of_mat(m)[..., 1:]
-
-
-def scalar_product(a, b):
-    """<a, b> = (tr(ab) - tr(a) tr(b)) / 2 on matrix-form vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    tr_ab = np.einsum("...ij,...ji->...", a, b)
-    return 0.5 * (tr_ab - np.trace(a, axis1=-2, axis2=-1) * np.trace(b, axis1=-2, axis2=-1))
-
-
 def scalar_product4(x, y):
     """Same metric on component vectors: -x0 y0 - x1 y1 + x2 y2 + x3 y3."""
     return np.einsum("...i,...i->...", np.asarray(x) * METRIC4, np.asarray(y))
@@ -111,48 +87,12 @@ def adjugate(m):
     return pack2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
 
 
-def inv2(m, tol=DEFAULT_TOL):
-    d = det2(m)
-    if np.any(np.abs(d) <= tol.inv):
-        raise ZeroDivisionError("matrix inversion with |det| <= %g" % tol.inv)
-    return adjugate(m) / d[..., None, None]
-
-
 def check_unimodular(m, tol=DEFAULT_TOL, what="group element"):
     """Raise if any |det - 1| exceeds the unimodularity tolerance."""
     drift = np.max(np.abs(det2(m) - 1.0))
     if drift > tol.det:
         raise ValueError(f"{what} is not unimodular: |det - 1| = {drift:.3e} > {tol.det:g}")
     return float(drift)
-
-
-def renormalize(m):
-    """Scale matrices with positive determinant back onto det = 1.
-
-    This is the only determinant repair in the package and it is never
-    applied silently; integration routines check drift and fail instead.
-    """
-    d = det2(m)
-    if np.any(d <= 0):
-        raise ValueError("renormalize requires positive determinant")
-    return np.asarray(m, dtype=float) / np.sqrt(d)[..., None, None]
-
-
-def mu_action(g1, g2, u):
-    """u -> g1 u g2^T."""
-    return np.einsum("...ij,...jk,...lk->...il", g1, u, g2)
-
-
-def nu_action(g1, g2, u):
-    """u -> g1 u g2^(-1), with the exact adjugate inverse for det = 1."""
-    g2 = np.asarray(g2, dtype=float)
-    check_unimodular(g2, what="nu action right factor")
-    return np.einsum("...ij,...jk,...kl->...il", g1, u, adjugate(g2))
-
-
-def ad_action(g, u):
-    """Conjugation u -> g u g^(-1); preserves the traceless part."""
-    return nu_action(g, g, u)
 
 
 def cross4(a, b, c):
@@ -224,28 +164,3 @@ def project_h31(x, pole="plus", strict=True, tol=DEFAULT_TOL):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = x[..., 1:] / den[..., None]
     return np.where(at_pole[..., None], np.nan, out)
-
-
-def stereographic_s21(x, pole="plus", tol=DEFAULT_TOL):
-    """Stereographic chart of the unit de Sitter 2-sphere in (x1, x2, x3).
-
-    Pole "plus" divides (x1 + x2, -x1 + x2) by 1 + x3, pole "minus" by
-    1 - x3.  Points must satisfy -x1^2 + x2^2 + x3^2 = 1 within 1e-9.
-    """
-    x = np.asarray(x, dtype=float)
-    norm = -x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2
-    bad = np.max(np.abs(norm - 1.0))
-    if bad > 1e-9:
-        raise ValueError(f"point off the unit quadric by {bad:.3e}")
-    if pole == "plus":
-        den = 1.0 + x[..., 2]
-    elif pole == "minus":
-        den = 1.0 - x[..., 2]
-    else:
-        raise ValueError("pole must be 'plus' or 'minus'")
-    if np.any(np.abs(den) <= 1e-12):
-        raise ZeroDivisionError("stereographic chart evaluated at its pole")
-    out = np.empty(x.shape[:-1] + (2,))
-    out[..., 0] = (x[..., 0] + x[..., 1]) / den
-    out[..., 1] = (-x[..., 0] + x[..., 1]) / den
-    return out

@@ -74,21 +74,6 @@ class RunConfig:
 
 _TOL_KEYS = {f.name for f in dataclasses.fields(Tolerances)}
 
-# Keys a JSON config file may supply, per subcommand.  Flags win.
-_FIELDS = {
-    "minimal": ("q", "f", "r", "g", "domain", "nu", "nv", "out", "fmt", "tol"),
-    "cmc1": ("q", "f", "r", "g", "action", "pole", "domain", "nu", "nv",
-             "substeps", "flip_normal", "out", "fmt", "tol"),
-    "lax": ("omega", "H", "Q", "R", "action", "pole", "domain", "nu", "nv",
-            "substeps", "flip_normal", "out", "fmt", "tol"),
-    "verify": ("path", "target_h", "flip_normal", "pole", "out", "fmt", "tol"),
-    "gauss": ("omega", "H", "Q", "R", "sign", "domain", "nu", "nv",
-              "substeps", "out", "tol"),
-    "project": ("path", "pole", "out", "fmt", "tol"),
-    "gallery": ("name", "pole", "domain", "nu", "nv", "flip_normal",
-                "out", "fmt", "tol"),
-}
-
 
 def _parse_tol_overrides(pairs):
     out = {}
@@ -105,11 +90,48 @@ def _parse_tol_overrides(pairs):
     return out
 
 
-def _merge_config(ns):
-    """Flags > config file > RunConfig defaults."""
-    allowed = _FIELDS[ns.command]
+def _flag_value(action, key, value):
+    """Convert a JSON scalar as argparse converts the same text given as the flag."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"config key {key!r} needs a string or a number, got {value!r}")
+    text = value if isinstance(value, str) else repr(value)
+    try:
+        out = text if action.type is None else action.type(text)
+    except ValueError:
+        raise UsageError(f"config key {key!r}: invalid {action.type.__name__} "
+                         f"value {text!r}") from None
+    if action.choices is not None and out not in action.choices:
+        raise UsageError(f"config key {key!r}: {text!r} is not one of {', '.join(action.choices)}")
+    return out
+
+
+def _check_config(key, value, action):
+    """A config value, accepted exactly when its flag accepts the same text."""
+    if key == "tol":
+        if not isinstance(value, dict):
+            raise UsageError(f"config key 'tol' needs an object, got {value!r}")
+        return _parse_tol_overrides(f"{k}={_flag_value(action, k, v)}" for k, v in value.items())
+    if action.nargs == 0:
+        # a switch such as --flip-normal is a JSON boolean in a config
+        if not isinstance(value, bool):
+            raise UsageError(f"config key {key!r} needs true or false, got {value!r}")
+        return value
+    if not isinstance(action.nargs, int):
+        return _flag_value(action, key, value)
+    if not isinstance(value, list) or len(value) != action.nargs:
+        raise UsageError(f"config key {key!r} needs a list of {action.nargs} values, got {value!r}")
+    return [_flag_value(action, key, x) for x in value]
+
+
+def _merge_config(ns, parser):
+    """Flags > config file > RunConfig defaults.
+
+    A config file may set any option of the subcommand, and a value is
+    accepted exactly when its flag would accept the same text.
+    """
+    flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
     manifest = {}
-    if getattr(ns, "config", None):
+    if ns.config:
         try:
             with open(ns.config, encoding="utf-8") as fh:
                 manifest = json.load(fh)
@@ -118,31 +140,28 @@ def _merge_config(ns):
         if not isinstance(manifest, dict):
             raise UsageError("--config must hold a JSON object")
         for key in manifest:
-            if key not in allowed:
+            if key not in flags:
                 raise UsageError(f"unknown config key {key!r} for {ns.command}")
+        sub = next(a for a in parser._actions if a.dest == "command")
+        actions = {a.dest: a for a in sub.choices[ns.command]._actions}
+        manifest = {key: _check_config(key, value, actions[key])
+                    for key, value in manifest.items() if value is not None}
 
     merged = {"command": ns.command}
-    for key in allowed:
+    for key, flag in flags.items():
         if key == "tol":
             continue
-        flag = getattr(ns, key, None)
         if flag is None:
             flag = manifest.get(key)
         if flag is not None:
             merged[key] = flag
 
-    overrides = dict(manifest.get("tol") or {})
-    for key in overrides:
-        if key not in _TOL_KEYS:
-            raise UsageError(f"unknown tolerance key {key!r} in config")
-    overrides.update(_parse_tol_overrides(getattr(ns, "tol", None) or []))
-    merged["tol"] = DEFAULT_TOL.with_(**{k: float(v) for k, v in overrides.items()})
+    overrides = manifest.get("tol", {})
+    overrides.update(_parse_tol_overrides(ns.tol or []))
+    merged["tol"] = DEFAULT_TOL.with_(**overrides)
 
     if "domain" in merged:
-        dom = tuple(float(x) for x in merged["domain"])
-        if len(dom) != 4:
-            raise UsageError("--domain needs four numbers: u0 u1 v0 v1")
-        merged["domain"] = dom
+        merged["domain"] = tuple(merged["domain"])
     cfg = RunConfig(**merged)
     cfg.validate()
     return cfg
@@ -438,7 +457,7 @@ def main(argv=None):
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = _merge_config(ns)
+        cfg = _merge_config(ns, parser)
         return _DISPATCH[cfg.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

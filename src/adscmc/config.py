@@ -12,8 +12,6 @@ from dataclasses import dataclass, replace
 class Tolerances:
     # unimodularity: |det - 1| above this is an error on group elements
     det: float = 1e-9
-    # inversion guard on 2x2 inverses
-    inv: float = 1e-12
     # grid points whose conformal factor falls below this are masked
     degen: float = 1e-8
     # Gauss/Mainardi-Codazzi compatibility gate for Lax integration

@@ -1,4 +1,4 @@
-"""Closed-form and sampled scalar fields.
+"""Closed-form scalar fields, and sampled fields of one variable.
 
 Closed forms are written in a tiny expression language over named
 variables, e.g. "2*ln(1+u*v)" or "u^2 - 1".  The grammar:
@@ -17,8 +17,9 @@ Evaluation is vectorized over numpy arrays.  First and mixed second
 derivatives of closed forms are computed by forward-mode differentiation
 through the syntax tree (value and derivative slots propagated
 together), never by rewriting the tree and never by finite differences.
-Sampled fields interpolate with the 4-point cubic Lagrange rule on a
-uniform grid and differentiate with 4th-order finite differences.
+Only one-variable fields are sampled: they interpolate with the
+4-point cubic Lagrange rule on a uniform grid and differentiate with
+4th-order finite differences.
 """
 
 from dataclasses import dataclass
@@ -441,10 +442,6 @@ class ScalarField1D:
     def from_samples(cls, t0, dt, values):
         return cls(samples=values, t0=t0, dt=dt)
 
-    @property
-    def sampled(self):
-        return self.samples is not None
-
     def __call__(self, t):
         if self.samples is None:
             val = eval_expression(self.expr, {self.var: np.asarray(t, dtype=float)})
@@ -479,21 +476,10 @@ def as_field1d(src, var="t"):
 # two-variable fields
 
 class ScalarField2D:
-    """A scalar function of (u, v), closed form or sampled on a grid."""
+    """A closed-form scalar function of (u, v)."""
 
-    def __init__(self, expr=None, samples=None, u0=None, du=None, v0=None, dv=None):
-        if (expr is None) == (samples is None):
-            raise ValueError("give either an expression or samples")
+    def __init__(self, expr):
         self.expr = expr
-        if samples is not None:
-            self.samples = np.asarray(samples, dtype=float)
-            if self.samples.ndim != 2 or min(self.samples.shape) < 5:
-                raise ValueError("sampled 2d fields need at least a 5x5 grid")
-            self.u0, self.du = float(u0), float(du)
-            self.v0, self.dv = float(v0), float(dv)
-            self._grids = {}
-        else:
-            self.samples = None
 
     @classmethod
     def parse(cls, src):
@@ -503,49 +489,14 @@ class ScalarField2D:
     def const(cls, value):
         return cls(expr=Num(float(value)))
 
-    @classmethod
-    def from_samples(cls, u0, du, v0, dv, values):
-        return cls(samples=values, u0=u0, du=du, v0=v0, dv=dv)
-
-    @property
-    def sampled(self):
-        return self.samples is not None
-
-    def _interp(self, grid, u, v):
-        iu, xu = _cubic_base(u, self.u0, self.du, grid.shape[0])
-        iv, xv = _cubic_base(v, self.v0, self.dv, grid.shape[1])
-        wu = _cubic_weights(xu)
-        wv = _cubic_weights(xv)
-        out = 0.0
-        for a in range(4):
-            row = 0.0
-            for b in range(4):
-                row = row + wv[b] * grid[iu + a - 1, iv + b - 1]
-            out = out + wu[a] * row
-        return out
-
-    def _grid(self, key):
-        if key not in self._grids:
-            if key == "f":
-                self._grids[key] = self.samples
-            elif key == "fu":
-                self._grids[key] = fd_derivative(self.samples, self.du, axis=0)
-            elif key == "fv":
-                self._grids[key] = fd_derivative(self.samples, self.dv, axis=1)
-            else:
-                self._grids[key] = fd_derivative(self._grid("fu"), self.dv, axis=1)
-        return self._grids[key]
-
     def __call__(self, u, v):
         return self.with_derivatives(u, v)[0]
 
     def with_derivatives(self, u, v):
         """Value, f_u, f_v, f_uv at broadcastable points (u, v)."""
-        if self.samples is None:
-            u = np.asarray(u, dtype=float)
-            v = np.asarray(v, dtype=float)
-            return eval_with_derivatives(self.expr, {"u": u, "v": v}, "u", "v")
-        return tuple(self._interp(self._grid(k), u, v) for k in ("f", "fu", "fv", "fuv"))
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        return eval_with_derivatives(self.expr, {"u": u, "v": v}, "u", "v")
 
 
 def as_field2d(src):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import mat_of_vec, scalar_product4
+from .algebra import det2, mat_of_vec, scalar_product4
 from .config import DEFAULT_TOL
 from .fields import fd_derivative
 from .geometry import _cd1, fundamental_data
@@ -61,8 +61,7 @@ class GaussMapGrid:
         return (float(np.ptp(self.g1[ok])), float(np.ptp(self.g2[ok])))
 
     def max_rep_det(self):
-        d = self.rep[..., 0, 0] * self.rep[..., 1, 1] \
-            - self.rep[..., 0, 1] * self.rep[..., 1, 0]
+        d = det2(self.rep)
         d = d[np.isfinite(d)]
         return float(np.max(np.abs(d))) if d.size else float("nan")
 

@@ -16,14 +16,13 @@ product Phi_1 Phi_2^T then has mean curvature H in the unimodular
 quadric, and Psi_1 Psi_2^-1 (with the second set of matrices) has mean
 curvature -H against the same orientation rule.
 
-Derivatives of closed-form omega are evaluated in forward mode through
-the expression tree, so the compatibility gate tests the equation
-itself, not a discretization of it; sampled omega falls back to
-4th-order differences.  Integration marches the bottom edge in u and
-then all columns together in v, both frames stacked in one state, with
-RK4 coefficients evaluated once per v node for the whole column batch.
-A second path to the far corner (up the left edge, then along the top
-edge) measures the path-independence defect there, which is the
+Derivatives of omega are evaluated in forward mode through the
+expression tree, so the compatibility gate tests the equation itself,
+not a discretization of it.  Integration marches the bottom edge in u
+and then all columns together in v, both frames stacked in one state,
+with RK4 coefficients evaluated once per v node for the whole column
+batch.  A second path to the far corner (up the left edge, then along
+the top edge) measures the path-independence defect there, which is the
 numerical witness of the zero-curvature condition.
 """
 

@@ -20,6 +20,7 @@ global evaluation cap (Kronrod 1965; Piessens et al., QUADPACK, 1983).
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -95,12 +96,18 @@ def _dv_direction(r):
     return np.stack([-0.5 * (1.0 + r * r), -0.5 * (1.0 - r * r), -r], axis=-1)
 
 
+def _u_leg(data, u):
+    return _du_direction(data.q(u)) * np.asarray(data.f(u), dtype=float)[..., None]
+
+
+def _v_leg(data, v):
+    return _dv_direction(data.r(v)) * np.asarray(data.g(v), dtype=float)[..., None]
+
+
 def weierstrass_derivatives(data, u, v):
     """Analytic psi_u and psi_v at broadcastable points (u, v)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    psi_u = _du_direction(data.q(u)) * np.asarray(data.f(u), dtype=float)[..., None]
-    psi_v = _dv_direction(data.r(v)) * np.asarray(data.g(v), dtype=float)[..., None]
+    psi_u = _u_leg(data, np.asarray(u, dtype=float))
+    psi_v = _v_leg(data, np.asarray(v, dtype=float))
     shape = np.broadcast_shapes(psi_u.shape, psi_v.shape)
     return np.broadcast_to(psi_u, shape).copy(), np.broadcast_to(psi_v, shape).copy()
 
@@ -178,18 +185,13 @@ def integrate_minimal(data, domain, nu, nv, tol=DEFAULT_TOL):
         raise ValueError("need at least a 2x2 grid")
     us = np.linspace(u0, u1, nu)
     vs = np.linspace(v0, v1, nv)
-
-    def du_leg(t):
-        return _du_direction(data.q(t)) * np.asarray(data.f(t), dtype=float)[..., None]
-
-    def dv_leg(t):
-        return _dv_direction(data.r(t)) * np.asarray(data.g(t), dtype=float)[..., None]
-
     # each leg is the running sum of its cell integrals, from the lower corner
     a = np.zeros((nu, 3))
     b = np.zeros((nv, 3))
-    np.cumsum(adaptive_quadrature(du_leg, us[:-1], us[1:], tol=tol.quad), axis=0, out=a[1:])
-    np.cumsum(adaptive_quadrature(dv_leg, vs[:-1], vs[1:], tol=tol.quad), axis=0, out=b[1:])
+    np.cumsum(adaptive_quadrature(partial(_u_leg, data), us[:-1], us[1:], tol=tol.quad),
+              axis=0, out=a[1:])
+    np.cumsum(adaptive_quadrature(partial(_v_leg, data), vs[:-1], vs[1:], tol=tol.quad),
+              axis=0, out=b[1:])
     points = a[:, None, :] + b[None, :, :]
     factor = minimal_metric_factor(data, us[:, None], vs[None, :])
     mask = np.abs(factor) < tol.degen

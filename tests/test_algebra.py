@@ -2,15 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from adscmc.algebra import (METRIC3, METRIC4, ad_action, adjugate,
-                            check_unimodular, cross3, cross4, det2, inv2,
-                            mat_of_vec, mat_of_vec3, mu_action, nu_action,
-                            project_h31, renormalize, scalar_product,
-                            scalar_product3, scalar_product4,
-                            stereographic_s21, vec3_of_mat, vec_of_mat)
+from adscmc.algebra import (METRIC3, METRIC4, adjugate, check_unimodular,
+                            cross3, cross4, det2, mat_of_vec, project_h31,
+                            scalar_product3, scalar_product4, vec_of_mat)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -43,7 +40,8 @@ def test_vec_mat_round_trip(x):
 @given(vec4, vec4)
 def test_scalar_product_matches_matrix_form(x, y):
     mx, my = mat_of_vec(x), mat_of_vec(y)
-    assert np.isclose(scalar_product(mx, my), scalar_product4(x, y),
+    matrix_form = 0.5 * (np.trace(mx @ my) - np.trace(mx) * np.trace(my))
+    assert np.isclose(matrix_form, scalar_product4(x, y),
                       rtol=1e-10, atol=1e-8)
 
 
@@ -55,13 +53,6 @@ def test_norm_is_minus_det(x):
 
 def test_identity_is_first_basis_vector():
     assert np.allclose(mat_of_vec(np.array([1.0, 0, 0, 0])), np.eye(2))
-
-
-@given(vec3)
-def test_vec3_round_trip(x):
-    m = mat_of_vec3(x)
-    assert abs(np.trace(m)) < 1e-12
-    assert np.allclose(vec3_of_mat(m), x, atol=1e-12)
 
 
 @given(vec4, vec4, vec4)
@@ -82,35 +73,7 @@ def test_cross3_is_lorentz_orthogonal(a, b):
 
 @given(unit)
 def test_inverse_and_adjugate(m):
-    assert np.allclose(inv2(m) @ m, np.eye(2), atol=1e-9)
     assert np.allclose(m @ adjugate(m), det2(m) * np.eye(2), atol=1e-9)
-
-
-@given(unit, unit, vec4, vec4)
-@settings(max_examples=60)
-def test_actions_are_isometries(g1, g2, x, y):
-    mx, my = mat_of_vec(x), mat_of_vec(y)
-    want = scalar_product(mx, my)
-    scale = 1.0 + abs(want)
-    got_mu = scalar_product(mu_action(g1, g2, mx), mu_action(g1, g2, my))
-    got_nu = scalar_product(nu_action(g1, g2, mx), nu_action(g1, g2, my))
-    assert abs(got_mu - want) < 1e-6 * scale * np.max(np.abs(g1 @ g2)) ** 2
-    assert abs(got_nu - want) < 1e-6 * scale * np.max(np.abs(g1 @ g2)) ** 2
-
-
-@given(unit, vec4)
-def test_conjugation_preserves_trace(g, x):
-    m = mat_of_vec(x)
-    out = ad_action(g, m)
-    assert np.isclose(np.trace(out), np.trace(m), rtol=1e-8, atol=1e-8)
-
-
-def test_renormalize_restores_unit_determinant():
-    m = 3.0 * np.array([[2.0, 1.0], [1.0, 1.0]])
-    out = renormalize(m)
-    assert np.isclose(det2(out), 1.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        renormalize(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 def test_check_unimodular_rejects_scaled_matrices():
@@ -142,12 +105,3 @@ def test_projection_lenient_mode_masks_poles():
     out = project_h31(pts, "minus", strict=False)
     assert np.all(np.isnan(out[0]))
     assert np.all(np.isfinite(out[1]))
-
-
-def test_desitter_chart_values():
-    assert np.allclose(stereographic_s21(np.array([0.0, 1.0, 0.0]), "minus"), [1.0, 1.0])
-    assert np.allclose(stereographic_s21(np.array([0.0, 1.0, 0.0]), "plus"), [1.0, 1.0])
-    with pytest.raises(ZeroDivisionError):
-        stereographic_s21(np.array([0.0, 0.0, 1.0]), "minus")
-    with pytest.raises(ValueError):
-        stereographic_s21(np.array([0.0, 2.0, 0.0]), "plus")

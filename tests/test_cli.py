@@ -334,3 +334,55 @@ def test_unconverged_quadrature_names_its_panel(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "quadrature did not converge" in err and "of cell 5" in err
+
+
+CMC1_SMALL = ["cmc1", "--q", "u", "--f", "1", "--r", "v", "--g", "1", *SMALL]
+GAUSS_SMALL = ["gauss", "--omega", "2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1",
+               "--domain", "0", "0.9", "0", "0.9", "--nu", "11", "--nv", "11"]
+
+
+def _with_config(tmp_path, args, manifest):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(manifest))
+    return main([*args, "--config", str(cfg)])
+
+
+def test_config_switch_needs_a_json_boolean(tmp_path, capsys):
+    assert _with_config(tmp_path, CMC1_SMALL, {"flip_normal": "no"}) == 2
+    assert "'flip_normal'" in capsys.readouterr().err
+    _with_config(tmp_path, CMC1_SMALL, {"flip_normal": False})
+    assert "h_median = 0.99" in capsys.readouterr().out
+    _with_config(tmp_path, CMC1_SMALL, {"flip_normal": True})
+    assert "h_median = -0.99" in capsys.readouterr().out
+
+
+def test_config_choice_outside_the_flag_choices_is_a_usage_error(tmp_path, capsys):
+    assert _with_config(tmp_path, CMC1_SMALL, {"action": "MU"}) == 2
+    err = capsys.readouterr().err
+    assert "'action'" in err and "'MU'" in err
+
+
+def test_config_number_as_text_converts_like_the_flag(tmp_path, capsys):
+    args = ["cmc1", "--q", "u", "--f", "1", "--r", "v", "--g", "1",
+            "--domain", "-0.5", "0.5", "-0.5", "0.5", "--nv", "11"]
+    code = _with_config(tmp_path, args, {"nu": "11"})
+    from_config = capsys.readouterr().out
+    assert code == main(CMC1_SMALL)
+    assert from_config == capsys.readouterr().out
+    assert _with_config(tmp_path, args, {"nu": 11.5}) == 2
+    assert "'nu'" in capsys.readouterr().err
+
+
+def test_config_gauss_sign_is_checked_before_the_build(tmp_path, capsys):
+    assert _with_config(tmp_path, GAUSS_SMALL, {"sign": "up"}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "'sign'" in err
+
+
+def test_config_tolerances_go_through_the_tol_checks(tmp_path, capsys):
+    args = ["gallery", "horosphere", *SMALL]
+    assert _with_config(tmp_path, args, {"tol": {"conf": "abc"}}) == 2
+    assert _with_config(tmp_path, args, {"tol": {"conf": True}}) == 2
+    assert _with_config(tmp_path, args, {"tol": {"inv": 1e-12}}) == 2
+    assert main([*args, "--tol", "inv=1e-12"]) == 2
+    assert _with_config(tmp_path, args, {"tol": {"conf": "1e-3"}}) == 0
