@@ -10,8 +10,8 @@ mean curvature, the Hopf differential pair, the curvature relation,
 and holomorphicity of the Gauss maps.
 """
 
-from .algebra import (METRIC3, METRIC4, adjugate, check_unimodular, cross3,
-                      cross4, det2, mat_of_vec, pack2, project_h31,
+from .algebra import (METRIC3, METRIC4, act, adjugate, check_unimodular,
+                      cross3, cross4, det2, mat_of_vec, pack2, project_h31,
                       scalar_product3, scalar_product4, vec_of_mat)
 from .config import DEFAULT_TOL, Tolerances
 from .export import (export_csv, export_json, export_obj, export_surface,

@@ -18,9 +18,9 @@ carries signature (-,+,+) and models Minkowski 3-space.
 
 Pairs of unimodular matrices act by u -> g1 u g2^T (both factors act on
 the same side of the quadric) and by u -> g1 u g2^(-1); both actions are
-isometries of the quadric.  The surfaces are these products of two
-frame families: nullcurves.assemble_mu and assemble_nu form them from
-null-curve legs, LaxFrames.assemble from Lax frames.
+isometries of the quadric.  The surfaces are the products act(g1, g2)
+of two frame families: nullcurves.assemble_mu and assemble_nu form them
+from null-curve legs, LaxFrames.assemble from Lax frames.
 
 Everything here is vectorized: matrix arguments may carry arbitrary
 leading axes, with the last two axes of shape (2, 2) (or a last axis of
@@ -85,6 +85,15 @@ def adjugate(m):
     """Adjugate of 2x2 matrices; equals the inverse when det = 1."""
     m = np.asarray(m, dtype=float)
     return pack2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
+
+
+def act(g1, g2, action):
+    """Broadcast products g1 g2^T ("mu") or g1 adj(g2), which is g1 g2^-1 ("nu")."""
+    if action == "mu":
+        return np.einsum("...ab,...cb->...ac", g1, g2)
+    if action == "nu":
+        return np.einsum("...ab,...bc->...ac", g1, adjugate(g2))
+    raise ValueError("action must be 'mu' or 'nu'")
 
 
 def check_unimodular(m, tol=DEFAULT_TOL, what="group element"):

@@ -225,16 +225,13 @@ def _cmd_minimal(cfg):
 def _cmd_cmc1(cfg):
     _require(cfg, "q", "f", "r", "g")
     u0, u1, v0, v1 = cfg.domain
+    kind, assemble = ((KIND_F2_MU, assemble_mu) if cfg.action == "mu"
+                      else (KIND_F2_NU, assemble_nu))
     f1 = integrate_frame(KIND_F1, cfg.q, cfg.f, (u0, u1), cfg.nu,
                          substeps=cfg.substeps, tol=cfg.tol)
-    if cfg.action == "mu":
-        f2 = integrate_frame(KIND_F2_MU, cfg.r, cfg.g, (v0, v1), cfg.nv,
-                             substeps=cfg.substeps, tol=cfg.tol)
-        surface = assemble_mu(f1, f2, tol=cfg.tol)
-    else:
-        f2 = integrate_frame(KIND_F2_NU, cfg.r, cfg.g, (v0, v1), cfg.nv,
-                             substeps=cfg.substeps, tol=cfg.tol)
-        surface = assemble_nu(f1, f2, tol=cfg.tol)
+    f2 = integrate_frame(kind, cfg.r, cfg.g, (v0, v1), cfg.nv,
+                         substeps=cfg.substeps, tol=cfg.tol)
+    surface = assemble(f1, f2, tol=cfg.tol)
     target = -1.0 if cfg.flip_normal else 1.0
     report = geometry_report(surface, tol=cfg.tol, flip_normal=cfg.flip_normal)
     return _finish(cfg, surface, report, target_h=target)
@@ -263,6 +260,8 @@ def _cmd_verify(cfg):
 
 def _cmd_gauss(cfg):
     _require(cfg, "omega", "H", "Q", "R")
+    if cfg.out is not None and not cfg.out.lower().endswith(".json"):
+        raise UsageError(f"gauss writes JSON findings; --out {cfg.out!r} must end in .json")
     data = GmcData.build(cfg.omega, cfg.H, cfg.Q, cfg.R)
     frames = integrate_lax(data, "mu", cfg.domain, cfg.nu, cfg.nv,
                            substeps=cfg.substeps, tol=cfg.tol)
@@ -366,7 +365,7 @@ _DISPATCH = {
 }
 
 
-def _add_common(sp, grid=True, out=True, formats=("obj", "json", "csv")):
+def _add_common(sp, grid=True, formats=("obj", "json", "csv")):
     sp.add_argument("--config", help="JSON manifest of flag values; explicit flags win")
     sp.add_argument("--tol", action="append", metavar="KEY=VALUE",
                     help="tolerance override, repeatable")
@@ -375,8 +374,8 @@ def _add_common(sp, grid=True, out=True, formats=("obj", "json", "csv")):
                         metavar=("U0", "U1", "V0", "V1"))
         sp.add_argument("--nu", type=int, help="grid points in u")
         sp.add_argument("--nv", type=int, help="grid points in v")
-    if out:
-        sp.add_argument("--out", help="output file path")
+    sp.add_argument("--out", help="output file path")
+    if formats:
         sp.add_argument("--format", dest="fmt", choices=formats,
                         help="output format (default: file extension)")
 
@@ -437,7 +436,7 @@ def build_parser():
     sp = sub.add_parser("gauss", help="Gauss-map grids and holomorphicity classification")
     _add_gmc(sp)
     sp.add_argument("--sign", choices=("plus", "minus"), help="which Gauss map (default plus)")
-    _add_common(sp, formats=("json",))
+    _add_common(sp, formats=())
 
     sp = sub.add_parser("project", help="stereographic re-projection of a stored surface")
     sp.add_argument("path", nargs="?", help="JSON surface file")

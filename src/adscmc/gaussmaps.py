@@ -30,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import det2, mat_of_vec, scalar_product4
+from .algebra import adjugate, det2, mat_of_vec, scalar_product4
 from .config import DEFAULT_TOL
 from .fields import fd_derivative
 from .geometry import _cd1, fundamental_data
+from .lax import lax_matrices
 from .nullcurves import KIND_F1, KIND_F2_MU, KIND_F2_NU
 
 
@@ -133,17 +134,13 @@ def frame_gauss_coordinates(frames, sign="plus", action=None, tol=DEFAULT_TOL):
     -F24/F22 (plus) or -F23/F21 (minus) instead.
     """
     us, vs, p1, p2, action = _frame_grids(frames, action)
-    if sign == "plus":
-        col = p1[..., :, 0]
-        row = p2[..., :, 0] if action == "mu" \
-            else np.stack([p2[..., 1, 1], -p2[..., 0, 1]], axis=-1)
-    elif sign == "minus":
-        col = p1[..., :, 1]
-        row = p2[..., :, 1] if action == "mu" \
-            else np.stack([-p2[..., 1, 0], p2[..., 0, 0]], axis=-1)
-    else:
+    if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    rep = _outer(col, row)
+    k = 0 if sign == "plus" else 1
+    if action == "nu":
+        # F1 F2^-1 = F1 (adj(F2)^T)^T, a product assembly with adj(F2)^T
+        p2 = np.swapaxes(adjugate(p2), -1, -2)
+    rep = _outer(p1[..., :, k], p2[..., :, k])
     g1, g2, bad = chart_coordinates(rep, tol)
     return GaussMapGrid(us=np.asarray(us), vs=np.asarray(vs), rep=rep,
                         g1=g1, g2=g2, mask=bad, sign=sign,
@@ -215,9 +212,11 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
 
     Works on integrated coordinate frames of the product action (the
     identities read off their linear systems; other frame gauges answer
-    a different question).  For the plus line, the first-column
-    Wronskians of the two frames equal e^{-w/2} Q and e^{w/2}(H-1)/2 in
-    u, and e^{w/2}(H-1)/2 and e^{-w/2} R in v.  The map is classified
+    a different question).  Each predicted Wronskian is an off-diagonal
+    entry of the Lax coefficient that moves the frame in that direction:
+    minus the (1,0) entry for the plus line, which reads e^{-w/2} Q and
+    e^{w/2}(H-1)/2 in u, and e^{w/2}(H-1)/2 and e^{-w/2} R in v; the
+    (0,1) entry for the minus line.  The map is classified
     antiholomorphic where both u-Wronskians vanish, holomorphic where
     both v-Wronskians vanish, constant where all four do.
     """
@@ -226,21 +225,16 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     if frames.action != "mu":
         raise ValueError("the Wronskian identities are stated for the product "
                          "action; inverse-action frames are out of scope")
-    data = frames.data
     us, vs = frames.us, frames.vs
     hu = float(us[1] - us[0])
     hv = float(vs[1] - vs[0])
-    w = data.omega(us[:, None], vs[None, :])
-    q = np.asarray(data.Q(us), dtype=float)[:, None] + np.zeros_like(w)
-    r = np.asarray(data.R(vs), dtype=float)[None, :] + np.zeros_like(w)
-    h = data.H
-    ep = np.exp(0.5 * w)
-    em = np.exp(-0.5 * w)
-    col = 0 if sign == "plus" else 1
+    u, v = us[:, None], vs[None, :]
+    coefs = (*lax_matrices(frames.data, "mu", u, v, True),
+             *lax_matrices(frames.data, "mu", u, v, False))
     if sign == "plus":
-        pred = (em * q, 0.5 * ep * (h - 1.0), 0.5 * ep * (h - 1.0), em * r)
+        col, pred = 0, [-m[..., 1, 0] for m in coefs]
     elif sign == "minus":
-        pred = (0.5 * ep * (h + 1.0), em * q, em * r, 0.5 * ep * (h + 1.0))
+        col, pred = 1, [m[..., 0, 1] for m in coefs]
     else:
         raise ValueError("sign must be 'plus' or 'minus'")
 
@@ -251,8 +245,7 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     wv1 = _wronskian(a1, c1, hv, 1)
     wv2 = _wronskian(a2, c2, hv, 1)
 
-    res = (np.abs(wu1 - pred[0]), np.abs(wu2 - pred[1]),
-           np.abs(wv1 - pred[2]), np.abs(wv2 - pred[3]))
+    res = [np.abs(wr - p) for wr, p in zip((wu1, wu2, wv1, wv2), pred)]
     mag_u = np.maximum(np.abs(wu1), np.abs(wu2))
     mag_v = np.maximum(np.abs(wv1), np.abs(wv2))
     anti = mag_u <= tol.hol

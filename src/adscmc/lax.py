@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import adjugate, check_unimodular, det2, pack2, vec_of_mat
+from .algebra import act, adjugate, check_unimodular, det2, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d, as_field2d, fd_derivative
 from .geometry import AmbientSpec, SurfaceGrid
@@ -77,27 +77,26 @@ def gmc_residual(data, us, vs):
     return wuv + 0.5 * (data.H ** 2 - 1.0) * e - 2.0 * q * r / e
 
 
-def lax_matrices(data, action, u, v):
-    """The four coefficient matrices (U1, V1, U2, V2) at points (u, v)."""
+def lax_matrices(data, action, u, v, along_u):
+    """The coefficient pair (U1, U2) if along_u, else (V1, V2), at points (u, v)."""
+    if action not in ("mu", "nu"):
+        raise ValueError("action must be 'mu' or 'nu'")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     w, wu, wv, _ = data.omega.with_derivatives(u, v)
-    q = np.asarray(data.Q(u), dtype=float)
-    r = np.asarray(data.R(v), dtype=float)
-    h = data.H
     ep = np.exp(0.5 * w)
     em = np.exp(-0.5 * w)
-    u1 = pack2(wu / 4.0, 0.5 * ep * (h + 1.0), -em * q, -wu / 4.0)
-    v1 = pack2(-wv / 4.0, em * r, -0.5 * ep * (h - 1.0), wv / 4.0)
-    if action == "mu":
-        u2 = pack2(-wu / 4.0, em * q, -0.5 * ep * (h - 1.0), wu / 4.0)
-        v2 = pack2(wv / 4.0, 0.5 * ep * (h + 1.0), -em * r, -wv / 4.0)
-    elif action == "nu":
-        u2 = pack2(wu / 4.0, 0.5 * ep * (h - 1.0), -em * q, -wu / 4.0)
-        v2 = pack2(-wv / 4.0, em * r, -0.5 * ep * (h + 1.0), wv / 4.0)
-    else:
-        raise ValueError("action must be 'mu' or 'nu'")
-    return u1, v1, u2, v2
+    plus = 0.5 * ep * (data.H + 1.0)
+    minus = 0.5 * ep * (data.H - 1.0)
+    if along_u:
+        d = wu / 4.0
+        q = em * np.asarray(data.Q(u), dtype=float)
+        second = pack2(-d, q, -minus, d) if action == "mu" else pack2(d, minus, -q, -d)
+        return pack2(d, plus, -q, -d), second
+    d = wv / 4.0
+    r = em * np.asarray(data.R(v), dtype=float)
+    second = pack2(d, plus, -r, -d) if action == "mu" else pack2(-d, r, -plus, d)
+    return pack2(-d, r, -minus, d), second
 
 
 @dataclass
@@ -114,10 +113,7 @@ class LaxFrames:
 
     def assemble(self, tol=DEFAULT_TOL):
         """Product surface Phi1 Phi2^T (mu) or Phi1 Phi2^-1 (nu)."""
-        if self.action == "mu":
-            points = np.einsum("ijab,ijcb->ijac", self.phi1, self.phi2)
-        else:
-            points = np.einsum("ijab,ijbc->ijac", self.phi1, adjugate(self.phi2))
+        points = act(self.phi1, self.phi2, self.action)
         w = self.data.omega(self.us[:, None], self.vs[None, :])
         mask = np.broadcast_to(np.exp(w) < tol.degen, points.shape[:2]).copy()
         return SurfaceGrid(us=self.us, vs=self.vs, points=vec_of_mat(points), mask=mask,
@@ -129,9 +125,7 @@ def _coefs(data, action, u, v, along_u):
 
     The frame axis goes right before the batch axis, as in the state.
     """
-    m = lax_matrices(data, action, u, v)
-    k = 0 if along_u else 1
-    return np.stack((m[k], m[k + 2]), axis=-4)
+    return np.stack(lax_matrices(data, action, u, v, along_u), axis=-4)
 
 
 def _edge(data, action, y, ts, fixed, substeps, along_u):
@@ -222,7 +216,7 @@ def _leg_data(curve, tol):
     if nullity > 1e-8:
         raise ValueError(f"leg is not null: max |a^2 + bc| = {nullity:.3e}")
     if curve.kind == KIND_F2_NU:
-        # left-system leg: F^-1 dF = [[-sw, -w], [s^2 w, sw]] dv
+        # nu leg: F^-1 dF = [[-sw, -w], [s^2 w, sw]] dv
         den, s_num, w = b, a, -b
     else:
         den, s_num, w = c, a, c

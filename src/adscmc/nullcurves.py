@@ -9,9 +9,9 @@ here solve
 
 with scalar fields (q, f) or (r, g).  The coefficient matrices are
 nilpotent, so the legs stay unimodular and RK4 tracks them to its usual
-fourth order.  For the nu leg the inverse G = F2^-1 is integrated
-directly as a left-coefficient system; both G and F2 are stored so
-assembly never inverts anything.
+fourth order.  The nu coefficient is the transpose of the u-leg form, so
+G^T = (F2^-1)^T solves the same system dY = Y C as the other legs; the
+nu leg integrates G^T and stores F2 = adj(G).
 
 Products phi = F1 F2^T have mean curvature +1 in the unimodular quadric
 (with the orientation fixed downstream); products psi = F1 F2^-1 have
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import adjugate, check_unimodular, det2, pack2, vec_of_mat
+from .algebra import act, adjugate, check_unimodular, det2, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import as_field1d
 from .geometry import AmbientSpec, SurfaceGrid
@@ -50,7 +50,6 @@ class FrameCurve:
     t1: float
     n: int
     samples: np.ndarray               # (n, 2, 2) frame values
-    inv_samples: np.ndarray = None    # (n, 2, 2) G = F^-1, nu leg only
     det_drift: float = 0.0
 
     @property
@@ -58,21 +57,15 @@ class FrameCurve:
         return np.linspace(self.t0, self.t1, self.n)
 
 
-def null_coefficient(kind, s, w):
-    """Coefficient matrix of one leg at parameter values with fields s, w.
+def null_coefficient(s, w):
+    """Coefficient [[s, -s^2], [1, -s]] w of the leg system dY = Y C.
 
     s and w may be arrays; the result has shape s.shape + (2, 2) and is
     nilpotent (trace and determinant both vanish identically).
     """
     s = np.asarray(s, dtype=float)
     w = np.asarray(w, dtype=float)
-    if kind in (KIND_F1, KIND_F2_MU):
-        c = pack2(s, -s * s, 1.0, -s)
-    elif kind == KIND_F2_NU:
-        c = pack2(s, 1.0, -s * s, -s)
-    else:
-        raise ValueError(f"unknown leg kind {kind!r}; expected one of {_KINDS}")
-    return c * w[..., None, None]
+    return pack2(s, -s * s, 1.0, -s) * w[..., None, None]
 
 
 def stage_times(starts, h, substeps):
@@ -85,26 +78,20 @@ def stage_times(starts, h, substeps):
     return np.stack((t, t + 0.5 * h, t + h), axis=-1)
 
 
-def _rk4_step(y, c, h, left=False):
-    """One RK4 step of dY = Y C (or dY = C Y if left) for batched Y.
+def _rk4_step(y, c, h):
+    """One RK4 step of dY = Y C for batched Y.
 
     c[0], c[1], c[2] are the coefficients at the start, midpoint and end
     of the step.
     """
-    if left:
-        k1 = c[0] @ y
-        k2 = c[1] @ (y + 0.5 * h * k1)
-        k3 = c[1] @ (y + 0.5 * h * k2)
-        k4 = c[2] @ (y + h * k3)
-    else:
-        k1 = y @ c[0]
-        k2 = (y + 0.5 * h * k1) @ c[1]
-        k3 = (y + 0.5 * h * k2) @ c[1]
-        k4 = (y + h * k3) @ c[2]
+    k1 = y @ c[0]
+    k2 = (y + 0.5 * h * k1) @ c[1]
+    k3 = (y + 0.5 * h * k2) @ c[1]
+    k4 = (y + h * k3) @ c[2]
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_march(y, coefs, h, left=False):
+def rk4_march(y, coefs, h):
     """Yield the state at every node of an RK4 march, starting with y.
 
     coefs yields, node after node, the stage coefficients of that node's
@@ -113,7 +100,7 @@ def rk4_march(y, coefs, h, left=False):
     yield y
     for node in coefs:
         for c in node:
-            y = _rk4_step(y, c, h, left)
+            y = _rk4_step(y, c, h)
         yield y
 
 
@@ -138,59 +125,48 @@ def integrate_frame(kind, s, w, t_range, n, init=None, substeps=1, tol=DEFAULT_T
     init = np.eye(2) if init is None else np.asarray(init, dtype=float)
     check_unimodular(init, tol, what="initial frame")
 
-    left = kind == KIND_F2_NU
-    y = adjugate(init) if left else init
+    # the nu leg marches G^T = (F2^-1)^T, which solves the u-leg system
+    transposed = kind == KIND_F2_NU
+    y = adjugate(init).T if transposed else init
     h = (t1 - t0) / ((n - 1) * substeps)
     ts = stage_times(t0 + np.arange(n - 1) * (t1 - t0) / (n - 1), h, substeps)
-    out = np.stack(list(rk4_march(y, null_coefficient(kind, s(ts), w(ts)), h, left)))
+    out = np.stack(list(rk4_march(y, null_coefficient(s(ts), w(ts)), h)))
     drift = float(np.max(np.abs(det2(out) - 1.0)))
     if drift > tol.drift:
         raise IntegrationError(
             f"determinant drift {drift:.3e} exceeds {tol.drift:g} on the {kind} leg")
-    if left:
-        return FrameCurve(kind, s, w, t0, t1, n, samples=adjugate(out),
-                          inv_samples=out, det_drift=drift)
+    if transposed:
+        out = adjugate(np.swapaxes(out, -1, -2))
     return FrameCurve(kind, s, w, t0, t1, n, samples=out, det_drift=drift)
 
 
-def _leg_coefs(curve):
-    ts = curve.ts
-    return null_coefficient(curve.kind, curve.s_field(ts), curve.w_field(ts))
+def frame_metric_grid(f1, f2):
+    """Exact conformal factor grid of the assembled product surface.
+
+    Under either action it is -det(C1 + C2^T) with C1, C2 the two legs'
+    coefficients in the common dY = Y C form.
+    """
+    c1 = null_coefficient(f1.s_field(f1.ts), f1.w_field(f1.ts))
+    c2 = null_coefficient(f2.s_field(f2.ts), f2.w_field(f2.ts))
+    return -det2(c1[:, None] + np.swapaxes(c2, -1, -2)[None, :])
 
 
-def frame_metric_grid(f1, f2, assembly):
-    """Exact conformal factor grid of the assembled product surface."""
-    c1 = _leg_coefs(f1)
-    c2 = _leg_coefs(f2)
-    if assembly == "mu":
-        c2 = np.swapaxes(c2, -1, -2)
-    elif assembly != "nu":
-        raise ValueError("assembly must be 'mu' or 'nu'")
-    total = c1[:, None] + c2[None, :]
-    return -det2(total)
-
-
-def _check_tags(f1, f2, want_f2, assembly):
+def _assemble(f1, f2, action, want_f2, tol):
     if f1.kind != KIND_F1:
         raise ValueError(f"first factor must be a {KIND_F1} leg, got {f1.kind!r}")
     if f2.kind != want_f2:
-        raise ValueError(
-            f"assembly '{assembly}' needs a {want_f2} leg, got {f2.kind!r}")
+        raise ValueError(f"assembly '{action}' needs a {want_f2} leg, got {f2.kind!r}")
+    points = vec_of_mat(act(f1.samples[:, None], f2.samples[None, :], action))
+    coef = frame_metric_grid(f1, f2)
+    return SurfaceGrid(us=f1.ts, vs=f2.ts, points=points, mask=np.abs(coef) < tol.degen,
+                       ambient=AmbientSpec.h31(), assembly=action)
 
 
 def assemble_mu(f1, f2, tol=DEFAULT_TOL):
     """Grid of products F1(u_i) F2(v_j)^T with the degeneracy mask."""
-    _check_tags(f1, f2, KIND_F2_MU, "mu")
-    points = vec_of_mat(np.einsum("iab,jcb->ijac", f1.samples, f2.samples))
-    coef = frame_metric_grid(f1, f2, "mu")
-    return SurfaceGrid(us=f1.ts, vs=f2.ts, points=points, mask=np.abs(coef) < tol.degen,
-                       ambient=AmbientSpec.h31(), assembly="mu")
+    return _assemble(f1, f2, "mu", KIND_F2_MU, tol)
 
 
 def assemble_nu(f1, f2, tol=DEFAULT_TOL):
-    """Grid of products F1(u_i) F2(v_j)^-1 using the stored inverses."""
-    _check_tags(f1, f2, KIND_F2_NU, "nu")
-    points = vec_of_mat(np.einsum("iab,jbc->ijac", f1.samples, f2.inv_samples))
-    coef = frame_metric_grid(f1, f2, "nu")
-    return SurfaceGrid(us=f1.ts, vs=f2.ts, points=points, mask=np.abs(coef) < tol.degen,
-                       ambient=AmbientSpec.h31(), assembly="nu")
+    """Grid of products F1(u_i) F2(v_j)^-1 with the degeneracy mask."""
+    return _assemble(f1, f2, "nu", KIND_F2_NU, tol)

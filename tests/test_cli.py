@@ -379,6 +379,19 @@ def test_config_gauss_sign_is_checked_before_the_build(tmp_path, capsys):
     assert err.startswith("usage error:") and "'sign'" in err
 
 
+def test_gauss_writes_json_findings_only(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*GAUSS_SMALL, "--format", "json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    out = tmp_path / "g.obj"
+    assert main([*GAUSS_SMALL, "--out", str(out)]) == 2
+    assert "must end in .json" in capsys.readouterr().err
+    assert not out.exists()
+    assert _with_config(tmp_path, GAUSS_SMALL, {"fmt": "json"}) == 2
+    assert "'fmt'" in capsys.readouterr().err
+
+
 def test_config_tolerances_go_through_the_tol_checks(tmp_path, capsys):
     args = ["gallery", "horosphere", *SMALL]
     assert _with_config(tmp_path, args, {"tol": {"conf": "abc"}}) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from adscmc.algebra import det2, mat_of_vec
 from adscmc.gallery import GALLERY_NAMES, GalleryEntry, gallery, oracle_frame, oracle_surface
-from adscmc.nullcurves import KIND_F1, KIND_F2_MU, null_coefficient
+from adscmc.nullcurves import null_coefficient
 
 from conftest import E31_NAMES, H31_NAMES
 
@@ -49,14 +49,14 @@ def test_closed_form_legs_solve_their_linear_systems(name, leg):
     entry = gallery(name)
     data = entry.data
     if leg == "F1":
-        fn, s, w, kind = entry.frame_f1, data.q, data.f, KIND_F1
+        fn, s, w = entry.frame_f1, data.q, data.f
     else:
-        fn, s, w, kind = entry.frame_f2, data.r, data.g, KIND_F2_MU
+        fn, s, w = entry.frame_f2, data.r, data.g
     h = 1e-4
     for t in np.linspace(-1.2, 1.2, 7):
         diff = (fn(t + h) - fn(t - h)) / (2.0 * h)
         got = np.linalg.inv(fn(t)) @ diff
-        want = null_coefficient(kind, float(s(t)), float(w(t)))
+        want = null_coefficient(float(s(t)), float(w(t)))
         assert np.max(np.abs(got - want)) < 1e-6
 
 

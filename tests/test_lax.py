@@ -20,12 +20,14 @@ FLAT_UMBILIC = GmcData.build("0", 1.0, "0", "0")
 
 def test_matrix_entries_at_reference_point():
     # omega = 2 ln(1 + uv) at (1,1): omega_u = omega_v = 1, e^{omega/2} = 2
-    u1, v1, u2, v2 = lax_matrices(LIOUVILLE, "mu", 1.0, 1.0)
+    u1, u2 = lax_matrices(LIOUVILLE, "mu", 1.0, 1.0, True)
+    v1, v2 = lax_matrices(LIOUVILLE, "mu", 1.0, 1.0, False)
     assert np.allclose(u1, [[0.25, 2.0], [-0.5, -0.25]], atol=1e-14)
     assert np.allclose(v1, [[-0.25, 0.5], [0.0, 0.25]], atol=1e-14)
     assert np.allclose(u2, [[-0.25, 0.5], [0.0, 0.25]], atol=1e-14)
     assert np.allclose(v2, [[0.25, 2.0], [-0.5, -0.25]], atol=1e-14)
-    nu1, nv1, nu2, nv2 = lax_matrices(LIOUVILLE, "nu", 1.0, 1.0)
+    nu1, nu2 = lax_matrices(LIOUVILLE, "nu", 1.0, 1.0, True)
+    nv1, nv2 = lax_matrices(LIOUVILLE, "nu", 1.0, 1.0, False)
     assert np.allclose(nu1, u1, atol=1e-14)
     assert np.allclose(nv1, v1, atol=1e-14)
     assert np.allclose(nu2, [[0.25, 0.0], [-0.5, -0.25]], atol=1e-14)
@@ -34,7 +36,8 @@ def test_matrix_entries_at_reference_point():
 
 def test_matrices_are_trace_free():
     for action in ("mu", "nu"):
-        for m in lax_matrices(LIOUVILLE, action, 0.3, -0.2):
+        for m in (*lax_matrices(LIOUVILLE, action, 0.3, -0.2, True),
+                  *lax_matrices(LIOUVILLE, action, 0.3, -0.2, False)):
             assert abs(np.trace(np.asarray(m))) < 1e-14
 
 
@@ -165,8 +168,7 @@ def test_extraction_needs_null_frames():
     boosts[:, 1, 0] = np.sinh(ts)
     boosts[:, 1, 1] = np.cosh(ts)
     fake = FrameCurve(kind=KIND_F1, s_field=None, w_field=None,
-                      t0=0.0, t1=1.0, n=101, samples=boosts,
-                      inv_samples=None, det_drift=0.0)
+                      t0=0.0, t1=1.0, n=101, samples=boosts, det_drift=0.0)
     good = integrate_frame(KIND_F2_MU, "v", "1", (0.0, 1.0), 101)
     with pytest.raises(ValueError, match="null"):
         extract_weierstrass_data(fake, good)
@@ -175,12 +177,10 @@ def test_extraction_needs_null_frames():
 def test_extraction_pole_when_data_vanishes():
     frames = integrate_lax(FLAT_UMBILIC, "mu", (0.0, 1.0, 0.0, 1.0), 51, 51)
     f1 = FrameCurve(kind=KIND_F1, s_field=None, w_field=None,
-                    t0=0.0, t1=1.0, n=51, samples=frames.phi1[:, 0],
-                    inv_samples=None, det_drift=0.0)
+                    t0=0.0, t1=1.0, n=51, samples=frames.phi1[:, 0], det_drift=0.0)
     f2 = FrameCurve(kind=KIND_F2_MU, s_field=None, w_field=None,
                     t0=0.0, t1=1.0, n=51,
-                    samples=np.swapaxes(frames.phi2, 0, 1)[:, 0],
-                    inv_samples=None, det_drift=0.0)
+                    samples=np.swapaxes(frames.phi2, 0, 1)[:, 0], det_drift=0.0)
     with pytest.raises(ZeroDivisionError):
         extract_weierstrass_data(f1, f2)
 

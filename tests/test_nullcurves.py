@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adscmc.algebra import det2, mat_of_vec
+from adscmc.algebra import adjugate, det2, mat_of_vec
 from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, KIND_F2_NU, assemble_mu,
                                assemble_nu, frame_metric_grid, integrate_frame,
                                null_coefficient)
@@ -48,7 +48,7 @@ def test_nu_leg_substeps_refine_at_fourth_order():
     def end(substeps):
         curve = integrate_frame(KIND_F2_NU, "sin(3*v)", "cosh(v)", (-0.5, 1.0), 41,
                                 substeps=substeps)
-        assert np.allclose(curve.samples @ curve.inv_samples, np.eye(2), atol=1e-12)
+        assert np.allclose(curve.samples @ adjugate(curve.samples), np.eye(2), atol=1e-12)
         return curve.samples[-1]
 
     ref = end(16)
@@ -112,7 +112,25 @@ def test_both_assemblies_agree_from_identity_frames():
     f2n = integrate_frame(KIND_F2_NU, "v", "1", (-0.5, 0.5), 101)
     sm = assemble_mu(f1, f2m)
     sn = assemble_nu(f1, f2n)
-    assert np.max(np.abs(mat_of_vec(sm.points) - mat_of_vec(sn.points))) < 1e-12
+    assert np.array_equal(sm.points, sn.points)
+
+
+def test_nu_leg_is_the_adjugate_of_the_transposed_mu_leg():
+    # G = F2^-1 solves dG = C^T G, so G^T solves the mu leg's dY = Y C
+    m = np.array([[2.0, 1.0], [3.0, 2.0]])
+    nu = integrate_frame(KIND_F2_NU, "sin(3*v)", "cosh(v)", (-0.5, 1.0), 41,
+                         init=m, substeps=3)
+    mu = integrate_frame(KIND_F2_MU, "sin(3*v)", "cosh(v)", (-0.5, 1.0), 41,
+                         init=adjugate(m).T, substeps=3)
+    assert np.array_equal(nu.samples, adjugate(np.swapaxes(mu.samples, -1, -2)))
+    assert nu.det_drift == mu.det_drift
+
+
+def test_both_actions_share_the_metric_grid():
+    f1 = integrate_frame(KIND_F1, "sin(u)", "1+u*u/4", (-0.5, 0.7), 31)
+    f2m = integrate_frame(KIND_F2_MU, "v*v", "cosh(v)", (-0.4, 0.6), 27)
+    f2n = integrate_frame(KIND_F2_NU, "v*v", "cosh(v)", (-0.4, 0.6), 27)
+    assert np.array_equal(frame_metric_grid(f1, f2n), frame_metric_grid(f1, f2m))
 
 
 def test_degenerate_data_builds_the_flat_orbit():
@@ -122,7 +140,7 @@ def test_degenerate_data_builds_the_flat_orbit():
     want = np.array([[1.0, 1.0], [1.0, 2.0]])
     assert np.allclose(mat_of_vec(surf.points[-1, -1]), want, atol=1e-12)
     assert not surf.mask.any()
-    metric = frame_metric_grid(f1, f2, "nu")
+    metric = frame_metric_grid(f1, f2)
     assert np.allclose(metric, 1.0, atol=1e-12)
 
 
@@ -131,7 +149,7 @@ def test_exact_metric_matches_differenced_metric(gallery_module):
     f1 = integrate_frame(KIND_F1, entry.data.q, entry.data.f, (-0.5, 0.5), 201)
     f2 = integrate_frame(KIND_F2_MU, entry.data.r, entry.data.g, (-0.5, 0.5), 201)
     surf = assemble_mu(f1, f2)
-    exact = frame_metric_grid(f1, f2, "mu")
+    exact = frame_metric_grid(f1, f2)
 
     from adscmc.geometry import fundamental_data
     fd = fundamental_data(surf)
@@ -141,7 +159,7 @@ def test_exact_metric_matches_differenced_metric(gallery_module):
 
 
 def test_null_coefficient_shapes():
-    c = null_coefficient(KIND_F1, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    c = null_coefficient(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
     assert c.shape == (2, 2, 2)
     # the coefficient matrix is trace free and nilpotent for a null leg
     assert np.allclose(np.trace(c, axis1=-2, axis2=-1), 0.0, atol=1e-14)
