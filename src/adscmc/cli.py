@@ -10,6 +10,7 @@ reproducible from a single checked-in file.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -452,8 +453,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # argparse keeps no state of a parse in the parser, so one instance
+    # serves every main() call of a process
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     ns = parser.parse_args(argv)
     try:
         cfg = _merge_config(ns, parser)

@@ -25,10 +25,15 @@ second-form residual are the module's main outputs.
 All stencils are second-order central differences on the uniform grid;
 every derived field is reported on the full grid shape with NaN outside
 its stencil's reach, so a quantity needing two derivative rings is NaN
-on the outer two rings.  Orientation of the normal is fixed by a
-positive 4x4 (or 3x3) determinant against position and the coordinate
-tangents, never by convention flags hidden in formulas; flipping it is
-an explicit argument.
+on the outer two rings.  The normal is oriented so that the frame
+determinant against position and the coordinate tangents is positive,
+det[x, x_u - x_v, x_u + x_v, N] > 0 in H31 and
+det[x_u - x_v, x_u + x_v, N] > 0 in E31; flipping it is an explicit
+argument.  No determinant is computed: for the unit normal
+N = raw / sqrt(nn) built from raw = METRIC4 cross4(x, x_u, x_v)
+(respectively METRIC3 cross3(x_u, x_v)) with nn = <raw, raw>, the
+determinant is identically -2 sqrt(nn) in H31 and +2 sqrt(nn) in E31,
+so the positive orientation is -raw / sqrt(nn) and +raw / sqrt(nn).
 """
 
 from dataclasses import dataclass
@@ -196,15 +201,12 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False, strict=False):
     with np.errstate(invalid="ignore", divide="ignore"):
         nn = np.where(nn > 0.0, nn, np.nan)
         normal = raw / np.sqrt(nn)[..., None]
-
-    frame = np.stack([x, xu - xv, xu + xv, normal] if hyperbolic
-                     else [xu - xv, xu + xv, normal], axis=-2)
-    with np.errstate(invalid="ignore"):
-        det = np.linalg.det(np.where(np.isfinite(frame), frame, 0.0))
-        sign = np.where(det < 0.0, -1.0, 1.0)
+    # the frame determinant is -2 sqrt(nn) in H31 and +2 sqrt(nn) in E31
+    # (module docstring), so one constant sign gives the positive orientation
+    sign = -1.0 if hyperbolic else 1.0
     if flip_normal:
         sign = -sign
-    normal = normal * sign[..., None]
+    normal *= sign
 
     with np.errstate(invalid="ignore", divide="ignore"):
         H = 2.0 * sp(xuv, normal) / metric

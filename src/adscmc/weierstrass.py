@@ -202,19 +202,18 @@ def integrate_minimal(data, domain, nu, nv, tol=DEFAULT_TOL):
 def minimal_normal(data, u, v, tol=DEFAULT_TOL):
     """Oriented unit normal of the minimal surface, analytically.
 
-    Solves the two orthogonality conditions with a cross product,
-    normalizes to unit spacelike length and fixes the sign by requiring
-    det[psi_x, psi_y, N] > 0.
+    Solves the two orthogonality conditions with a cross product and
+    normalizes to unit spacelike length.  The orientation
+    det[psi_x, psi_y, N] > 0 needs no sign fix: for
+    n = METRIC3 cross3(psi_u, psi_v) that determinant is identically
+    2 sqrt(<n, n>) > 0, as in geometry.fundamental_data.
     """
     psi_u, psi_v = weierstrass_derivatives(data, u, v)
     n = METRIC3 * cross3(psi_u, psi_v)
     nn = scalar_product3(n, n)
     if np.any(nn <= tol.degen ** 2):
         raise ValueError("normal solve degenerate: metric factor vanishes")
-    n = n / np.sqrt(nn)[..., None]
-    frame = np.stack([psi_u - psi_v, psi_u + psi_v, n], axis=-2)
-    sign = np.sign(np.linalg.det(frame))
-    return n * sign[..., None]
+    return n / np.sqrt(nn)[..., None]
 
 
 def projected_gauss_minimal(data, u, v, tol=DEFAULT_TOL):

@@ -42,6 +42,28 @@ def test_wide_tolerance_turns_the_same_run_green(capsys):
     assert "-> pass" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, monkeypatch):
+    from adscmc import cli
+    real = cli.build_parser
+    built = []
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        # the appended --tol values of the first call must not leak into the second
+        wide = ["--tol", "conf=0.01", "--tol", "sff=0.01"]
+        assert main(["gallery", "b-scroll", *SMALL, *wide]) == 0
+        assert main(["gallery", "b-scroll", *SMALL]) == 1
+        assert main(["gallery", "b-scroll", *SMALL, *wide]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
 def test_missing_required_flag_is_a_usage_error(capsys):
     assert main(["minimal", "--q", "u"]) == 2
     assert "usage error" in capsys.readouterr().err

@@ -51,6 +51,12 @@ CASES = {
 }
 
 
+# the parser is shared by every main() call of a process: a nu run must
+# leave a following plain run printing exactly the mu output
+CASES["cmc1-mu-json-after-nu"] = ([["cmc1", *ENNEPER, "--action", "nu"]], GRID, 0,
+                                  CASES["cmc1-mu-json"][3])
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden_digest(tmp_path, monkeypatch, capsys, name):
     setup, argv, code, digest = CASES[name]

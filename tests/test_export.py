@@ -1,6 +1,7 @@
 """Exact bytes and failure modes of the OBJ/JSON/CSV writers and reader."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 
@@ -166,3 +167,44 @@ def test_unknown_ambient_is_rejected(tmp_path):
         read_json(str(path))
     msg = str(err.value)
     assert str(path) in msg and "meta.ambient" in msg and "'ads'" in msg
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the cyclic collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_json_pauses_the_collector_and_restores_its_state(tmp_path, monkeypatch,
+                                                              gc_state, enabled):
+    path = _doctored(tmp_path, lambda doc: None)
+    real_load = json.load
+    during = []
+
+    def spy(fh):
+        during.append(gc.isenabled())
+        return real_load(fh)
+
+    monkeypatch.setattr(json, "load", spy)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    read_json(str(path))
+    assert during == [False]
+    assert gc.isenabled() is enabled
+
+
+def test_malformed_json_raises_and_leaves_the_collector_enabled(tmp_path, gc_state):
+    path = tmp_path / "bad.json"
+    path.write_text('{"schema": 1, "meta": ')
+    gc.enable()
+    with pytest.raises(json.JSONDecodeError):
+        read_json(str(path))
+    assert gc.isenabled()

@@ -1,5 +1,7 @@
 """Curvature measurement, residual gates, and the parallel-shift identities."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -91,6 +93,98 @@ def test_orientation_flip_negates_curvatures_only(name, std_surfaces):
     assert _finite_max(flipped.gauss_eq - fd.gauss_eq, core) == 0.0
     assert _finite_max(flipped.conf_u - fd.conf_u, core) == 0.0
     assert _finite_max(flipped.metric - fd.metric, core) == 0.0
+
+
+def _frame_det(surface, normal):
+    """det[x, x_u - x_v, x_u + x_v, N] (H31) or det[x_u - x_v, x_u + x_v, N]
+    (E31) on the grid interior, from central differences."""
+    x = surface.points
+    hu = surface.us[1] - surface.us[0]
+    hv = surface.vs[1] - surface.vs[0]
+    xu = (x[2:, 1:-1] - x[:-2, 1:-1]) / (2.0 * hu)
+    xv = (x[1:-1, 2:] - x[1:-1, :-2]) / (2.0 * hv)
+    rows = [xu - xv, xu + xv, normal[1:-1, 1:-1]]
+    if surface.ambient.name == "H31":
+        rows.insert(0, x[1:-1, 1:-1])
+    return np.linalg.det(np.stack(rows, axis=-2))
+
+
+@pytest.mark.parametrize("name", H31_NAMES + E31_NAMES)
+def test_normal_has_the_positive_frame_orientation(name, std_surfaces):
+    # fundamental_data orients the normal by a closed-form sign, not a
+    # determinant; the convention it must meet is checked here directly
+    _, surface, fd = std_surfaces[name]
+    finite = np.all(np.isfinite(fd.normal[1:-1, 1:-1]), axis=-1)
+    assert finite.sum() > 0.9 * finite.size
+    assert np.all(_frame_det(surface, fd.normal)[finite] > 0.0)
+    flipped = fundamental_data(surface, flip_normal=True)
+    assert np.all(_frame_det(surface, flipped.normal)[finite] < 0.0)
+
+
+# sha256 of each field, NaN made canonical, as measured with the normal
+# oriented by a per-point frame determinant: the closed-form sign must
+# reproduce every bit.  The stdout digests pin only the maxima.
+FD_FIELDS = ("normal", "H", "Q", "R", "K", "K_shape", "gauss_eq", "sff", "shape_op")
+FD_DIGESTS = {
+    ('enneper-isothermic', False): {
+        'normal': '052e3487c6de02abab3ae61d9870ae79b6bc12a9f4fc245e0995156bc29405f5',
+        'H': 'fa230c110b6a98021b3a09bcd3b99c3b6503d64bc7ec02f6276bebd44f865f34',
+        'Q': 'c1cee9fb993522d76bd2f12401a58cdd994bf4bf7770681091e76b18b5d51a0a',
+        'R': '93c8d833f9c25241d937aae5115e9d71db4153a16cc070d1f0a489440b4b2e2f',
+        'K': 'f4c105209c9384e20bd3b70afd5e1eeb12e892264f582498ecb7534723faeb6b',
+        'K_shape': '5c86c965c27ff152becc37cad4b0e14e347725fff9a1913eb9a06982d697ec37',
+        'gauss_eq': 'b0c98452752b73155ee8367e07e89451be9065c70d92f937c4939bc99dbcec85',
+        'sff': 'bc67f99ea1c0d6b34a4b61af3fd19fdd96456b11acaa6ff2fa9d1db108d2fe2b',
+        'shape_op': 'a942bcbebe173f9d19c91787fea8ee37b4b44e4b127dbd9b9d69a477229c0778',
+    },
+    ('enneper-isothermic', True): {
+        'normal': 'db8ed01650b358c0b23326097f480017c36ed0c6013a7ddda96a377737d9d3e7',
+        'H': '8e99cbf2e22f9b4bce446065677b4151dc2c8c4791e3640d50582364f096c825',
+        'Q': '9d904c5d8b22774f13efc74167161907b8a3d2b1af1e07e130d120f27770597a',
+        'R': '6a24ebe1f7e2dfbf67fe9ecb66b30aaf92cdf08f49453213cbf47e67a7813f62',
+        'K': 'f4c105209c9384e20bd3b70afd5e1eeb12e892264f582498ecb7534723faeb6b',
+        'K_shape': '5c86c965c27ff152becc37cad4b0e14e347725fff9a1913eb9a06982d697ec37',
+        'gauss_eq': 'b0c98452752b73155ee8367e07e89451be9065c70d92f937c4939bc99dbcec85',
+        'sff': 'bc67f99ea1c0d6b34a4b61af3fd19fdd96456b11acaa6ff2fa9d1db108d2fe2b',
+        'shape_op': '6de6186c92c49dacb36a982e5b0ee9a75ebc99342d384766c2d01598e2d88bf5',
+    },
+    ('minimal-enneper', False): {
+        'normal': 'a70ec4123dd228bd953dcfc735e324eac6ba067713e195785ac9562ce9436c8c',
+        'H': '714578e26d3606280972ed100444878b4198299dfb5c3e6e7e99fa70b06b41d7',
+        'Q': '75dab1ea5314a37aab4fe2000fd5224b79af1d110dfc79f0cc2550507d189361',
+        'R': 'd5ec361f37cc586c01b1c27f3ea45e6c06b3658b775af47c9aadb02c8a9c8f37',
+        'K': '410992ec775faf0d363b6b139a2fc1f9a345ea94254392507e81c1006d281926',
+        'K_shape': '76dd2430672fb712d0e01b7b56a1e8e03d5c21278798b6a229c04573922ae439',
+        'gauss_eq': '22c097c4caa9753178d957fce6a85f28cd5528b37fced3ad26000fcf513294d6',
+        'sff': '179a2abe32fa8adad3109552479a92f1ea4277d4dcb1fe9ec7412b466d75cc09',
+        'shape_op': 'b3426979aab542dd346ad4b0fe80144d06cf58e8fc5a17fadb2846d0b8a313de',
+    },
+    ('minimal-enneper', True): {
+        'normal': 'e58697f6601b45275f99e9d05b35f0925ea71f3fbc82849352237b9d98d15539',
+        'H': 'dccdab48741951498315d4250439e7ec076fc98c034ba483af3261e60bbf3e02',
+        'Q': 'bb900e3ccb1f2730bb873ed4ab5a4f7fe24f3f5793282ac44cae96c95d3685b4',
+        'R': '4b894b779cfdb1c428b3ae0220876c76ad4bc9ea29e168006c583ef12a2eb911',
+        'K': '410992ec775faf0d363b6b139a2fc1f9a345ea94254392507e81c1006d281926',
+        'K_shape': '76dd2430672fb712d0e01b7b56a1e8e03d5c21278798b6a229c04573922ae439',
+        'gauss_eq': '22c097c4caa9753178d957fce6a85f28cd5528b37fced3ad26000fcf513294d6',
+        'sff': '179a2abe32fa8adad3109552479a92f1ea4277d4dcb1fe9ec7412b466d75cc09',
+        'shape_op': '8ab0e907088a1fc413ab96f001b811922057950641090d33b4ae39c991d83365',
+    },
+}
+
+
+def _digest(a):
+    a = np.where(np.isnan(a), np.nan, a)
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name, flip", sorted(FD_DIGESTS))
+def test_fundamental_data_is_pinned_point_by_point(name, flip, std_surfaces):
+    _, surface, fd = std_surfaces[name]
+    if flip:
+        fd = fundamental_data(surface, flip_normal=True)
+    got = {field: _digest(getattr(fd, field)) for field in FD_FIELDS}
+    assert got == FD_DIGESTS[(name, flip)]
 
 
 def test_residuals_shrink_quadratically_under_grid_halving(gallery_module):

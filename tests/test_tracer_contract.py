@@ -38,6 +38,7 @@ def test_traced_minimal_job_counts_fields_and_quadrature(spans, capsys):
     assert metrics["fields.calls"] > 0
     assert metrics["weierstrass.points_per_cell"] > 0
     assert metrics["weierstrass.integrate_s"] > 0
+    assert metrics["geometry.report_s"] > 0
 
 
 @pytest.mark.parametrize("argv, names", [

@@ -94,6 +94,16 @@ def test_measured_normal_matches_exact_normal():
     assert np.max(np.abs(fd.normal - exact)[core]) < 2e-4
 
 
+def test_exact_normal_has_the_positive_frame_orientation():
+    # minimal_normal fixes no sign: det[psi_x, psi_y, N] = 2 sqrt(<n, n>)
+    us, vs = np.meshgrid(np.linspace(-0.5, 0.5, 41), np.linspace(-0.5, 0.5, 41),
+                         indexing="ij")
+    psi_u, psi_v = weierstrass_derivatives(ENNEPER, us, vs)
+    n = minimal_normal(ENNEPER, us, vs)
+    det = np.linalg.det(np.stack([psi_u - psi_v, psi_u + psi_v, n], axis=-2))
+    assert np.all(det > 0.0)
+
+
 def test_projected_gauss_pole_raises():
     # a huge q r drives the normal onto the chart pole
     data = WeierstrassData.build("200000", "1", "200000", "1")
