@@ -22,9 +22,13 @@ isometries of the quadric.  The surfaces are the products act(g1, g2)
 of two frame families: nullcurves.assemble_mu and assemble_nu form them
 from null-curve legs, LaxFrames.assemble from Lax frames.
 
-Everything here is vectorized: matrix arguments may carry arbitrary
-leading axes, with the last two axes of shape (2, 2) (or a last axis of
-shape (4,) for component vectors).
+Everything here is vectorized.  Matrix arguments may carry arbitrary
+leading axes, with the last two axes of shape (2, 2).  mat_of_vec,
+vec_of_mat and project_h31 read component vectors on a last axis of
+shape (4,).  The scalar and cross products read them component first,
+x[0], x[1], ... over arbitrary trailing axes, so a grid of components is
+a stack of contiguous (nu, nv) planes; a single vector of shape (4,) or
+(3,) is both layouts at once.
 """
 
 import numpy as np
@@ -67,13 +71,25 @@ def vec_of_mat(m):
 
 
 def scalar_product4(x, y):
-    """Same metric on component vectors: -x0 y0 - x1 y1 + x2 y2 + x3 y3."""
-    return np.einsum("...i,...i->...", np.asarray(x) * METRIC4, np.asarray(y))
+    """Same metric on component-first vectors: -x0 y0 - x1 y1 + x2 y2 + x3 y3.
+
+    The terms are summed in the order np.einsum("...i,...i->...",
+    x * METRIC4, y) uses on contiguous components, (p0 + p2) + (p1 + p3)
+    added to a +0.0 accumulator, so the result is bit-identical to it;
+    the trailing + 0.0 turns a -0.0 sum into +0.0 as that accumulator
+    does.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    return ((x[2] * y[2] - x[0] * y[0]) + (x[3] * y[3] - x[1] * y[1])) + 0.0
 
 
 def scalar_product3(x, y):
-    """Minkowski product -x1 y1 + x2 y2 + x3 y3 on (..., 3) components."""
-    return np.einsum("...i,...i->...", np.asarray(x) * METRIC3, np.asarray(y))
+    """Minkowski product -x1 y1 + x2 y2 + x3 y3 on component-first (3, ...) vectors.
+
+    Summed as ((p0 + p2) + p1) + 0.0, einsum's order (scalar_product4).
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    return ((x[2] * y[2] - x[0] * y[0]) + x[1] * y[1]) + 0.0
 
 
 def det2(m):
@@ -105,7 +121,7 @@ def check_unimodular(m, tol=DEFAULT_TOL, what="group element"):
 
 
 def cross4(a, b, c):
-    """Euclidean 4d cross product via cofactor expansion.
+    """Euclidean 4d cross product via cofactor expansion, component first.
 
     Returns n with n . a = n . b = n . c = 0 (Euclidean dot) and
     n_i = det of the 3x3 minor with alternating sign.  Used to solve the
@@ -120,26 +136,26 @@ def cross4(a, b, c):
 
     def minor(i, j, k):
         return (
-            a[..., i] * (b[..., j] * c[..., k] - b[..., k] * c[..., j])
-            - a[..., j] * (b[..., i] * c[..., k] - b[..., k] * c[..., i])
-            + a[..., k] * (b[..., i] * c[..., j] - b[..., j] * c[..., i])
+            a[i] * (b[j] * c[k] - b[k] * c[j])
+            - a[j] * (b[i] * c[k] - b[k] * c[i])
+            + a[k] * (b[i] * c[j] - b[j] * c[i])
         )
 
-    out[..., 0] = minor(1, 2, 3)
-    out[..., 1] = -minor(0, 2, 3)
-    out[..., 2] = minor(0, 1, 3)
-    out[..., 3] = -minor(0, 1, 2)
+    out[0] = minor(1, 2, 3)
+    out[1] = -minor(0, 2, 3)
+    out[2] = minor(0, 1, 3)
+    out[3] = -minor(0, 1, 2)
     return out
 
 
 def cross3(a, b):
-    """Euclidean 3d cross product (vectorized)."""
+    """Euclidean 3d cross product of component-first (3, ...) vectors."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.empty(np.broadcast(a, b).shape)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    out[0] = a[1] * b[2] - a[2] * b[1]
+    out[1] = a[2] * b[0] - a[0] * b[2]
+    out[2] = a[0] * b[1] - a[1] * b[0]
     return out
 
 

@@ -189,9 +189,11 @@ def _print_stats(stats):
 
 
 def _gate(report, cfg, target_h):
+    h_error = None
     if target_h is not None:
-        print(f"max_h_error = {report.stats_h_error(target_h)!r}")
-    ok, name, value, bound = report.worst(cfg.tol, target_h=target_h)
+        h_error = report.stats_h_error(target_h)
+        print(f"max_h_error = {h_error!r}")
+    ok, name, value, bound = report.worst(cfg.tol, target_h=target_h, h_error=h_error)
     verdict = "pass" if ok else "FAIL"
     print(f"gate {name} = {value!r} bound {bound!r} -> {verdict}")
     return 0 if ok else 1

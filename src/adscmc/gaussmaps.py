@@ -278,5 +278,5 @@ def gauss_conformality_check(surface, fd=None, sign="plus", tol=DEFAULT_TOL):
     m = surface.points + s * fd.normal
     mu = _cd1(m, fd.hu, 0)
     mv = _cd1(m, fd.hv, 1)
-    coef = 2.0 * scalar_product4(mu, mv)
+    coef = 2.0 * scalar_product4(np.moveaxis(mu, -1, 0), np.moveaxis(mv, -1, 0))
     return np.abs(coef + fd.K * fd.metric)

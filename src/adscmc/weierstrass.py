@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import cross3, scalar_product3, METRIC3
+from .algebra import cross3, scalar_product3
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d
 from .geometry import AmbientSpec, SurfaceGrid
@@ -209,11 +209,12 @@ def minimal_normal(data, u, v, tol=DEFAULT_TOL):
     2 sqrt(<n, n>) > 0, as in geometry.fundamental_data.
     """
     psi_u, psi_v = weierstrass_derivatives(data, u, v)
-    n = METRIC3 * cross3(psi_u, psi_v)
+    n = cross3(np.moveaxis(psi_u, -1, 0), np.moveaxis(psi_v, -1, 0))
+    n[0] *= -1.0    # METRIC3 * cross3: the metric's negative plane
     nn = scalar_product3(n, n)
     if np.any(nn <= tol.degen ** 2):
         raise ValueError("normal solve degenerate: metric factor vanishes")
-    return n / np.sqrt(nn)[..., None]
+    return np.moveaxis(n / np.sqrt(nn), 0, -1)
 
 
 def projected_gauss_minimal(data, u, v, tol=DEFAULT_TOL):

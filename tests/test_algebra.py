@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adscmc.algebra import (METRIC3, METRIC4, adjugate, check_unimodular,
                             cross3, cross4, det2, mat_of_vec, project_h31,
@@ -69,6 +70,62 @@ def test_cross3_is_lorentz_orthogonal(a, b):
     scale = 1.0 + max(np.max(np.abs(a)), np.max(np.abs(b))) ** 2
     assert abs(scalar_product3(n, a)) < 1e-10 * scale
     assert abs(scalar_product3(n, b)) < 1e-10 * scale
+
+
+# exact and signed zeros among the entries, so the sign of a zero sum is exercised
+entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), finite)
+batch_shape = st.tuples(st.integers(1, 6), st.integers(1, 6))
+PRODUCTS = [(scalar_product4, METRIC4), (scalar_product3, METRIC3)]
+
+
+@pytest.mark.parametrize("product, metric", PRODUCTS)
+@given(data=st.data())
+def test_component_first_product_is_bitwise_einsum(product, metric, data):
+    shape = data.draw(batch_shape) + (metric.size,)
+    x = data.draw(arrays(float, shape, elements=entry))
+    y = data.draw(arrays(float, shape, elements=entry))
+    ref = np.einsum("...i,...i->...", x * metric, y)
+    views = product(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0))
+    planes = product(np.ascontiguousarray(np.moveaxis(x, -1, 0)),
+                     np.ascontiguousarray(np.moveaxis(y, -1, 0)))
+    assert views.tobytes() == ref.tobytes()
+    assert planes.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("product, metric", PRODUCTS)
+def test_negative_zero_sum_reads_positive_zero(product, metric):
+    # every term is -0.0, so the sum is -0.0 until the +0.0 accumulator
+    x = np.where(metric < 0, 0.0, -0.0)
+    y = np.ones_like(metric)
+    ref = np.einsum("...i,...i->...", x * metric, y)
+    assert not np.signbit(ref)
+    assert not np.signbit(product(x, y))
+
+
+@given(data=st.data())
+def test_batched_cross4_is_pointwise_and_lorentz_orthogonal(data):
+    shape = (4,) + data.draw(batch_shape)
+    a, b, c = (data.draw(arrays(float, shape, elements=finite)) for _ in range(3))
+    n = cross4(a, b, c)
+    for i, j in np.ndindex(shape[1:]):
+        assert np.array_equal(n[:, i, j], cross4(a[:, i, j], b[:, i, j], c[:, i, j]))
+    n *= METRIC4[:, None, None]
+    scale = 1.0 + max(np.max(np.abs(v)) for v in (a, b, c)) ** 3
+    for v in (a, b, c):
+        assert np.all(np.abs(scalar_product4(n, v)) < 1e-9 * scale)
+
+
+@given(data=st.data())
+def test_batched_cross3_is_pointwise_and_lorentz_orthogonal(data):
+    shape = (3,) + data.draw(batch_shape)
+    a, b = (data.draw(arrays(float, shape, elements=finite)) for _ in range(2))
+    n = cross3(a, b)
+    for i, j in np.ndindex(shape[1:]):
+        assert np.array_equal(n[:, i, j], cross3(a[:, i, j], b[:, i, j]))
+    n *= METRIC3[:, None, None]
+    scale = 1.0 + max(np.max(np.abs(a)), np.max(np.abs(b))) ** 2
+    for v in (a, b):
+        assert np.all(np.abs(scalar_product3(n, v)) < 1e-10 * scale)
 
 
 @given(unit)

@@ -350,6 +350,28 @@ def test_project_projects_the_grid_once(tmp_path, capsys, monkeypatch):
         assert calls == [(11, 11, 4)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["minimal", "--q", "u", "--f", "1", "--r", "v", "--g", "1", *SMALL],
+    ["cmc1", "--q", "u", "--f", "1", "--r", "v", "--g", "1", *SMALL],
+    ["lax", "--omega", "2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1",
+     "--domain", "0", "0.9", "0", "0.9", "--nu", "11", "--nv", "11"],
+    ["gallery", "horosphere", *SMALL],
+])
+def test_gate_measures_the_h_error_once(argv, capsys, monkeypatch):
+    from adscmc.geometry import GeometryReport
+    measure = GeometryReport.stats_h_error
+    calls = []
+
+    def counted(self, target_h):
+        calls.append(target_h)
+        return measure(self, target_h)
+
+    monkeypatch.setattr(GeometryReport, "stats_h_error", counted)
+    main(argv)
+    assert "max_h_error = " in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_unconverged_quadrature_names_its_panel(capsys):
     code = main(["minimal", "--q", "u", "--f", "1/(u-0.537)", "--r", "v", "--g", "1",
                  "--domain", "0", "1", "0", "1", "--nu", "11", "--nv", "11"])

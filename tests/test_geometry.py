@@ -1,6 +1,7 @@
 """Curvature measurement, residual gates, and the parallel-shift identities."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,10 +122,14 @@ def test_normal_has_the_positive_frame_orientation(name, std_surfaces):
     assert np.all(_frame_det(surface, flipped.normal)[finite] < 0.0)
 
 
-# sha256 of each field, NaN made canonical, as measured with the normal
-# oriented by a per-point frame determinant: the closed-form sign must
-# reproduce every bit.  The stdout digests pin only the maxima.
-FD_FIELDS = ("normal", "H", "Q", "R", "K", "K_shape", "gauss_eq", "sff", "shape_op")
+# sha256 of each field, NaN made canonical.  The first nine fields of the
+# two Enneper entries were measured with the normal oriented by a
+# per-point frame determinant, everything else with the einsum products
+# that the component-plane sums replaced: the closed-form sign and the
+# plane layout must reproduce every bit.  The stdout digests pin only the
+# maxima.
+FD_FIELDS = ("normal", "H", "Q", "R", "K", "K_shape", "gauss_eq", "sff", "shape_op",
+             "metric", "conf_u", "conf_v")
 FD_DIGESTS = {
     ('enneper-isothermic', False): {
         'normal': '052e3487c6de02abab3ae61d9870ae79b6bc12a9f4fc245e0995156bc29405f5',
@@ -136,6 +141,9 @@ FD_DIGESTS = {
         'gauss_eq': 'b0c98452752b73155ee8367e07e89451be9065c70d92f937c4939bc99dbcec85',
         'sff': 'bc67f99ea1c0d6b34a4b61af3fd19fdd96456b11acaa6ff2fa9d1db108d2fe2b',
         'shape_op': 'a942bcbebe173f9d19c91787fea8ee37b4b44e4b127dbd9b9d69a477229c0778',
+        'metric': 'b66ebe74f1c76c8b500fb9cda841362383532198ac9c224a952c00cfff5e5434',
+        'conf_u': '2926a498309dde6bcedf5c2992ff41d556ca271ad2b1e3d7f58f1b7e07339f0c',
+        'conf_v': '128bc4db924ac19bef6c129b214299ac092d804f5c4733df5e01c6e342548a02',
     },
     ('enneper-isothermic', True): {
         'normal': 'db8ed01650b358c0b23326097f480017c36ed0c6013a7ddda96a377737d9d3e7',
@@ -147,6 +155,93 @@ FD_DIGESTS = {
         'gauss_eq': 'b0c98452752b73155ee8367e07e89451be9065c70d92f937c4939bc99dbcec85',
         'sff': 'bc67f99ea1c0d6b34a4b61af3fd19fdd96456b11acaa6ff2fa9d1db108d2fe2b',
         'shape_op': '6de6186c92c49dacb36a982e5b0ee9a75ebc99342d384766c2d01598e2d88bf5',
+        'metric': 'b66ebe74f1c76c8b500fb9cda841362383532198ac9c224a952c00cfff5e5434',
+        'conf_u': '2926a498309dde6bcedf5c2992ff41d556ca271ad2b1e3d7f58f1b7e07339f0c',
+        'conf_v': '128bc4db924ac19bef6c129b214299ac092d804f5c4733df5e01c6e342548a02',
+    },
+    ('enneper-anti', False): {
+        'normal': '876cfdea14dd5432691b88d47038014ba44315d27880300e9987b015e109625d',
+        'H': '56eb709ab2f26ecaad906182d0884df2f51d0451476ac4297ab133424454229f',
+        'Q': '3533fa0c1ffede9e8102d8d05a110b837c1550248056a78d18775c21685673b2',
+        'R': '916c9c65892e9376591a9f4357c1bc22425b0478c37fdc9dffe820e2997fb29d',
+        'K': 'cc9d41616ea51069a12c3cfac453d8411b2b9a0890fc810a1f94ea504c22710b',
+        'K_shape': 'f6621a7345e74b4da42884e3d624efdbddcb81d377ebd0cd35dcd3f865df7d1a',
+        'gauss_eq': '3e9b4da7799f06f6311e35eb0c58a94fda24fba87d88ac867ece3c2495fba068',
+        'sff': 'cfbdfd1a24ba3e971cac6974709801122c5f88151b1bdb611003d8a41c8869cc',
+        'shape_op': '43f1697838feee1f1dd82bdc48a95178341e81995c9251ec18696a3ad880fbe5',
+        'metric': 'ffebe80d4c666cf8053f3155d13bdd3d6b0371b61e97d15c93b37f2575c90a24',
+        'conf_u': '612a6eb850915ebc1c8877750c87a203513bdeb160389806b374aa1398c6815d',
+        'conf_v': 'ddc459e620fe814efb94a737e1167f82198d3006e902ade53e279e6b8b42acfb',
+    },
+    ('enneper-anti', True): {
+        'normal': '61ecc15d9b0c1b9b9022cbac4fad79581691bdc822518501d0624228919849ae',
+        'H': '1073eba6f54d8645cecff7250e8af81f916b596923d201943878918b396934f9',
+        'Q': '77640923c9cf8248e80bd3136059175bbf48e78f6d26438d18ec3a84b63bab2e',
+        'R': '78db9be0297b597a0eca4a43dbd5c64ba6c10599209f6fd6e5122cbe6a29026a',
+        'K': 'cc9d41616ea51069a12c3cfac453d8411b2b9a0890fc810a1f94ea504c22710b',
+        'K_shape': 'f6621a7345e74b4da42884e3d624efdbddcb81d377ebd0cd35dcd3f865df7d1a',
+        'gauss_eq': '3e9b4da7799f06f6311e35eb0c58a94fda24fba87d88ac867ece3c2495fba068',
+        'sff': 'cfbdfd1a24ba3e971cac6974709801122c5f88151b1bdb611003d8a41c8869cc',
+        'shape_op': 'db5076e339c95ef86bdf8d775122c74ce6d08ccaf504800c1e9e93e8e3a554df',
+        'metric': 'ffebe80d4c666cf8053f3155d13bdd3d6b0371b61e97d15c93b37f2575c90a24',
+        'conf_u': '612a6eb850915ebc1c8877750c87a203513bdeb160389806b374aa1398c6815d',
+        'conf_v': 'ddc459e620fe814efb94a737e1167f82198d3006e902ade53e279e6b8b42acfb',
+    },
+    ('b-scroll', False): {
+        'normal': '0db0f4b300fef425be9c22fc52fa1aa4e3e0d3a75e1d799df01c3b618443b938',
+        'H': '7cc3b460740965f853ca62377f2fd733f3cb361a227bd34871abf916fae1aa86',
+        'Q': 'a3047a218b67f4141cab47fe45f457059b64384b38de7cb49355a1b90e3266ef',
+        'R': '6ed3b235e22330f7495e69a8a4901bdf5150818a80169ccdd64aa49b8f159eca',
+        'K': '625640cf4a7f4ed9ac21b95d20c8a5d4756f6aa9885b2bfa2ab103c42e71fcb8',
+        'K_shape': 'f5645f48e8f6b1a01629612e79263f8fb2ff4cccf50bbaf95b61ab8890f5f350',
+        'gauss_eq': 'caf51507aff45a9e86fecb7fcf0d0a171510375f62e874912e52ec025959daa3',
+        'sff': 'ce0833c51cda223281c983adcb2e67e84c1e8e4d4bd5f626f1dc1fe79a5bcae0',
+        'shape_op': '8594f7d551d212306b9d7dc0e424a96d6a6f0544e3744df720fe8d8607bc60c4',
+        'metric': 'e87db16aa77311e8e160aa096232ac9a98c3e58f1adb6abd5da898f1b61db0af',
+        'conf_u': 'ff6565166d2bcf79e490c3d765ef736274e9b9439da65da5a15f0218b1f3ad4d',
+        'conf_v': 'edea48acb55e7ce1baae5eb81a159e9fdd407aa43e186a901b79a7f1031b6507',
+    },
+    ('b-scroll', True): {
+        'normal': '20d6f54498b24ba583fa55c958353eec2c8796ed59468c6004ecb9b3c49f1760',
+        'H': 'f36fdc5e76586aa0b48b3c4096dc99004ea1384c3b78559ed1697d0b3c44dedd',
+        'Q': 'f7e6759cf8aa35122ae6074922f34f1f55134c3177130554a5c2c2d5e5fda143',
+        'R': '083324bb2fb92a8a1e8d169e9ab7ee12057cbf2513f702aaaefc63539236c435',
+        'K': '625640cf4a7f4ed9ac21b95d20c8a5d4756f6aa9885b2bfa2ab103c42e71fcb8',
+        'K_shape': 'f5645f48e8f6b1a01629612e79263f8fb2ff4cccf50bbaf95b61ab8890f5f350',
+        'gauss_eq': 'caf51507aff45a9e86fecb7fcf0d0a171510375f62e874912e52ec025959daa3',
+        'sff': 'ce0833c51cda223281c983adcb2e67e84c1e8e4d4bd5f626f1dc1fe79a5bcae0',
+        'shape_op': '52915089327f07bdf021e3d877f87582543d39a8fef58dfa76371546d177ae92',
+        'metric': 'e87db16aa77311e8e160aa096232ac9a98c3e58f1adb6abd5da898f1b61db0af',
+        'conf_u': 'ff6565166d2bcf79e490c3d765ef736274e9b9439da65da5a15f0218b1f3ad4d',
+        'conf_v': 'edea48acb55e7ce1baae5eb81a159e9fdd407aa43e186a901b79a7f1031b6507',
+    },
+    ('horosphere', False): {
+        'normal': 'c64e66d24df2dd04f93745634a087e1fb45dbbc3b0b10dbc3ae30177fd9f9f22',
+        'H': 'da1bcdee7aa9ed27fec3ad63cea0b7c86c9289fde3a6467c1f89e93ef3092efc',
+        'Q': '77db556902f02754c0ecfc4077a9632778e563909ef08779855a4c738e074f04',
+        'R': '2dc6d69ae5ae02a9fa0c72613f4901a5403a90c75c933a3c889a447434b40b26',
+        'K': '50790b1b126d41ec74f1f1d18f8f39ae29c9f293467162af3bddd10905239ca6',
+        'K_shape': '1264b203addb1695ce6a98454c887fbf375bb7dd9587f051f5f862571bec6d58',
+        'gauss_eq': 'f637de5489e791012502b19e5ba3de0d94f6de4190a7c2da9e6184dab0b16e8a',
+        'sff': '65a83216924a7e30581ae5aced574e78fde38577413718b9b5daf76e7e654272',
+        'shape_op': '8a01b727c38c1217f4ac9d0fae86b42105e089955d116420f32b0624d1439906',
+        'metric': 'b04fb5d98995d5ecbc63a5c16346ce23f7f8cd3da70d6566ee4cd9c7e9b90431',
+        'conf_u': 'd26597b7554cc5f1f7a24c0d5cfb3d6ae75ff2dc6e4572c90c5a1959752a79a7',
+        'conf_v': '2cddc2dfeddbb83069b2fcaffcb8a4c299eaca8ec8337dfc7ad5017bdecb78d7',
+    },
+    ('horosphere', True): {
+        'normal': 'b8b090451875d5e375edb1728f0458e42289af307aaa64e2e0dfb7d1f7491110',
+        'H': '17a28ef124310b1c9acb678ed3bcb20eb29f9a5e4fd24bf55b49bcff3cca39d6',
+        'Q': '95d2e86509c33401ad7e0daf87459c33d9d0cd560a1b633a71f057a717b74135',
+        'R': '9d313678ba5e2a755e8a3c03e9ce8a0c76ee72abfca43cc5b6f8c90cdefccc52',
+        'K': '50790b1b126d41ec74f1f1d18f8f39ae29c9f293467162af3bddd10905239ca6',
+        'K_shape': '1264b203addb1695ce6a98454c887fbf375bb7dd9587f051f5f862571bec6d58',
+        'gauss_eq': 'f637de5489e791012502b19e5ba3de0d94f6de4190a7c2da9e6184dab0b16e8a',
+        'sff': '65a83216924a7e30581ae5aced574e78fde38577413718b9b5daf76e7e654272',
+        'shape_op': '8f14efa5dcfad56ab26c5c215c75f2b9b6a39ac691cf15c9c2f598a91364f8c4',
+        'metric': 'b04fb5d98995d5ecbc63a5c16346ce23f7f8cd3da70d6566ee4cd9c7e9b90431',
+        'conf_u': 'd26597b7554cc5f1f7a24c0d5cfb3d6ae75ff2dc6e4572c90c5a1959752a79a7',
+        'conf_v': '2cddc2dfeddbb83069b2fcaffcb8a4c299eaca8ec8337dfc7ad5017bdecb78d7',
     },
     ('minimal-enneper', False): {
         'normal': 'a70ec4123dd228bd953dcfc735e324eac6ba067713e195785ac9562ce9436c8c',
@@ -158,6 +253,9 @@ FD_DIGESTS = {
         'gauss_eq': '22c097c4caa9753178d957fce6a85f28cd5528b37fced3ad26000fcf513294d6',
         'sff': '179a2abe32fa8adad3109552479a92f1ea4277d4dcb1fe9ec7412b466d75cc09',
         'shape_op': 'b3426979aab542dd346ad4b0fe80144d06cf58e8fc5a17fadb2846d0b8a313de',
+        'metric': '77515303ed1dd43a29eee2520f7f21d458bc11b80497c5fc794697d85a8b9bf6',
+        'conf_u': 'aef2088e28e7410f2295b76164f69ec628df5233c4cf8136f0cfa83984890ed3',
+        'conf_v': '4335ccd0977eb08dd32ff908833b3874bd27f15cd2033ded37ec5d44c217f711',
     },
     ('minimal-enneper', True): {
         'normal': 'e58697f6601b45275f99e9d05b35f0925ea71f3fbc82849352237b9d98d15539',
@@ -169,6 +267,37 @@ FD_DIGESTS = {
         'gauss_eq': '22c097c4caa9753178d957fce6a85f28cd5528b37fced3ad26000fcf513294d6',
         'sff': '179a2abe32fa8adad3109552479a92f1ea4277d4dcb1fe9ec7412b466d75cc09',
         'shape_op': '8ab0e907088a1fc413ab96f001b811922057950641090d33b4ae39c991d83365',
+        'metric': '77515303ed1dd43a29eee2520f7f21d458bc11b80497c5fc794697d85a8b9bf6',
+        'conf_u': 'aef2088e28e7410f2295b76164f69ec628df5233c4cf8136f0cfa83984890ed3',
+        'conf_v': '4335ccd0977eb08dd32ff908833b3874bd27f15cd2033ded37ec5d44c217f711',
+    },
+    ('minimal-b-scroll', False): {
+        'normal': '7903a019d6497086a02729688db3a22212f59c8d5aab4c5f78b565aae1684edb',
+        'H': 'e35bf913854ebdd46d53126e12ad9df8a3f054b9c24e27d30dbd023302607f6d',
+        'Q': '70eb1e5cf75d4831ee2a730ccaac1d5fcc687733fc9dbd697b8c82687dfb5482',
+        'R': '3d59a4807333f049fbbf1381e5680de41be3d387cbedfabee1a6ab4dc516a4cf',
+        'K': '085a78c41901856f73e452bfd6c389e00d07d5cf4e89e402a7466af30cf2d598',
+        'K_shape': 'd3b340f6e79d97e87cbbebe04a3f9863bb913a5fab5fe6b979f6e1778ff6a45a',
+        'gauss_eq': '8cead7daff271754c673431d4f1c076d59a652532a4060190c92f713384048d1',
+        'sff': '0b2c7f2a136a5968a1ac3c62d7c6ce2d79dc1d8e7e8d5883c9fefb05dad6a889',
+        'shape_op': '40babf70826c2aba0663ea3b5f3323e636cb142a955631446a5da58ac13182a6',
+        'metric': '874ea79ba69297af23b783fbca1f9594505f733ecad69057877547a368ce5cfb',
+        'conf_u': '132f0cc0a4d5945f4e843e8399a7a06cbf34ac338cc0ae7bd36e8b670eb06497',
+        'conf_v': 'e54629d5832b02ee91b35e3a2871282b6d80e6433e0476de0b81c0052011f109',
+    },
+    ('minimal-b-scroll', True): {
+        'normal': 'c2d84b2b026a8d357e431b16fd8ab9667337a954ba26b17c14e329511a65d728',
+        'H': '69aab1f86a414beb42e7888d5cafa64150878e5c1535a7fcfacf0544d6d9dc52',
+        'Q': 'c3bad4c949dd29022be845e92129e25c42ebd9a13b9ff7845fbacfe5afb680f7',
+        'R': 'aae5b6b3828b64014a18348829af2ee264b7ce1cc30534f9f802e839766c8614',
+        'K': '085a78c41901856f73e452bfd6c389e00d07d5cf4e89e402a7466af30cf2d598',
+        'K_shape': 'd3b340f6e79d97e87cbbebe04a3f9863bb913a5fab5fe6b979f6e1778ff6a45a',
+        'gauss_eq': '8cead7daff271754c673431d4f1c076d59a652532a4060190c92f713384048d1',
+        'sff': '0b2c7f2a136a5968a1ac3c62d7c6ce2d79dc1d8e7e8d5883c9fefb05dad6a889',
+        'shape_op': '696722700ecefb7440b1af88f646f39b7f50ddc5bf24dc405096d5b9a9529760',
+        'metric': '874ea79ba69297af23b783fbca1f9594505f733ecad69057877547a368ce5cfb',
+        'conf_u': '132f0cc0a4d5945f4e843e8399a7a06cbf34ac338cc0ae7bd36e8b670eb06497',
+        'conf_v': 'e54629d5832b02ee91b35e3a2871282b6d80e6433e0476de0b81c0052011f109',
     },
 }
 
@@ -185,6 +314,26 @@ def test_fundamental_data_is_pinned_point_by_point(name, flip, std_surfaces):
         fd = fundamental_data(surface, flip_normal=True)
     got = {field: _digest(getattr(fd, field)) for field in FD_FIELDS}
     assert got == FD_DIGESTS[(name, flip)]
+
+
+# tracemalloc peak of fundamental_data over points.nbytes on a 401 x 41
+# strip, as measured by this test with the einsum products and full-grid
+# (nu, nv, c) derivatives (19.356 and 21.475, rounded up): the geometry
+# peak must not rise above it.
+PEAK_RATIO_BOUND = {"enneper-isothermic": 19.36, "minimal-enneper": 21.48}
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_RATIO_BOUND))
+def test_fundamental_data_peak_memory_stays_flat(name, gallery_module):
+    surface = gallery_module.oracle_surface(gallery_module.gallery(name), STD_DOMAIN, 401, 41)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fundamental_data(surface)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / surface.points.nbytes <= PEAK_RATIO_BOUND[name]
 
 
 def test_residuals_shrink_quadratically_under_grid_halving(gallery_module):
