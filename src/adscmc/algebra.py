@@ -104,12 +104,26 @@ def adjugate(m):
 
 
 def act(g1, g2, action):
-    """Broadcast products g1 g2^T ("mu") or g1 adj(g2), which is g1 g2^-1 ("nu")."""
+    """Broadcast products g1 g2^T ("mu") or g1 adj(g2), which is g1 g2^-1 ("nu").
+
+    With h = g2^T or adj(g2), each entry is summed as
+    (g1[i, 0] h[0, j] + g1[i, 1] h[1, j]) + 0.0, the order the einsum
+    "...ab,...bc->...ac" adds the terms to its +0.0 accumulator, so the
+    products are bit-identical to it; the trailing + 0.0 turns a -0.0
+    sum into +0.0 as that accumulator does.
+    """
+    g1 = np.asarray(g1, dtype=float)
     if action == "mu":
-        return np.einsum("...ab,...cb->...ac", g1, g2)
-    if action == "nu":
-        return np.einsum("...ab,...bc->...ac", g1, adjugate(g2))
-    raise ValueError("action must be 'mu' or 'nu'")
+        h = np.swapaxes(np.asarray(g2, dtype=float), -1, -2)
+    elif action == "nu":
+        h = adjugate(g2)
+    else:
+        raise ValueError("action must be 'mu' or 'nu'")
+    out = np.empty(np.broadcast_shapes(g1.shape, h.shape))
+    for i in (0, 1):
+        for j in (0, 1):
+            out[..., i, j] = (g1[..., i, 0] * h[..., 0, j] + g1[..., i, 1] * h[..., 1, j]) + 0.0
+    return out
 
 
 def check_unimodular(m, tol=DEFAULT_TOL, what="group element"):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import pack2, vec_of_mat
+from .algebra import act, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import ScalarField2D
 from .geometry import AmbientSpec, SurfaceGrid
@@ -58,7 +58,7 @@ def _product_phi(f1, f2):
     def phi(u, v):
         a = f1(np.asarray(u, dtype=float))
         b = f2(np.asarray(v, dtype=float))
-        return np.einsum("...ij,...kj->...ik", a, b)
+        return act(a, b, "mu")
     return phi
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adscmc.algebra import (METRIC3, METRIC4, adjugate, check_unimodular,
+from adscmc.algebra import (METRIC3, METRIC4, act, adjugate, check_unimodular,
                             cross3, cross4, det2, mat_of_vec, project_h31,
                             scalar_product3, scalar_product4, vec_of_mat)
 
@@ -100,6 +100,40 @@ def test_negative_zero_sum_reads_positive_zero(product, metric):
     ref = np.einsum("...i,...i->...", x * metric, y)
     assert not np.signbit(ref)
     assert not np.signbit(product(x, y))
+
+
+# the einsum formulas act replaced; its products must keep their bits
+ACT_REFERENCE = {
+    "mu": lambda g1, g2: np.einsum("...ab,...cb->...ac", g1, g2),
+    "nu": lambda g1, g2: np.einsum("...ab,...bc->...ac", g1, adjugate(g2)),
+}
+
+
+@pytest.mark.parametrize("action", sorted(ACT_REFERENCE))
+@given(data=st.data())
+def test_act_is_bitwise_einsum(action, data):
+    n, m = data.draw(batch_shape)
+    g1 = data.draw(arrays(float, (n, 1, 2, 2), elements=entry))
+    g2 = data.draw(arrays(float, (1, m, 2, 2), elements=entry))
+    ref = ACT_REFERENCE[action](g1, g2)
+    out = act(g1, g2, action)
+    assert out.shape == ref.shape == (n, m, 2, 2)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("action", sorted(ACT_REFERENCE))
+def test_act_negative_zero_sum_reads_positive_zero(action):
+    # both terms of every entry are -0.0, so the sum is -0.0 until the +0.0 accumulator
+    g1 = np.full((2, 2), -0.0)
+    g2 = np.ones((2, 2)) if action == "mu" else np.array([[1.0, -0.0], [-0.0, 1.0]])
+    assert not np.any(np.signbit(ACT_REFERENCE[action](g1, g2)))
+    assert not np.any(np.signbit(act(g1, g2, action)))
+
+
+def test_act_rejects_unknown_actions():
+    with pytest.raises(ValueError, match="action"):
+        act(np.eye(2), np.eye(2), "xi")
 
 
 @given(data=st.data())

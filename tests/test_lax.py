@@ -1,10 +1,14 @@
 """Split conformal cmc data, its linear systems, and the integrated frames."""
 
+import hashlib
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from adscmc import lax
 from adscmc.algebra import mat_of_vec
 from adscmc.config import DEFAULT_TOL
 from adscmc.fields import as_field1d
@@ -16,6 +20,9 @@ from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, FrameCurve, assemble_mu,
 
 LIOUVILLE = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
 FLAT_UMBILIC = GmcData.build("0", 1.0, "0", "0")
+DIGEST_DOMAIN = (0.1, 0.9, 0.05, 0.8)
+# one v step of the (5, 2) grid must stay inside the drift tolerance
+TINY_DOMAIN = (0.1, 0.3, 0.1, 0.15)
 
 
 def test_matrix_entries_at_reference_point():
@@ -219,22 +226,107 @@ def test_substeps_keep_shape_and_path_defect(action):
     assert frames.path_defect < DEFAULT_TOL.path
 
 
-@pytest.mark.parametrize("action", ["mu", "nu"])
-@pytest.mark.parametrize("substeps", [1, 3])
-def test_omega_evaluations_are_batched(monkeypatch, action, substeps):
-    # one call per column step, one for the gate, one per edge march
-    data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
+def _count_omega_calls(monkeypatch, data):
     calls = []
     evaluate = data.omega.with_derivatives
 
     def counted(u, v):
-        calls.append(1)
+        calls.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
         return evaluate(u, v)
 
     monkeypatch.setattr(data.omega, "with_derivatives", counted)
+    return calls
+
+
+def _block_calls(nu, nv, substeps):
+    """Column coefficient calls of one sweep: one per block of v nodes."""
+    k = max(1, lax._BLOCK_POINTS // (3 * substeps * nu))
+    return math.ceil((nv - 1) / k)
+
+
+@pytest.mark.parametrize("action", ["mu", "nu"])
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_omega_evaluations_are_batched(monkeypatch, action, substeps):
+    # one call for the gate, one per edge march, one per block of column nodes
+    data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
+    calls = _count_omega_calls(monkeypatch, data)
     nv = 17
     integrate_lax(data, action, (0.0, 1.0, 0.0, 1.0), 13, nv, substeps=substeps)
-    assert 0 < len(calls) <= (nv - 1) * substeps + 4
+    assert 0 < len(calls) <= 3 + _block_calls(13, nv, substeps)
+
+
+def test_sweep_evaluates_omega_once_per_block(monkeypatch):
+    data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
+    calls = _count_omega_calls(monkeypatch, data)
+    integrate_lax(data, "mu", DIGEST_DOMAIN, 201, 201)
+    # 3 + ceil(200 / 16): 16 nodes of 603 points fit a block
+    assert len(calls) <= 3 + _block_calls(201, 201, 1) == 16
+    # no call covers more than a block of column nodes
+    assert max(math.prod(shape) for shape in calls[1:]) <= lax._BLOCK_POINTS
+
+
+# tracemalloc peak of integrate_lax at 401 x 401 over the bytes of both
+# frames, measured with one coefficient call per column node and a
+# separate march up the left edge (1.519, rounded up): the block sweep
+# must not raise it.
+LAX_PEAK_RATIO_BOUND = 1.52
+
+
+def test_sweep_peak_memory_stays_flat():
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frames = integrate_lax(LIOUVILLE, "mu", DIGEST_DOMAIN, 401, 401)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (2 * frames.phi1.nbytes) <= LAX_PEAK_RATIO_BOUND
+
+
+# sha256 of phi1.tobytes() + phi2.tobytes() and repr(path_defect) for the
+# Liouville frames, keyed by (action, nu, nv, substeps), as computed with
+# one coefficient call per column node and a separate march up the left
+# edge.  201 x 201 ends in a part block, and (201, 51) with two substeps
+# in another; every bit must survive the blocks and the reused column.
+FRAME_DIGESTS = {
+    ("mu", 201, 201, 1): ("0dc031052d7d057bd1240f217210e6c5d2ec4248c1abd7398ce4323a297e7440",
+                          "2.723765657464128e-12"),
+    ("mu", 37, 18, 1): ("658d99e6c063778604973107f3e1d94bbb2119f6491eb2b3cb33ff8d5542a2a9",
+                        "3.891778288522829e-08"),
+    ("mu", 5, 2, 1): ("eb9add93d0abf3da3bf97e8d84c3131c378ceec8a971d4ccc9f112464b4e7c9e",
+                      "1.2515974923132944e-09"),
+    ("mu", 201, 51, 2): ("9b369f2d8f6c269949dcde071bbda3077e863282e8fbb6d854abe80596c2afd5",
+                         "3.239153389955618e-11"),
+    ("nu", 201, 201, 1): ("d55edc3053bdadb486cc6d830bf50a2ad6fc7d4b2dc24db062e90046590d2f8a",
+                          "2.723765657464128e-12"),
+    ("nu", 37, 18, 1): ("b38baf3891629afe05f645ca440e2de1013983f4addfd57003a3a1c554064c27",
+                        "3.891778288522829e-08"),
+    ("nu", 5, 2, 1): ("cd081be1686e2da6f8dda0f4d6d14125ac1d8b52b751ad411419c7d67a4de5f1",
+                      "1.2515974923132944e-09"),
+    ("nu", 201, 51, 2): ("20705c0b499d49063c233c4a77dd3c0df155b248e31f38b4247e11a7bad31b6a",
+                         "3.239153389955618e-11"),
+}
+
+
+def _frame_digest(action, nu, nv, substeps):
+    dom = TINY_DOMAIN if nv == 2 else DIGEST_DOMAIN
+    frames = integrate_lax(LIOUVILLE, action, dom, nu, nv, substeps=substeps)
+    digest = hashlib.sha256(frames.phi1.tobytes() + frames.phi2.tobytes()).hexdigest()
+    return digest, repr(frames.path_defect)
+
+
+@pytest.mark.parametrize("key", sorted(FRAME_DIGESTS))
+def test_frames_keep_their_bits(key):
+    assert _frame_digest(*key) == FRAME_DIGESTS[key]
+
+
+@pytest.mark.parametrize("action", ["mu", "nu"])
+@pytest.mark.parametrize("points", [1, 5 * 3 * 37, 10 ** 6])
+def test_block_size_moves_no_bit(monkeypatch, action, points):
+    # one node per block, blocks of 5 nodes (17 = 3 * 5 + 2), the whole sweep at once
+    monkeypatch.setattr(lax, "_BLOCK_POINTS", points)
+    key = (action, 37, 18, 1)
+    assert _frame_digest(*key) == FRAME_DIGESTS[key]
 
 
 def test_substeps_must_be_positive():
