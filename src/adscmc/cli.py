@@ -243,7 +243,7 @@ def _cmd_cmc1(cfg):
 def _cmd_lax(cfg):
     _require(cfg, "omega", "H", "Q", "R")
     data = GmcData.build(cfg.omega, cfg.H, cfg.Q, cfg.R)
-    frames = integrate_lax(data, cfg.action, cfg.domain, cfg.nu, cfg.nv,
+    frames = integrate_lax(data, cfg.domain, cfg.nu, cfg.nv,
                            substeps=cfg.substeps, tol=cfg.tol)
     print(f"path_defect = {frames.path_defect!r}")
     surface = frames.assemble(cfg.tol)
@@ -266,7 +266,7 @@ def _cmd_gauss(cfg):
     if cfg.out is not None and not cfg.out.lower().endswith(".json"):
         raise UsageError(f"gauss writes JSON findings; --out {cfg.out!r} must end in .json")
     data = GmcData.build(cfg.omega, cfg.H, cfg.Q, cfg.R)
-    frames = integrate_lax(data, "mu", cfg.domain, cfg.nu, cfg.nv,
+    frames = integrate_lax(data, cfg.domain, cfg.nu, cfg.nv,
                            substeps=cfg.substeps, tol=cfg.tol)
     surface = frames.assemble(cfg.tol)
     fd = fundamental_data(surface, tol=cfg.tol)
@@ -423,7 +423,6 @@ def build_parser():
 
     sp = sub.add_parser("lax", help="build a surface from (omega,H,Q,R) frame data")
     _add_gmc(sp)
-    sp.add_argument("--action", choices=("mu", "nu"), help="product action (default mu)")
     sp.add_argument("--pole", choices=("plus", "minus"), help="projection pole for OBJ")
     _add_flip(sp)
     _add_common(sp)

@@ -11,19 +11,20 @@ is
 masked where m22 is too small.  The same pair can be read without any
 differentiation straight from frame entries: with frames F1 = [[a1, b1],
 [c1, d1]], F2 likewise, the product assembly gives (a1/c1, a2/c2) for
-the plus line and (b1/d1, b2/d2) for the minus line; the inverse
-assembly replaces the second coordinate by -d2/b2 and -c2/a2.  A third
-route needs neither the normal nor frames: mat(phi_u) has a common
-column direction and mat(phi_v) a common row direction, and the outer
-product of those directions represents the plus line (swap the two
-matrices for the minus line).
+the plus line and (b1/d1, b2/d2) for the minus line.  Integrated Lax
+frames always assemble that way; a leg pair with an inverse-action
+second leg assembles F1 F2^-1, which replaces the second coordinate by
+-d2/b2 and -c2/a2.  A third route needs neither the normal nor frames:
+mat(phi_u) has a common column direction and mat(phi_v) a common row
+direction, and the outer product of those directions represents the
+plus line (swap the two matrices for the minus line).
 
 All three routes land on the same chart values, which is the substance
-of the consistency checks in the test suite.  Wronskians of frame
-entries decide whether the map depends on u alone, on v alone, or on
-neither (holomorphicity_check); the chart metric pulled back by the
-plus map is -K times the surface metric when H = 1, which
-gauss_conformality_check verifies coefficientwise.
+of the consistency checks in the test suite.  Wronskians of the
+entries of integrated Lax frames decide whether the map depends on u
+alone, on v alone, or on neither (holomorphicity_check); the chart
+metric pulled back by the plus map is -K times the surface metric when
+H = 1, which gauss_conformality_check verifies coefficientwise.
 """
 
 from dataclasses import dataclass
@@ -101,39 +102,31 @@ def _outer(col, row):
     return col[..., :, None] * row[..., None, :]
 
 
-def _frame_grids(frames, action):
-    """Normalize the accepted frame inputs to grids plus an action tag."""
-    if hasattr(frames, "phi1"):   # integrated coordinate frames
-        got = frames.action
-        nu, nv = len(frames.us), len(frames.vs)
-        p1 = frames.phi1
-        p2 = frames.phi2
-        us, vs = frames.us, frames.vs
-    else:
-        f1, f2 = frames
-        if f1.kind != KIND_F1:
-            raise ValueError(f"first leg must have kind {KIND_F1!r}")
-        got = {KIND_F2_MU: "mu", KIND_F2_NU: "nu"}.get(f2.kind)
-        if got is None:
-            raise ValueError(f"second leg has kind {f2.kind!r}")
-        nu, nv = f1.n, f2.n
-        p1 = np.broadcast_to(f1.samples[:, None], (nu, nv, 2, 2))
-        p2 = np.broadcast_to(f2.samples[None, :], (nu, nv, 2, 2))
-        us, vs = f1.ts, f2.ts
-    if action is not None and action != got:
-        raise ValueError(f"frames carry action {got!r}, not {action!r}")
-    return us, vs, p1, p2, got
+def _frame_grids(frames):
+    """Grids of both frames plus the action that assembles them."""
+    if hasattr(frames, "phi1"):   # integrated Lax frames
+        return frames.us, frames.vs, frames.phi1, frames.phi2, "mu"
+    f1, f2 = frames
+    if f1.kind != KIND_F1:
+        raise ValueError(f"first leg must have kind {KIND_F1!r}")
+    action = {KIND_F2_MU: "mu", KIND_F2_NU: "nu"}.get(f2.kind)
+    if action is None:
+        raise ValueError(f"second leg has kind {f2.kind!r}")
+    shape = (f1.n, f2.n, 2, 2)
+    return (f1.ts, f2.ts, np.broadcast_to(f1.samples[:, None], shape),
+            np.broadcast_to(f2.samples[None, :], shape), action)
 
 
-def frame_gauss_coordinates(frames, sign="plus", action=None, tol=DEFAULT_TOL):
+def frame_gauss_coordinates(frames, sign="plus", tol=DEFAULT_TOL):
     """Chart coordinates straight from frame entries, no differentiation.
 
-    frames is either the integrated-frames object or a pair of null
-    frame legs.  The plus line reads the first columns, the minus line
-    the second; under the inverse assembly the second frame contributes
-    -F24/F22 (plus) or -F23/F21 (minus) instead.
+    frames is either the integrated Lax frames, whose product is
+    Phi1 Phi2^T, or a pair of null frame legs.  The plus line reads the
+    first columns, the minus line the second; a leg pair with an
+    inverse-action (nu) second leg assembles F1 F2^-1, and its second
+    frame contributes -F24/F22 (plus) or -F23/F21 (minus) instead.
     """
-    us, vs, p1, p2, action = _frame_grids(frames, action)
+    us, vs, p1, p2, action = _frame_grids(frames)
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
     k = 0 if sign == "plus" else 1
@@ -210,27 +203,25 @@ def _wronskian(a, c, h, axis):
 def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     """Test the frame-entry Wronskian identities and classify the map.
 
-    Works on integrated coordinate frames of the product action (the
-    identities read off their linear systems; other frame gauges answer
-    a different question).  Each predicted Wronskian is an off-diagonal
-    entry of the Lax coefficient that moves the frame in that direction:
-    minus the (1,0) entry for the plus line, which reads e^{-w/2} Q and
-    e^{w/2}(H-1)/2 in u, and e^{w/2}(H-1)/2 and e^{-w/2} R in v; the
-    (0,1) entry for the minus line.  The map is classified
-    antiholomorphic where both u-Wronskians vanish, holomorphic where
-    both v-Wronskians vanish, constant where all four do.
+    Works on integrated Lax frames, whose linear systems the identities
+    are read off (null frame legs answer a different question).  Each
+    predicted Wronskian is an off-diagonal entry of the Lax coefficient
+    that moves the frame in that direction: minus the (1,0) entry for
+    the plus line, which reads e^{-w/2} Q and e^{w/2}(H-1)/2 in u, and
+    e^{w/2}(H-1)/2 and e^{-w/2} R in v; the (0,1) entry for the minus
+    line.  The map is classified antiholomorphic where both
+    u-Wronskians vanish, holomorphic where both v-Wronskians vanish,
+    constant where all four do; the report's label is the one every
+    point shares, or "mixed".
     """
     if not hasattr(frames, "phi1"):
         raise ValueError("holomorphicity check needs integrated coordinate frames")
-    if frames.action != "mu":
-        raise ValueError("the Wronskian identities are stated for the product "
-                         "action; inverse-action frames are out of scope")
     us, vs = frames.us, frames.vs
     hu = float(us[1] - us[0])
     hv = float(vs[1] - vs[0])
     u, v = us[:, None], vs[None, :]
-    coefs = (*lax_matrices(frames.data, "mu", u, v, True),
-             *lax_matrices(frames.data, "mu", u, v, False))
+    coefs = (*lax_matrices(frames.data, u, v, True),
+             *lax_matrices(frames.data, u, v, False))
     if sign == "plus":
         col, pred = 0, [-m[..., 1, 0] for m in coefs]
     elif sign == "minus":
@@ -254,14 +245,13 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     labels[anti] = "antiholomorphic"
     labels[holo] = "holomorphic"
     labels[anti & holo] = "constant"
-    uniq = np.unique(labels)
     return HolomorphicityReport(
         us=us, vs=vs,
         residual_u1=res[0], residual_u2=res[1],
         residual_v1=res[2], residual_v2=res[3],
         wronskian_u=mag_u, wronskian_v=mag_v,
         classification=labels,
-        label=str(uniq[0]) if len(uniq) == 1 else "mixed")
+        label=str(labels.flat[0]) if (labels == labels.flat[0]).all() else "mixed")
 
 
 def gauss_conformality_check(surface, fd=None, sign="plus", tol=DEFAULT_TOL):

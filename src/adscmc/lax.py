@@ -13,8 +13,11 @@ coupled linear systems per frame,
 
 whose zero-curvature condition is exactly the equation above; the
 product Phi_1 Phi_2^T then has mean curvature H in the unimodular
-quadric, and Psi_1 Psi_2^-1 (with the second set of matrices) has mean
-curvature -H against the same orientation rule.
+quadric, and H flips sign with the normal.  There is no second set of
+matrices for an inverse product Phi_1 Psi_2^-1: such a Psi_2 solves
+dPsi_2 = -Psi_2 (U_2^T du + V_2^T dv), so Psi_2 = Phi_2^-T for a frame
+Phi_2 of these systems (started at the inverse transpose), and
+Phi_1 Psi_2^-1 is again the product Phi_1 Phi_2^T.
 
 Derivatives of omega are evaluated in forward mode through the
 expression tree, so the compatibility gate tests the equation itself,
@@ -78,10 +81,8 @@ def gmc_residual(data, us, vs):
     return wuv + 0.5 * (data.H ** 2 - 1.0) * e - 2.0 * q * r / e
 
 
-def lax_matrices(data, action, u, v, along_u):
+def lax_matrices(data, u, v, along_u):
     """The coefficient pair (U1, U2) if along_u, else (V1, V2), at points (u, v)."""
-    if action not in ("mu", "nu"):
-        raise ValueError("action must be 'mu' or 'nu'")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     w, wu, wv, _ = data.omega.with_derivatives(u, v)
@@ -92,12 +93,10 @@ def lax_matrices(data, action, u, v, along_u):
     if along_u:
         d = wu / 4.0
         q = em * np.asarray(data.Q(u), dtype=float)
-        second = pack2(-d, q, -minus, d) if action == "mu" else pack2(d, minus, -q, -d)
-        return pack2(d, plus, -q, -d), second
+        return pack2(d, plus, -q, -d), pack2(-d, q, -minus, d)
     d = wv / 4.0
     r = em * np.asarray(data.R(v), dtype=float)
-    second = pack2(d, plus, -r, -d) if action == "mu" else pack2(-d, r, -plus, d)
-    return pack2(-d, r, -minus, d), second
+    return pack2(-d, r, -minus, d), pack2(d, plus, -r, -d)
 
 
 @dataclass
@@ -108,25 +107,24 @@ class LaxFrames:
     vs: np.ndarray
     phi1: np.ndarray   # (nu, nv, 2, 2)
     phi2: np.ndarray
-    action: str
     path_defect: float
     data: GmcData
 
     def assemble(self, tol=DEFAULT_TOL):
-        """Product surface Phi1 Phi2^T (mu) or Phi1 Phi2^-1 (nu)."""
-        points = act(self.phi1, self.phi2, self.action)
+        """Product surface Phi1 Phi2^T."""
+        points = act(self.phi1, self.phi2, "mu")
         w = self.data.omega(self.us[:, None], self.vs[None, :])
         mask = np.broadcast_to(np.exp(w) < tol.degen, points.shape[:2]).copy()
         return SurfaceGrid(us=self.us, vs=self.vs, points=vec_of_mat(points), mask=mask,
-                           ambient=AmbientSpec.h31(), assembly=self.action)
+                           ambient=AmbientSpec.h31(), assembly="mu")
 
 
-def _coefs(data, action, u, v, along_u):
+def _coefs(data, u, v, along_u):
     """(U1, U2) or (V1, V2) at points (u, v) batched along their last axis.
 
     The frame axis goes right before the batch axis, as in the state.
     """
-    return np.stack(lax_matrices(data, action, u, v, along_u), axis=-4)
+    return np.stack(lax_matrices(data, u, v, along_u), axis=-4)
 
 
 # points per column coefficient call: 10^4 is 16 v nodes at 201 x 201
@@ -136,17 +134,17 @@ def _coefs(data, action, u, v, along_u):
 _BLOCK_POINTS = 10_000
 
 
-def _edge(data, action, y, us, v, substeps):
+def _edge(data, y, us, v, substeps):
     """Both frames (2, 1, 2, 2) at the nodes us of the grid row at v.
 
     The coefficients of the whole row come from one call.
     """
     h = (us[-1] - us[0]) / ((len(us) - 1) * substeps)
     times = stage_times(us[:-1], h, substeps)[..., None]
-    return list(rk4_march(y, _coefs(data, action, times, v, True), h))
+    return list(rk4_march(y, _coefs(data, times, v, True), h))
 
 
-def _sweep(data, action, us, vs, init, substeps):
+def _sweep(data, us, vs, init, substeps):
     """Both frames (2, nu, nv, 2, 2): bottom edge in u, then all columns in v.
 
     The columns advance together.  One coefficient call covers every
@@ -154,12 +152,12 @@ def _sweep(data, action, us, vs, init, substeps):
     march reads the block node by node.
     """
     out = np.empty((2, len(us), len(vs), 2, 2))
-    bottom = _edge(data, action, init, us, vs[0], substeps)
+    bottom = _edge(data, init, us, vs[0], substeps)
     out[:, :, 0] = np.concatenate(bottom, axis=1)
     h = (vs[-1] - vs[0]) / ((len(vs) - 1) * substeps)
     times = stage_times(vs[:-1], h, substeps)
     k = max(1, _BLOCK_POINTS // (times[0].size * len(us)))
-    blocks = (_coefs(data, action, us, times[i:i + k, ..., None], False)
+    blocks = (_coefs(data, us, times[i:i + k, ..., None], False)
               for i in range(0, len(times), k))
     columns = (node for block in blocks for node in block)
     for j, y in enumerate(rk4_march(out[:, :, 0], columns, h)):
@@ -167,9 +165,12 @@ def _sweep(data, action, us, vs, init, substeps):
     return out
 
 
-def integrate_lax(data, action, domain, nu, nv, init=None, substeps=1,
-                  tol=DEFAULT_TOL, gate=True):
+def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL,
+                  gate=True):
     """Integrate both frames over a rectangle after gating the data.
+
+    One set of matrices moves both frames; an inverse-action set would
+    only give second frames Phi2^-T, and Phi1 (Phi2^-T)^-1 = Phi1 Phi2^T.
 
     The compatibility gate evaluates the integrability residual on the
     grid (exactly for closed-form omega) and rejects incompatible data.
@@ -199,8 +200,8 @@ def integrate_lax(data, action, domain, nu, nv, init=None, substeps=1,
         check_unimodular(np.asarray(m, dtype=float), tol, what="initial frame")
 
     init = np.stack(init).astype(float)[:, None]
-    frames = _sweep(data, action, us, vs, init, substeps)
-    corner = _edge(data, action, frames[:, :1, -1], us, vs[-1], substeps)[-1]
+    frames = _sweep(data, us, vs, init, substeps)
+    corner = _edge(data, frames[:, :1, -1], us, vs[-1], substeps)[-1]
     defect = float(np.max(np.abs(frames[:, -1, -1:] - corner)))
     if defect > tol.path:
         warnings.warn(f"far-corner path defect {defect:.3e} exceeds {tol.path:g}",
@@ -210,7 +211,7 @@ def integrate_lax(data, action, domain, nu, nv, init=None, substeps=1,
     if drift > tol.drift:
         raise IntegrationError(
             f"determinant drift {drift:.3e} exceeds {tol.drift:g} in the frame sweep")
-    return LaxFrames(us=us, vs=vs, phi1=frames[0], phi2=frames[1], action=action,
+    return LaxFrames(us=us, vs=vs, phi1=frames[0], phi2=frames[1],
                      path_defect=defect, data=data)
 
 

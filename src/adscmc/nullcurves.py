@@ -14,10 +14,14 @@ G^T = (F2^-1)^T solves the same system dY = Y C as the other legs; the
 nu leg integrates G^T and stores F2 = adj(G).
 
 Products phi = F1 F2^T have mean curvature +1 in the unimodular quadric
-(with the orientation fixed downstream); products psi = F1 F2^-1 have
-mean curvature -1.  The induced metric coefficient of either product is
--det of the summed leg coefficients, which is evaluated exactly from
-the attached fields rather than by differencing the grid.
+(with the orientation fixed downstream).  A product psi = F1 F2^-1 of
+a nu leg is one of them: psi = F1 (G^T)^T, and G^T is a mu leg started
+at the inverse transpose of F2's initial frame.  So psi has mean
+curvature +1 under the same orientation rule, from identity initial
+frames psi and phi coincide point for point, and mean curvature -1
+needs the flipped normal.  The induced metric coefficient of either
+product is -det of the summed leg coefficients, which is evaluated
+exactly from the attached fields rather than by differencing the grid.
 """
 
 from dataclasses import dataclass

@@ -406,6 +406,18 @@ def test_config_choice_outside_the_flag_choices_is_a_usage_error(tmp_path, capsy
     assert "'action'" in err and "'MU'" in err
 
 
+def test_lax_has_no_action_option(tmp_path, capsys):
+    # lax integrates one set of frames, so it takes no action by flag or config
+    lax = ["lax", "--omega", "2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1",
+           "--domain", "0.2", "0.6", "0.2", "0.6", "--nu", "11", "--nv", "11"]
+    with pytest.raises(SystemExit) as exc:
+        main([*lax, "--action", "nu"])
+    assert exc.value.code == 2
+    assert "--action" in capsys.readouterr().err
+    assert _with_config(tmp_path, lax, {"action": "mu"}) == 2
+    assert "unknown config key 'action' for lax" in capsys.readouterr().err
+
+
 def test_config_number_as_text_converts_like_the_flag(tmp_path, capsys):
     args = ["cmc1", "--q", "u", "--f", "1", "--r", "v", "--g", "1",
             "--domain", "-0.5", "0.5", "-0.5", "0.5", "--nv", "11"]

@@ -30,8 +30,8 @@ CASES = {
         "9e4e87777305aa24741f25d8327e6a784dc8697eb13660cc7f42094784b2a319"),
     "lax-mu-obj": ([], ["lax", *LIOUVILLE, "--out", "s.obj"], 0,
         "fc6ca27a3a2c50779cfae3bed52fe09e501772e9e8f06007c95887a133832ec0"),
-    "lax-nu-flipped": ([], ["lax", *LIOUVILLE, "--action", "nu", "--flip-normal"], 0,
-        "9a205808db693c64f9c55350be70ba6a266dca8f76b6278e81af1c3547820d09"),
+    "lax-flipped": ([], ["lax", *LIOUVILLE, "--flip-normal"], 0,
+        "2cb6dfc958c94723d340925a6fc9b708fcd1bcf59baec79c043a2683f27cba50"),
     "gauss": ([], ["gauss", *LIOUVILLE, "--out", "g.json"], 0,
         "9c7a828d5570735686670589f9e15eb5fbefecacf5f1c4571f8cfb765a63728e"),
     "verify": ([GRID], ["verify", "grid.json", "--H", "1"], 0,
@@ -66,3 +66,13 @@ def test_stdout_matches_golden_digest(tmp_path, monkeypatch, capsys, name):
     capsys.readouterr()
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cmc1_nu_prints_the_mu_output(capsys):
+    # from identity initial frames the nu product F1 F2^-1 is the mu
+    # product F1 F2^T point for point, so it measures H = +1 as well
+    outs = []
+    for extra in ([], ["--action", "nu"]):
+        assert main(["cmc1", *ENNEPER, *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]

@@ -14,7 +14,7 @@ from adscmc.gaussmaps import (
 )
 from adscmc.geometry import fundamental_data
 from adscmc.lax import GmcData, integrate_lax
-from adscmc.nullcurves import KIND_F1, KIND_F2_MU, integrate_frame
+from adscmc.nullcurves import KIND_F1, KIND_F2_MU, KIND_F2_NU, integrate_frame
 
 from conftest import H31_NAMES
 
@@ -50,6 +50,20 @@ def test_scroll_frame_chart_is_coth(gallery_module):
     assert np.max(np.abs(gm.g2 - 1.0 / vv)[ok]) < 1e-8
     assert gm.chart == "frame-mu"
     assert gm.max_rep_det() < 1e-10
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_nu_leg_pair_reads_the_mu_chart(sign):
+    # from identity initial frames F1 F2^-1 of a nu leg is F1 F2^T of
+    # the mu leg, so the inverse-assembly chart reads the same lines
+    f1 = integrate_frame(KIND_F1, "u", "1", (-0.5, 0.5), 21)
+    f2_mu = integrate_frame(KIND_F2_MU, "v", "1", (-0.5, 0.5), 21)
+    f2_nu = integrate_frame(KIND_F2_NU, "v", "1", (-0.5, 0.5), 21)
+    mu = frame_gauss_coordinates((f1, f2_mu), sign)
+    nu = frame_gauss_coordinates((f1, f2_nu), sign)
+    assert nu.chart == "frame-nu"
+    assert np.array_equal(nu.rep, mu.rep)
+    assert np.array_equal(nu.mask, mu.mask)
 
 
 @pytest.mark.parametrize("name", H31_NAMES)
@@ -128,7 +142,7 @@ def test_chart_metric_identity_needs_the_matching_orientation(gallery_module):
 
 def test_wronskian_identities_on_an_integrated_family():
     data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
-    frames = integrate_lax(data, "mu", (0.1, 0.9, 0.1, 0.9), 101, 101)
+    frames = integrate_lax(data, (0.1, 0.9, 0.1, 0.9), 101, 101)
     report = holomorphicity_check(frames)
     assert report.max_residual() < 1e-6
     assert report.label == "none"
@@ -141,7 +155,7 @@ def test_wronskian_identities_on_an_integrated_family():
 ])
 def test_degenerate_families_classify_exactly(q, r, want):
     data = GmcData.build("0", 1.0, q, r)
-    frames = integrate_lax(data, "mu", (0.0, 1.0, 0.0, 1.0), 41, 41,
+    frames = integrate_lax(data, (0.0, 1.0, 0.0, 1.0), 41, 41,
                            init=SLANT_INIT)
     report = holomorphicity_check(frames)
     assert report.label == want
@@ -149,9 +163,20 @@ def test_degenerate_families_classify_exactly(q, r, want):
     assert np.all(report.classification == want)
 
 
+def test_points_that_disagree_label_the_map_mixed():
+    # Q = u vanishes only on the row u = 0, which reads constant; every
+    # other point reads holomorphic
+    data = GmcData.build("0", 1.0, "u", "0")
+    frames = integrate_lax(data, (-0.5, 0.5, 0.0, 1.0), 41, 41, init=SLANT_INIT)
+    report = holomorphicity_check(frames)
+    assert report.label == "mixed"
+    assert np.all(report.classification[20] == "constant")
+    assert np.all(np.delete(report.classification, 20, axis=0) == "holomorphic")
+
+
 def test_holomorphic_chart_depends_on_u_alone():
     data = GmcData.build("0", 1.0, "1", "0")
-    frames = integrate_lax(data, "mu", (0.0, 1.0, 0.0, 1.0), 41, 41,
+    frames = integrate_lax(data, (0.0, 1.0, 0.0, 1.0), 41, 41,
                            init=SLANT_INIT)
     gm = frame_gauss_coordinates(frames, "plus")
     ok = gm.valid()
@@ -165,17 +190,10 @@ def test_minus_line_identities_hold_with_their_own_predictions():
     # e^{w/2}(H+1)/2 never vanishes, so the label stays "none" even
     # though every identity is satisfied
     data = GmcData.build("0", 1.0, "0", "0")
-    frames = integrate_lax(data, "mu", (0.0, 1.0, 0.0, 1.0), 41, 41)
+    frames = integrate_lax(data, (0.0, 1.0, 0.0, 1.0), 41, 41)
     report = holomorphicity_check(frames, sign="minus")
     assert report.max_residual() < 1e-10
     assert report.label == "none"
-
-
-def test_inverse_action_frames_are_rejected():
-    data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
-    frames = integrate_lax(data, "nu", (0.1, 0.5, 0.1, 0.5), 21, 21)
-    with pytest.raises(ValueError, match="product action"):
-        holomorphicity_check(frames)
 
 
 def test_leg_pairs_are_rejected():
@@ -183,13 +201,6 @@ def test_leg_pairs_are_rejected():
     f2 = integrate_frame(KIND_F2_MU, "v", "1", (0.0, 1.0), 21)
     with pytest.raises(ValueError, match="integrated coordinate frames"):
         holomorphicity_check((f1, f2))
-
-
-def test_frame_chart_rejects_mismatched_action_tag():
-    data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
-    frames = integrate_lax(data, "mu", (0.1, 0.5, 0.1, 0.5), 11, 11)
-    with pytest.raises(ValueError, match="action"):
-        frame_gauss_coordinates(frames, "plus", action="nu")
 
 
 def test_bad_sign_rejected(std_surfaces):

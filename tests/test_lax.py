@@ -27,25 +27,18 @@ TINY_DOMAIN = (0.1, 0.3, 0.1, 0.15)
 
 def test_matrix_entries_at_reference_point():
     # omega = 2 ln(1 + uv) at (1,1): omega_u = omega_v = 1, e^{omega/2} = 2
-    u1, u2 = lax_matrices(LIOUVILLE, "mu", 1.0, 1.0, True)
-    v1, v2 = lax_matrices(LIOUVILLE, "mu", 1.0, 1.0, False)
+    u1, u2 = lax_matrices(LIOUVILLE, 1.0, 1.0, True)
+    v1, v2 = lax_matrices(LIOUVILLE, 1.0, 1.0, False)
     assert np.allclose(u1, [[0.25, 2.0], [-0.5, -0.25]], atol=1e-14)
     assert np.allclose(v1, [[-0.25, 0.5], [0.0, 0.25]], atol=1e-14)
     assert np.allclose(u2, [[-0.25, 0.5], [0.0, 0.25]], atol=1e-14)
     assert np.allclose(v2, [[0.25, 2.0], [-0.5, -0.25]], atol=1e-14)
-    nu1, nu2 = lax_matrices(LIOUVILLE, "nu", 1.0, 1.0, True)
-    nv1, nv2 = lax_matrices(LIOUVILLE, "nu", 1.0, 1.0, False)
-    assert np.allclose(nu1, u1, atol=1e-14)
-    assert np.allclose(nv1, v1, atol=1e-14)
-    assert np.allclose(nu2, [[0.25, 0.0], [-0.5, -0.25]], atol=1e-14)
-    assert np.allclose(nv2, [[-0.25, 0.5], [-2.0, 0.25]], atol=1e-14)
 
 
 def test_matrices_are_trace_free():
-    for action in ("mu", "nu"):
-        for m in (*lax_matrices(LIOUVILLE, action, 0.3, -0.2, True),
-                  *lax_matrices(LIOUVILLE, action, 0.3, -0.2, False)):
-            assert abs(np.trace(np.asarray(m))) < 1e-14
+    for m in (*lax_matrices(LIOUVILLE, 0.3, -0.2, True),
+              *lax_matrices(LIOUVILLE, 0.3, -0.2, False)):
+        assert abs(np.trace(np.asarray(m))) < 1e-14
 
 
 def test_compatible_data_has_zero_residual():
@@ -60,18 +53,18 @@ def test_incompatible_data_residual_value():
     first = gmc_residual(bad, np.zeros((1, 1)), np.zeros((1, 1)))
     assert np.allclose(first, -2.0, atol=1e-14)
     with pytest.raises(CompatibilityError, match="2.000e\\+00"):
-        integrate_lax(bad, "mu", (0.0, 1.0, 0.0, 1.0), 11, 11)
+        integrate_lax(bad, (0.0, 1.0, 0.0, 1.0), 11, 11)
 
 
 def test_gate_can_be_disabled():
     bad = GmcData.build("0", 1.0, "1", "1")
     with pytest.warns(RuntimeWarning, match="path defect"):
-        frames = integrate_lax(bad, "mu", (0.0, 0.3, 0.0, 0.3), 11, 11, gate=False)
+        frames = integrate_lax(bad, (0.0, 0.3, 0.0, 0.3), 11, 11, gate=False)
     assert frames.phi1.shape == (11, 11, 2, 2)
 
 
 def test_flat_umbilic_frames_are_polynomial():
-    frames = integrate_lax(FLAT_UMBILIC, "mu", (0.0, 1.0, 0.0, 1.0), 21, 21)
+    frames = integrate_lax(FLAT_UMBILIC, (0.0, 1.0, 0.0, 1.0), 21, 21)
     us = frames.us[:, None]
     vs = frames.vs[None, :]
     want1 = np.zeros((21, 21, 2, 2))
@@ -88,7 +81,7 @@ def test_flat_umbilic_frames_are_polynomial():
 
 
 def test_liouville_assembles_to_unit_mean_curvature():
-    frames = integrate_lax(LIOUVILLE, "mu", (0.0, 1.2, 0.0, 1.2), 81, 81)
+    frames = integrate_lax(LIOUVILLE, (0.0, 1.2, 0.0, 1.2), 81, 81)
     assert frames.path_defect < 1e-6
     surface = frames.assemble()
     fd = fundamental_data(surface)
@@ -102,7 +95,7 @@ def test_constant_curvature_two_family():
     vs = np.linspace(0.0, 0.8, 9)[None, :]
     first = gmc_residual(data, us, vs)
     assert np.max(np.abs(first)) < 1e-12
-    frames = integrate_lax(data, "mu", (0.0, 0.8, 0.0, 0.8), 61, 61)
+    frames = integrate_lax(data, (0.0, 0.8, 0.0, 0.8), 61, 61)
     fd = fundamental_data(frames.assemble())
     assert np.nanmax(np.abs(fd.H - 2.0)) < 5e-5
     core = ~np.isnan(fd.Q)
@@ -114,22 +107,9 @@ def test_path_defect_grows_with_incompatibility():
     slightly_off = GmcData.build("2*ln(1+u*v) + 0.001*u*v", 1.0, "1", "1")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        frames = integrate_lax(slightly_off, "mu", (0.0, 1.0, 0.0, 1.0),
+        frames = integrate_lax(slightly_off, (0.0, 1.0, 0.0, 1.0),
                                41, 41, gate=False)
     assert frames.path_defect > 1e-5
-
-
-def test_nu_frames_build_the_same_surface():
-    mu_frames = integrate_lax(LIOUVILLE, "mu", (0.0, 1.0, 0.0, 1.0), 41, 41)
-    nu_frames = integrate_lax(LIOUVILLE, "nu", (0.0, 1.0, 0.0, 1.0), 41, 41)
-    s1 = mu_frames.assemble()
-    s2 = nu_frames.assemble()
-    fd1 = fundamental_data(s1)
-    fd2 = fundamental_data(s2)
-    core = ~np.isnan(fd1.H) & ~np.isnan(fd2.H)
-    assert np.max(np.abs(fd1.H - fd2.H)[core]) < 1e-6
-    assert np.max(np.abs(fd1.omega - fd2.omega)[core]) < 1e-6
-    assert np.max(np.abs(np.abs(fd1.Q) - np.abs(fd2.Q))[core]) < 1e-4
 
 
 def test_extracted_data_round_trips():
@@ -149,7 +129,7 @@ def test_both_routes_build_congruent_surfaces():
     # surface in the same conformal parametrization, up to the
     # orientation sign of the Hopf pair
     dom = (0.1, 0.9, 0.1, 0.9)
-    frames = integrate_lax(LIOUVILLE, "mu", dom, 101, 101)
+    frames = integrate_lax(LIOUVILLE, dom, 101, 101)
     fd_lax = fundamental_data(frames.assemble())
     f1 = integrate_frame(KIND_F1, "u", "1", (0.1, 0.9), 101)
     f2 = integrate_frame(KIND_F2_MU, "v", "1", (0.1, 0.9), 101)
@@ -182,7 +162,7 @@ def test_extraction_needs_null_frames():
 
 
 def test_extraction_pole_when_data_vanishes():
-    frames = integrate_lax(FLAT_UMBILIC, "mu", (0.0, 1.0, 0.0, 1.0), 51, 51)
+    frames = integrate_lax(FLAT_UMBILIC, (0.0, 1.0, 0.0, 1.0), 51, 51)
     f1 = FrameCurve(kind=KIND_F1, s_field=None, w_field=None,
                     t0=0.0, t1=1.0, n=51, samples=frames.phi1[:, 0], det_drift=0.0)
     f2 = FrameCurve(kind=KIND_F2_MU, s_field=None, w_field=None,
@@ -206,21 +186,18 @@ def _far_corner(frames):
     return np.stack([frames.phi1[-1, -1], frames.phi2[-1, -1]])
 
 
-@pytest.mark.parametrize("action", ["mu", "nu"])
-def test_substep_halving_shows_fourth_order(action):
+def test_substep_halving_shows_fourth_order():
     dom = (0.0, 1.2, 0.0, 1.2)
-    ref = _far_corner(integrate_lax(LIOUVILLE, action, dom, 21, 21, substeps=16))
-    err = [np.max(np.abs(_far_corner(integrate_lax(LIOUVILLE, action, dom, 21, 21,
+    ref = _far_corner(integrate_lax(LIOUVILLE, dom, 21, 21, substeps=16))
+    err = [np.max(np.abs(_far_corner(integrate_lax(LIOUVILLE, dom, 21, 21,
                                                    substeps=k)) - ref))
            for k in (1, 2, 4)]
     assert 14.0 <= err[0] / err[1] <= 18.0
     assert 14.0 <= err[1] / err[2] <= 18.0
 
 
-@pytest.mark.parametrize("action", ["mu", "nu"])
-def test_substeps_keep_shape_and_path_defect(action):
-    frames = integrate_lax(LIOUVILLE, action, (0.1, 0.9, 0.05, 0.8), 31, 23,
-                           substeps=3)
+def test_substeps_keep_shape_and_path_defect():
+    frames = integrate_lax(LIOUVILLE, (0.1, 0.9, 0.05, 0.8), 31, 23, substeps=3)
     assert frames.phi1.shape == (31, 23, 2, 2)
     assert frames.phi2.shape == (31, 23, 2, 2)
     assert frames.path_defect < DEFAULT_TOL.path
@@ -244,21 +221,20 @@ def _block_calls(nu, nv, substeps):
     return math.ceil((nv - 1) / k)
 
 
-@pytest.mark.parametrize("action", ["mu", "nu"])
 @pytest.mark.parametrize("substeps", [1, 3])
-def test_omega_evaluations_are_batched(monkeypatch, action, substeps):
+def test_omega_evaluations_are_batched(monkeypatch, substeps):
     # one call for the gate, one per edge march, one per block of column nodes
     data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
     calls = _count_omega_calls(monkeypatch, data)
     nv = 17
-    integrate_lax(data, action, (0.0, 1.0, 0.0, 1.0), 13, nv, substeps=substeps)
+    integrate_lax(data, (0.0, 1.0, 0.0, 1.0), 13, nv, substeps=substeps)
     assert 0 < len(calls) <= 3 + _block_calls(13, nv, substeps)
 
 
 def test_sweep_evaluates_omega_once_per_block(monkeypatch):
     data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
     calls = _count_omega_calls(monkeypatch, data)
-    integrate_lax(data, "mu", DIGEST_DOMAIN, 201, 201)
+    integrate_lax(data, DIGEST_DOMAIN, 201, 201)
     # 3 + ceil(200 / 16): 16 nodes of 603 points fit a block
     assert len(calls) <= 3 + _block_calls(201, 201, 1) == 16
     # no call covers more than a block of column nodes
@@ -276,7 +252,7 @@ def test_sweep_peak_memory_stays_flat():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        frames = integrate_lax(LIOUVILLE, "mu", DIGEST_DOMAIN, 401, 401)
+        frames = integrate_lax(LIOUVILLE, DIGEST_DOMAIN, 401, 401)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -284,33 +260,25 @@ def test_sweep_peak_memory_stays_flat():
 
 
 # sha256 of phi1.tobytes() + phi2.tobytes() and repr(path_defect) for the
-# Liouville frames, keyed by (action, nu, nv, substeps), as computed with
+# Liouville frames, keyed by (nu, nv, substeps), as computed with
 # one coefficient call per column node and a separate march up the left
 # edge.  201 x 201 ends in a part block, and (201, 51) with two substeps
 # in another; every bit must survive the blocks and the reused column.
 FRAME_DIGESTS = {
-    ("mu", 201, 201, 1): ("0dc031052d7d057bd1240f217210e6c5d2ec4248c1abd7398ce4323a297e7440",
-                          "2.723765657464128e-12"),
-    ("mu", 37, 18, 1): ("658d99e6c063778604973107f3e1d94bbb2119f6491eb2b3cb33ff8d5542a2a9",
-                        "3.891778288522829e-08"),
-    ("mu", 5, 2, 1): ("eb9add93d0abf3da3bf97e8d84c3131c378ceec8a971d4ccc9f112464b4e7c9e",
-                      "1.2515974923132944e-09"),
-    ("mu", 201, 51, 2): ("9b369f2d8f6c269949dcde071bbda3077e863282e8fbb6d854abe80596c2afd5",
-                         "3.239153389955618e-11"),
-    ("nu", 201, 201, 1): ("d55edc3053bdadb486cc6d830bf50a2ad6fc7d4b2dc24db062e90046590d2f8a",
-                          "2.723765657464128e-12"),
-    ("nu", 37, 18, 1): ("b38baf3891629afe05f645ca440e2de1013983f4addfd57003a3a1c554064c27",
-                        "3.891778288522829e-08"),
-    ("nu", 5, 2, 1): ("cd081be1686e2da6f8dda0f4d6d14125ac1d8b52b751ad411419c7d67a4de5f1",
-                      "1.2515974923132944e-09"),
-    ("nu", 201, 51, 2): ("20705c0b499d49063c233c4a77dd3c0df155b248e31f38b4247e11a7bad31b6a",
-                         "3.239153389955618e-11"),
+    (201, 201, 1): ("0dc031052d7d057bd1240f217210e6c5d2ec4248c1abd7398ce4323a297e7440",
+                    "2.723765657464128e-12"),
+    (37, 18, 1): ("658d99e6c063778604973107f3e1d94bbb2119f6491eb2b3cb33ff8d5542a2a9",
+                  "3.891778288522829e-08"),
+    (5, 2, 1): ("eb9add93d0abf3da3bf97e8d84c3131c378ceec8a971d4ccc9f112464b4e7c9e",
+                "1.2515974923132944e-09"),
+    (201, 51, 2): ("9b369f2d8f6c269949dcde071bbda3077e863282e8fbb6d854abe80596c2afd5",
+                   "3.239153389955618e-11"),
 }
 
 
-def _frame_digest(action, nu, nv, substeps):
+def _frame_digest(nu, nv, substeps):
     dom = TINY_DOMAIN if nv == 2 else DIGEST_DOMAIN
-    frames = integrate_lax(LIOUVILLE, action, dom, nu, nv, substeps=substeps)
+    frames = integrate_lax(LIOUVILLE, dom, nu, nv, substeps=substeps)
     digest = hashlib.sha256(frames.phi1.tobytes() + frames.phi2.tobytes()).hexdigest()
     return digest, repr(frames.path_defect)
 
@@ -320,17 +288,16 @@ def test_frames_keep_their_bits(key):
     assert _frame_digest(*key) == FRAME_DIGESTS[key]
 
 
-@pytest.mark.parametrize("action", ["mu", "nu"])
 @pytest.mark.parametrize("points", [1, 5 * 3 * 37, 10 ** 6])
-def test_block_size_moves_no_bit(monkeypatch, action, points):
+def test_block_size_moves_no_bit(monkeypatch, points):
     # one node per block, blocks of 5 nodes (17 = 3 * 5 + 2), the whole sweep at once
     monkeypatch.setattr(lax, "_BLOCK_POINTS", points)
-    key = (action, 37, 18, 1)
+    key = (37, 18, 1)
     assert _frame_digest(*key) == FRAME_DIGESTS[key]
 
 
 def test_substeps_must_be_positive():
     with pytest.raises(ValueError, match="substeps"):
-        integrate_lax(LIOUVILLE, "mu", (0.0, 1.0, 0.0, 1.0), 5, 5, substeps=0)
+        integrate_lax(LIOUVILLE, (0.0, 1.0, 0.0, 1.0), 5, 5, substeps=0)
     with pytest.raises(ValueError, match="substeps"):
         integrate_frame(KIND_F1, "u", "1", (0.0, 1.0), 5, substeps=0)

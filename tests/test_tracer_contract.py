@@ -46,6 +46,8 @@ def test_traced_minimal_job_counts_fields_and_quadrature(spans, capsys):
      ("nullcurves.integrate_s", "nullcurves.assemble_s")),
     (["gauss", "--omega=2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1"],
      ("lax.integrate_s", "gaussmaps.s")),
+    (["lax", "--omega=2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1"],
+     ("lax.integrate_s", "lax.assemble_s")),
 ])
 def test_traced_frame_jobs_time_their_layers(spans, capsys, argv, names):
     from adscmc.cli import main
