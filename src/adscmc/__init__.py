@@ -32,9 +32,9 @@ from .geometry import (AmbientSpec, FundamentalData, GeometryReport,
 from .lax import (CompatibilityError, GmcData, LaxFrames,
                   extract_weierstrass_data, gmc_residual, integrate_lax,
                   lax_matrices)
-from .nullcurves import (KIND_F1, KIND_F2_MU, KIND_F2_NU, FrameCurve,
-                         IntegrationError, assemble_mu, assemble_nu,
-                         frame_metric_grid, integrate_frame, null_coefficient)
+from .nullcurves import (KIND_F1, KIND_F2_MU, FrameCurve, IntegrationError,
+                         assemble_mu, assemble_nu, frame_metric_grid,
+                         integrate_frame, null_coefficient)
 from .weierstrass import (QuadratureError, WeierstrassData,
                           adaptive_quadrature, integrate_minimal,
                           minimal_metric_factor, minimal_normal,

@@ -16,11 +16,11 @@ group SL(2,R) is exactly the quadric <u,u> = -1, i.e. anti-de Sitter
 3-space of curvature -1.  Its traceless complement x1 e1 + x2 e2 + x3 e3
 carries signature (-,+,+) and models Minkowski 3-space.
 
-Pairs of unimodular matrices act by u -> g1 u g2^T (both factors act on
-the same side of the quadric) and by u -> g1 u g2^(-1); both actions are
-isometries of the quadric.  The surfaces are the products act(g1, g2)
-of two frame families: nullcurves.assemble_mu and assemble_nu form them
-from null-curve legs, LaxFrames.assemble from Lax frames.
+Pairs of unimodular matrices act by u -> g1 u g2^T, an isometry of the
+quadric.  The surfaces are the products act(g1, g2) of two frame
+families: nullcurves.assemble_mu forms them from null-curve legs,
+LaxFrames.assemble from Lax frames.  The inverse action u -> g1 u g2^-1
+adds no surface: g1 g2^-1 is act(g1, adj(g2)^T).
 
 Everything here is vectorized.  Matrix arguments may carry arbitrary
 leading axes, with the last two axes of shape (2, 2).  mat_of_vec,
@@ -103,22 +103,17 @@ def adjugate(m):
     return pack2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
 
 
-def act(g1, g2, action):
-    """Broadcast products g1 g2^T ("mu") or g1 adj(g2), which is g1 g2^-1 ("nu").
+def act(g1, g2):
+    """Broadcast products g1 g2^T.
 
-    With h = g2^T or adj(g2), each entry is summed as
+    With h = g2^T, each entry is summed as
     (g1[i, 0] h[0, j] + g1[i, 1] h[1, j]) + 0.0, the order the einsum
-    "...ab,...bc->...ac" adds the terms to its +0.0 accumulator, so the
+    "...ab,...cb->...ac" adds the terms to its +0.0 accumulator, so the
     products are bit-identical to it; the trailing + 0.0 turns a -0.0
     sum into +0.0 as that accumulator does.
     """
     g1 = np.asarray(g1, dtype=float)
-    if action == "mu":
-        h = np.swapaxes(np.asarray(g2, dtype=float), -1, -2)
-    elif action == "nu":
-        h = adjugate(g2)
-    else:
-        raise ValueError("action must be 'mu' or 'nu'")
+    h = np.swapaxes(np.asarray(g2, dtype=float), -1, -2)
     out = np.empty(np.broadcast_shapes(g1.shape, h.shape))
     for i in (0, 1):
         for j in (0, 1):
@@ -129,7 +124,7 @@ def act(g1, g2, action):
 def check_unimodular(m, tol=DEFAULT_TOL, what="group element"):
     """Raise if any |det - 1| exceeds the unimodularity tolerance."""
     drift = np.max(np.abs(det2(m) - 1.0))
-    if drift > tol.det:
+    if not drift <= tol.det:
         raise ValueError(f"{what} is not unimodular: |det - 1| = {drift:.3e} > {tol.det:g}")
     return float(drift)
 

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -26,13 +27,17 @@ from .gaussmaps import (frame_gauss_coordinates, gauss_conformality_check,
                         generalized_gauss, holomorphicity_check, hyperbolic_gauss)
 from .geometry import fundamental_data, geometry_report
 from .lax import CompatibilityError, GmcData, integrate_lax
-from .nullcurves import (KIND_F1, KIND_F2_MU, KIND_F2_NU, IntegrationError,
-                         assemble_mu, assemble_nu, integrate_frame)
+from .nullcurves import (KIND_F1, KIND_F2_MU, IntegrationError, assemble_mu,
+                         assemble_nu, integrate_frame)
 from .weierstrass import QuadratureError, WeierstrassData, integrate_minimal
 
 
 class UsageError(Exception):
     """Bad flag or config value; the message names the offender."""
+
+
+# the --out suffixes a command writes; the suffix picks the format
+_OUT_FORMATS = {"gauss": ("json",), "project": ("obj", "json")}
 
 
 @dataclass
@@ -57,7 +62,6 @@ class RunConfig:
     sign: str = "plus"
     pole: str = "plus"
     out: str = None
-    fmt: str = None
     substeps: int = 1
     target_h: float = None
     flip_normal: bool = False
@@ -71,6 +75,16 @@ class RunConfig:
             raise UsageError("--domain must satisfy u1 > u0 and v1 > v0")
         if self.substeps < 1:
             raise UsageError("--substeps must be at least 1")
+        formats = _OUT_FORMATS.get(self.command, ("obj", "json", "csv"))
+        if self.out is not None and self.out_format not in formats:
+            *rest, last = (f".{x}" for x in formats)
+            names = f"{', '.join(rest)} or {last}" if rest else last
+            raise UsageError(f"{self.command} --out {self.out!r} must end in {names}")
+
+    @property
+    def out_format(self):
+        """The --out suffix without its dot, lower case."""
+        return os.path.splitext(self.out)[1][1:].lower()
 
 
 _TOL_KEYS = {f.name for f in dataclasses.fields(Tolerances)}
@@ -174,15 +188,6 @@ def _require(cfg, *names):
             raise UsageError(f"--{name} is required for {cfg.command}")
 
 
-def _infer_format(cfg):
-    if cfg.fmt is not None:
-        return cfg.fmt
-    suffix = cfg.out.rsplit(".", 1)[-1].lower() if "." in cfg.out else ""
-    if suffix in ("obj", "json", "csv"):
-        return suffix
-    raise UsageError(f"cannot infer format from {cfg.out!r}; pass --format")
-
-
 def _print_stats(stats):
     for key, value in stats.items():
         print(f"{key} = {value!r}")
@@ -202,7 +207,7 @@ def _gate(report, cfg, target_h):
 def _export(cfg, surface, report):
     if cfg.out is None:
         return
-    fmt = _infer_format(cfg)
+    fmt = cfg.out_format
     projection = None
     if fmt == "obj" and surface.ambient.name == "H31":
         projection = cfg.pole
@@ -228,12 +233,12 @@ def _cmd_minimal(cfg):
 def _cmd_cmc1(cfg):
     _require(cfg, "q", "f", "r", "g")
     u0, u1, v0, v1 = cfg.domain
-    kind, assemble = ((KIND_F2_MU, assemble_mu) if cfg.action == "mu"
-                      else (KIND_F2_NU, assemble_nu))
     f1 = integrate_frame(KIND_F1, cfg.q, cfg.f, (u0, u1), cfg.nu,
                          substeps=cfg.substeps, tol=cfg.tol)
-    f2 = integrate_frame(kind, cfg.r, cfg.g, (v0, v1), cfg.nv,
+    f2 = integrate_frame(KIND_F2_MU, cfg.r, cfg.g, (v0, v1), cfg.nv,
                          substeps=cfg.substeps, tol=cfg.tol)
+    # both assemblies build F1 F2^T; the action only sets the label
+    assemble = assemble_nu if cfg.action == "nu" else assemble_mu
     surface = assemble(f1, f2, tol=cfg.tol)
     target = -1.0 if cfg.flip_normal else 1.0
     report = geometry_report(surface, tol=cfg.tol, flip_normal=cfg.flip_normal)
@@ -263,8 +268,6 @@ def _cmd_verify(cfg):
 
 def _cmd_gauss(cfg):
     _require(cfg, "omega", "H", "Q", "R")
-    if cfg.out is not None and not cfg.out.lower().endswith(".json"):
-        raise UsageError(f"gauss writes JSON findings; --out {cfg.out!r} must end in .json")
     data = GmcData.build(cfg.omega, cfg.H, cfg.Q, cfg.R)
     frames = integrate_lax(data, cfg.domain, cfg.nu, cfg.nv,
                            substeps=cfg.substeps, tol=cfg.tol)
@@ -319,9 +322,6 @@ def _cmd_project(cfg):
     surface, meta, _ = read_surface_json(cfg.path)
     if surface.ambient.name != "H31":
         raise UsageError("project needs a raw quadric surface (4-component vertices)")
-    fmt = _infer_format(cfg)
-    if fmt == "csv":
-        raise UsageError("project writes obj or json, not csv")
 
     x = surface.points
     y = project_h31(x, cfg.pole, strict=False, tol=cfg.tol)
@@ -337,7 +337,7 @@ def _cmd_project(cfg):
     worst = float(np.max(inside[gated])) if np.any(gated) else float("nan")
     print(f"max_indefinite_radius = {worst!r}")
 
-    export_surface(surface, cfg.pole, fmt, cfg.out, tol=cfg.tol, chart=y)
+    export_surface(surface, cfg.pole, cfg.out_format, cfg.out, tol=cfg.tol, chart=y)
     print(f"wrote {cfg.out}")
     if np.any(gated) and not (np.isfinite(worst) and worst < 1.0):
         print(f"gate projection_interior = {worst!r} bound 1.0 -> FAIL")
@@ -368,7 +368,7 @@ _DISPATCH = {
 }
 
 
-def _add_common(sp, grid=True, formats=("obj", "json", "csv")):
+def _add_common(sp, grid=True):
     sp.add_argument("--config", help="JSON manifest of flag values; explicit flags win")
     sp.add_argument("--tol", action="append", metavar="KEY=VALUE",
                     help="tolerance override, repeatable")
@@ -377,10 +377,7 @@ def _add_common(sp, grid=True, formats=("obj", "json", "csv")):
                         metavar=("U0", "U1", "V0", "V1"))
         sp.add_argument("--nu", type=int, help="grid points in u")
         sp.add_argument("--nv", type=int, help="grid points in v")
-    sp.add_argument("--out", help="output file path")
-    if formats:
-        sp.add_argument("--format", dest="fmt", choices=formats,
-                        help="output format (default: file extension)")
+    sp.add_argument("--out", help="output file path; its suffix picks the format")
 
 
 def _add_weierstrass(sp):
@@ -415,7 +412,8 @@ def build_parser():
 
     sp = sub.add_parser("cmc1", help="build a cousin surface from null-curve data")
     _add_weierstrass(sp)
-    sp.add_argument("--action", choices=("mu", "nu"), help="product action (default mu)")
+    sp.add_argument("--action", choices=("mu", "nu"),
+                    help="assembly label (default mu); both build the same surface F1 F2^T")
     sp.add_argument("--substeps", type=int, help="RK4 substeps per grid cell")
     sp.add_argument("--pole", choices=("plus", "minus"), help="projection pole for OBJ")
     _add_flip(sp)
@@ -438,12 +436,12 @@ def build_parser():
     sp = sub.add_parser("gauss", help="Gauss-map grids and holomorphicity classification")
     _add_gmc(sp)
     sp.add_argument("--sign", choices=("plus", "minus"), help="which Gauss map (default plus)")
-    _add_common(sp, formats=())
+    _add_common(sp)
 
     sp = sub.add_parser("project", help="stereographic re-projection of a stored surface")
     sp.add_argument("path", nargs="?", help="JSON surface file")
     sp.add_argument("--pole", choices=("plus", "minus"), help="projection pole")
-    _add_common(sp, grid=False, formats=("obj", "json"))
+    _add_common(sp, grid=False)
 
     sp = sub.add_parser("gallery", help="build a named closed-form surface and verify it")
     sp.add_argument("name", nargs="?", help="gallery entry name")

@@ -58,7 +58,7 @@ def _product_phi(f1, f2):
     def phi(u, v):
         a = f1(np.asarray(u, dtype=float))
         b = f2(np.asarray(v, dtype=float))
-        return act(a, b, "mu")
+        return act(a, b)
     return phi
 
 

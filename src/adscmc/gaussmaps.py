@@ -12,12 +12,11 @@ masked where m22 is too small.  The same pair can be read without any
 differentiation straight from frame entries: with frames F1 = [[a1, b1],
 [c1, d1]], F2 likewise, the product assembly gives (a1/c1, a2/c2) for
 the plus line and (b1/d1, b2/d2) for the minus line.  Integrated Lax
-frames always assemble that way; a leg pair with an inverse-action
-second leg assembles F1 F2^-1, which replaces the second coordinate by
--d2/b2 and -c2/a2.  A third route needs neither the normal nor frames:
-mat(phi_u) has a common column direction and mat(phi_v) a common row
-direction, and the outer product of those directions represents the
-plus line (swap the two matrices for the minus line).
+frames and null-leg pairs both assemble that way.  A third route needs
+neither the normal nor frames: mat(phi_u) has a common column direction
+and mat(phi_v) a common row direction, and the outer product of those
+directions represents the plus line (swap the two matrices for the
+minus line).
 
 All three routes land on the same chart values, which is the substance
 of the consistency checks in the test suite.  Wronskians of the
@@ -31,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import adjugate, det2, mat_of_vec, scalar_product4
+from .algebra import det2, mat_of_vec, scalar_product4
 from .config import DEFAULT_TOL
 from .fields import fd_derivative
 from .geometry import _cd1, fundamental_data
 from .lax import lax_matrices
-from .nullcurves import KIND_F1, KIND_F2_MU, KIND_F2_NU
+from .nullcurves import KIND_F1, KIND_F2_MU
 
 
 @dataclass
@@ -103,41 +102,35 @@ def _outer(col, row):
 
 
 def _frame_grids(frames):
-    """Grids of both frames plus the action that assembles them."""
+    """Parameters and grids of both frames."""
     if hasattr(frames, "phi1"):   # integrated Lax frames
-        return frames.us, frames.vs, frames.phi1, frames.phi2, "mu"
+        return frames.us, frames.vs, frames.phi1, frames.phi2
     f1, f2 = frames
     if f1.kind != KIND_F1:
         raise ValueError(f"first leg must have kind {KIND_F1!r}")
-    action = {KIND_F2_MU: "mu", KIND_F2_NU: "nu"}.get(f2.kind)
-    if action is None:
+    if f2.kind != KIND_F2_MU:
         raise ValueError(f"second leg has kind {f2.kind!r}")
     shape = (f1.n, f2.n, 2, 2)
     return (f1.ts, f2.ts, np.broadcast_to(f1.samples[:, None], shape),
-            np.broadcast_to(f2.samples[None, :], shape), action)
+            np.broadcast_to(f2.samples[None, :], shape))
 
 
 def frame_gauss_coordinates(frames, sign="plus", tol=DEFAULT_TOL):
     """Chart coordinates straight from frame entries, no differentiation.
 
-    frames is either the integrated Lax frames, whose product is
-    Phi1 Phi2^T, or a pair of null frame legs.  The plus line reads the
-    first columns, the minus line the second; a leg pair with an
-    inverse-action (nu) second leg assembles F1 F2^-1, and its second
-    frame contributes -F24/F22 (plus) or -F23/F21 (minus) instead.
+    frames is either the integrated Lax frames or a pair of null frame
+    legs; both assemble the product F1 F2^T.  The plus line reads the
+    first columns, the minus line the second.
     """
-    us, vs, p1, p2, action = _frame_grids(frames)
+    us, vs, p1, p2 = _frame_grids(frames)
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
     k = 0 if sign == "plus" else 1
-    if action == "nu":
-        # F1 F2^-1 = F1 (adj(F2)^T)^T, a product assembly with adj(F2)^T
-        p2 = np.swapaxes(adjugate(p2), -1, -2)
     rep = _outer(p1[..., :, k], p2[..., :, k])
     g1, g2, bad = chart_coordinates(rep, tol)
     return GaussMapGrid(us=np.asarray(us), vs=np.asarray(vs), rep=rep,
                         g1=g1, g2=g2, mask=bad, sign=sign,
-                        chart=f"frame-{action}")
+                        chart="frame-mu")
 
 
 def _stable_column(m, tol):
@@ -262,6 +255,8 @@ def gauss_conformality_check(surface, fd=None, sign="plus", tol=DEFAULT_TOL):
     is the pointwise gap, NaN on the stencil border.
     """
     _require_h31(surface)
+    if sign not in ("plus", "minus"):
+        raise ValueError("sign must be 'plus' or 'minus'")
     if fd is None:
         fd = fundamental_data(surface, tol=tol)
     s = 1.0 if sign == "plus" else -1.0

@@ -39,8 +39,7 @@ from .algebra import act, adjugate, check_unimodular, det2, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d, as_field2d, fd_derivative
 from .geometry import AmbientSpec, SurfaceGrid
-from .nullcurves import (KIND_F1, KIND_F2_MU, KIND_F2_NU, IntegrationError,
-                         rk4_march, stage_times)
+from .nullcurves import KIND_F1, KIND_F2_MU, IntegrationError, rk4_march, stage_times
 from .weierstrass import WeierstrassData
 
 
@@ -112,7 +111,7 @@ class LaxFrames:
 
     def assemble(self, tol=DEFAULT_TOL):
         """Product surface Phi1 Phi2^T."""
-        points = act(self.phi1, self.phi2, "mu")
+        points = act(self.phi1, self.phi2)
         w = self.data.omega(self.us[:, None], self.vs[None, :])
         mask = np.broadcast_to(np.exp(w) < tol.degen, points.shape[:2]).copy()
         return SurfaceGrid(us=self.us, vs=self.vs, points=vec_of_mat(points), mask=mask,
@@ -190,7 +189,7 @@ def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL,
     vs = np.linspace(v0, v1, nv)
     if gate:
         res = float(np.max(np.abs(gmc_residual(data, us, vs))))
-        if res > tol.compat:
+        if not res <= tol.compat:
             raise CompatibilityError(
                 f"data fails the integrability condition: max residual {res:.3e} "
                 f"> {tol.compat:g}")
@@ -203,12 +202,12 @@ def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL,
     frames = _sweep(data, us, vs, init, substeps)
     corner = _edge(data, frames[:, :1, -1], us, vs[-1], substeps)[-1]
     defect = float(np.max(np.abs(frames[:, -1, -1:] - corner)))
-    if defect > tol.path:
+    if not defect <= tol.path:
         warnings.warn(f"far-corner path defect {defect:.3e} exceeds {tol.path:g}",
                       RuntimeWarning, stacklevel=2)
 
     drift = float(np.max(np.abs(det2(frames) - 1.0)))
-    if drift > tol.drift:
+    if not drift <= tol.drift:
         raise IntegrationError(
             f"determinant drift {drift:.3e} exceeds {tol.drift:g} in the frame sweep")
     return LaxFrames(us=us, vs=vs, phi1=frames[0], phi2=frames[1],
@@ -225,19 +224,14 @@ def _leg_data(curve, tol):
     b = coef[:, 0, 1]
     c = coef[:, 1, 0]
     nullity = float(np.max(np.abs(a * a + b * c)))
-    if nullity > 1e-8:
+    if not nullity <= 1e-8:
         raise ValueError(f"leg is not null: max |a^2 + bc| = {nullity:.3e}")
-    if curve.kind == KIND_F2_NU:
-        # nu leg: F^-1 dF = [[-sw, -w], [s^2 w, sw]] dv
-        den, s_num, w = b, a, -b
-    else:
-        den, s_num, w = c, a, c
-    bad = np.min(np.abs(den))
-    if bad < tol.pole:
+    bad = np.min(np.abs(c))
+    if not bad >= tol.pole:
         raise ZeroDivisionError(
             "direction entry of the connection vanishes on the range "
             f"(min |.| = {bad:.3e}); data only recoverable locally")
-    return s_num / den, w
+    return a / c, c
 
 
 def extract_weierstrass_data(f1, f2, tol=DEFAULT_TOL):
@@ -249,8 +243,8 @@ def extract_weierstrass_data(f1, f2, tol=DEFAULT_TOL):
     """
     if f1.kind != KIND_F1:
         raise ValueError(f"first leg must have kind {KIND_F1!r}, got {f1.kind!r}")
-    if f2.kind not in (KIND_F2_MU, KIND_F2_NU):
-        raise ValueError(f"second leg has kind {f2.kind!r}")
+    if f2.kind != KIND_F2_MU:
+        raise ValueError(f"second leg must have kind {KIND_F2_MU!r}, got {f2.kind!r}")
     q, f = _leg_data(f1, tol)
     r, g = _leg_data(f2, tol)
     return WeierstrassData.build(

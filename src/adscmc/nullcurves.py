@@ -4,39 +4,31 @@ A curve F(t) in SL(2,R) is null when det(F^-1 dF) = 0.  The curves used
 here solve
 
     F1^-1 dF1 = [[q, -q^2], [1, -q]] f(u) du        (the u leg)
-    F2^-1 dF2 = [[r, -r^2], [1, -r]] g(v) dv        (the v leg, mu)
-    (dF2^-1) F2 = [[r, 1], [-r^2, -r]] g(v) dv      (the v leg, nu)
+    F2^-1 dF2 = [[r, -r^2], [1, -r]] g(v) dv        (the v leg)
 
 with scalar fields (q, f) or (r, g).  The coefficient matrices are
 nilpotent, so the legs stay unimodular and RK4 tracks them to its usual
-fourth order.  The nu coefficient is the transpose of the u-leg form, so
-G^T = (F2^-1)^T solves the same system dY = Y C as the other legs; the
-nu leg integrates G^T and stores F2 = adj(G).
+fourth order.
 
 Products phi = F1 F2^T have mean curvature +1 in the unimodular quadric
-(with the orientation fixed downstream).  A product psi = F1 F2^-1 of
-a nu leg is one of them: psi = F1 (G^T)^T, and G^T is a mu leg started
-at the inverse transpose of F2's initial frame.  So psi has mean
-curvature +1 under the same orientation rule, from identity initial
-frames psi and phi coincide point for point, and mean curvature -1
-needs the flipped normal.  The induced metric coefficient of either
-product is -det of the summed leg coefficients, which is evaluated
-exactly from the attached fields rather than by differencing the grid.
+(with the orientation fixed downstream); mean curvature -1 needs the
+flipped normal.  The induced metric coefficient of the product is -det
+of the summed leg coefficients, which is evaluated exactly from the
+attached fields rather than by differencing the grid.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import act, adjugate, check_unimodular, det2, pack2, vec_of_mat
+from .algebra import act, check_unimodular, det2, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import as_field1d
 from .geometry import AmbientSpec, SurfaceGrid
 
 KIND_F1 = "F1-holomorphic"
 KIND_F2_MU = "F2-antiholomorphic-mu"
-KIND_F2_NU = "F2-antiholomorphic-nu"
-_KINDS = (KIND_F1, KIND_F2_MU, KIND_F2_NU)
+_KINDS = (KIND_F1, KIND_F2_MU)
 
 
 class IntegrationError(RuntimeError):
@@ -129,48 +121,48 @@ def integrate_frame(kind, s, w, t_range, n, init=None, substeps=1, tol=DEFAULT_T
     init = np.eye(2) if init is None else np.asarray(init, dtype=float)
     check_unimodular(init, tol, what="initial frame")
 
-    # the nu leg marches G^T = (F2^-1)^T, which solves the u-leg system
-    transposed = kind == KIND_F2_NU
-    y = adjugate(init).T if transposed else init
     h = (t1 - t0) / ((n - 1) * substeps)
     ts = stage_times(t0 + np.arange(n - 1) * (t1 - t0) / (n - 1), h, substeps)
-    out = np.stack(list(rk4_march(y, null_coefficient(s(ts), w(ts)), h)))
+    out = np.stack(list(rk4_march(init, null_coefficient(s(ts), w(ts)), h)))
     drift = float(np.max(np.abs(det2(out) - 1.0)))
-    if drift > tol.drift:
+    if not drift <= tol.drift:
         raise IntegrationError(
             f"determinant drift {drift:.3e} exceeds {tol.drift:g} on the {kind} leg")
-    if transposed:
-        out = adjugate(np.swapaxes(out, -1, -2))
     return FrameCurve(kind, s, w, t0, t1, n, samples=out, det_drift=drift)
 
 
 def frame_metric_grid(f1, f2):
     """Exact conformal factor grid of the assembled product surface.
 
-    Under either action it is -det(C1 + C2^T) with C1, C2 the two legs'
-    coefficients in the common dY = Y C form.
+    It is -det(C1 + C2^T) with C1, C2 the two legs' coefficients in the
+    common dY = Y C form.
     """
     c1 = null_coefficient(f1.s_field(f1.ts), f1.w_field(f1.ts))
     c2 = null_coefficient(f2.s_field(f2.ts), f2.w_field(f2.ts))
     return -det2(c1[:, None] + np.swapaxes(c2, -1, -2)[None, :])
 
 
-def _assemble(f1, f2, action, want_f2, tol):
+def _assemble(f1, f2, label, tol):
     if f1.kind != KIND_F1:
         raise ValueError(f"first factor must be a {KIND_F1} leg, got {f1.kind!r}")
-    if f2.kind != want_f2:
-        raise ValueError(f"assembly '{action}' needs a {want_f2} leg, got {f2.kind!r}")
-    points = vec_of_mat(act(f1.samples[:, None], f2.samples[None, :], action))
+    if f2.kind != KIND_F2_MU:
+        raise ValueError(f"second factor must be a {KIND_F2_MU} leg, got {f2.kind!r}")
+    points = vec_of_mat(act(f1.samples[:, None], f2.samples[None, :]))
     coef = frame_metric_grid(f1, f2)
     return SurfaceGrid(us=f1.ts, vs=f2.ts, points=points, mask=np.abs(coef) < tol.degen,
-                       ambient=AmbientSpec.h31(), assembly=action)
+                       ambient=AmbientSpec.h31(), assembly=label)
 
 
 def assemble_mu(f1, f2, tol=DEFAULT_TOL):
     """Grid of products F1(u_i) F2(v_j)^T with the degeneracy mask."""
-    return _assemble(f1, f2, "mu", KIND_F2_MU, tol)
+    return _assemble(f1, f2, "mu", tol)
 
 
 def assemble_nu(f1, f2, tol=DEFAULT_TOL):
-    """Grid of products F1(u_i) F2(v_j)^-1 with the degeneracy mask."""
-    return _assemble(f1, f2, "nu", KIND_F2_NU, tol)
+    """assemble_mu's grid, labelled "nu".
+
+    The inverse-action product F1 Psi^-1 of a leg Psi = F2^-T is F1 F2^T,
+    so it needs no leg system of its own; the label is kept for the
+    outputs that name it.
+    """
+    return _assemble(f1, f2, "nu", tol)

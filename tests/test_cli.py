@@ -332,6 +332,30 @@ def test_project_rejects_csv(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["cmc1", *ENNEPER_ARGS],
+    ["minimal", *ENNEPER_ARGS],
+    ["project", "missing.json", "--pole", "plus"],
+])
+def test_output_suffix_is_checked_before_the_build(tmp_path, capsys, monkeypatch, argv):
+    # the missing input of project shows the check comes before any read
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "foo.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error:") and "'foo.txt'" in err
+    assert ".obj" in err and ".json" in err
+    assert (".csv" in err) == (argv[0] != "project")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_format_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cmc1", *ENNEPER_ARGS, "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_project_projects_the_grid_once(tmp_path, capsys, monkeypatch):
     from adscmc import algebra, cli, export
     grid = tmp_path / "grid.json"

@@ -69,10 +69,20 @@ def test_stdout_matches_golden_digest(tmp_path, monkeypatch, capsys, name):
 
 
 def test_cmc1_nu_prints_the_mu_output(capsys):
-    # from identity initial frames the nu product F1 F2^-1 is the mu
-    # product F1 F2^T point for point, so it measures H = +1 as well
+    # the nu assembly is the mu product F1 F2^T under another label, and
+    # stdout does not print the label
     outs = []
     for extra in ([], ["--action", "nu"]):
         assert main(["cmc1", *ENNEPER, *extra]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def test_cmc1_nu_writes_the_mu_json_but_its_label(tmp_path, capsys):
+    # the benchmark's nu job relies on this: the same grid, labelled nu
+    paths = [tmp_path / "mu.json", tmp_path / "nu.json"]
+    for path, extra in zip(paths, ([], ["--action", "nu"])):
+        assert main(["cmc1", *ENNEPER, *extra, "--out", str(path)]) == 0
+    mu, nu = (p.read_bytes() for p in paths)
+    assert mu.count(b'"assembly":"mu"') == 1
+    assert nu == mu.replace(b'"assembly":"mu"', b'"assembly":"nu"')

@@ -14,7 +14,7 @@ from adscmc.gaussmaps import (
 )
 from adscmc.geometry import fundamental_data
 from adscmc.lax import GmcData, integrate_lax
-from adscmc.nullcurves import KIND_F1, KIND_F2_MU, KIND_F2_NU, integrate_frame
+from adscmc.nullcurves import KIND_F1, KIND_F2_MU, integrate_frame
 
 from conftest import H31_NAMES
 
@@ -50,20 +50,6 @@ def test_scroll_frame_chart_is_coth(gallery_module):
     assert np.max(np.abs(gm.g2 - 1.0 / vv)[ok]) < 1e-8
     assert gm.chart == "frame-mu"
     assert gm.max_rep_det() < 1e-10
-
-
-@pytest.mark.parametrize("sign", ["plus", "minus"])
-def test_nu_leg_pair_reads_the_mu_chart(sign):
-    # from identity initial frames F1 F2^-1 of a nu leg is F1 F2^T of
-    # the mu leg, so the inverse-assembly chart reads the same lines
-    f1 = integrate_frame(KIND_F1, "u", "1", (-0.5, 0.5), 21)
-    f2_mu = integrate_frame(KIND_F2_MU, "v", "1", (-0.5, 0.5), 21)
-    f2_nu = integrate_frame(KIND_F2_NU, "v", "1", (-0.5, 0.5), 21)
-    mu = frame_gauss_coordinates((f1, f2_mu), sign)
-    nu = frame_gauss_coordinates((f1, f2_nu), sign)
-    assert nu.chart == "frame-nu"
-    assert np.array_equal(nu.rep, mu.rep)
-    assert np.array_equal(nu.mask, mu.mask)
 
 
 @pytest.mark.parametrize("name", H31_NAMES)
@@ -207,6 +193,12 @@ def test_bad_sign_rejected(std_surfaces):
     _, surface, fd = std_surfaces["b-scroll"]
     with pytest.raises(ValueError, match="sign"):
         hyperbolic_gauss(surface, fd, "both")
+
+
+def test_conformality_check_rejects_a_bad_sign(std_surfaces):
+    _, surface, fd = std_surfaces["b-scroll"]
+    with pytest.raises(ValueError, match="sign"):
+        gauss_conformality_check(surface, fd, sign="minsu")
 
 
 @given(

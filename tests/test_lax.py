@@ -15,8 +15,8 @@ from adscmc.fields import as_field1d
 from adscmc.geometry import fundamental_data
 from adscmc.lax import (CompatibilityError, GmcData, extract_weierstrass_data,
                         gmc_residual, integrate_lax, lax_matrices)
-from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, FrameCurve, assemble_mu,
-                               integrate_frame)
+from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, FrameCurve, IntegrationError,
+                               assemble_mu, integrate_frame)
 
 LIOUVILLE = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
 FLAT_UMBILIC = GmcData.build("0", 1.0, "0", "0")
@@ -54,6 +54,30 @@ def test_incompatible_data_residual_value():
     assert np.allclose(first, -2.0, atol=1e-14)
     with pytest.raises(CompatibilityError, match="2.000e\\+00"):
         integrate_lax(bad, (0.0, 1.0, 0.0, 1.0), 11, 11)
+
+
+def test_nan_residual_fails_the_compatibility_gate():
+    # e^800 overflows, so (H^2 - 1)/2 e^omega reads 0 * inf = nan everywhere
+    huge = GmcData.build("800", 1.0, "0", "0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CompatibilityError, match="residual nan"):
+            integrate_lax(huge, (0.0, 1.0, 0.0, 1.0), 5, 5)
+
+
+def test_nan_frames_fail_the_path_and_drift_gates():
+    # ungated, H = 3 makes both off-diagonal coefficients about e^400, so
+    # their products overflow and the sweep ends in nan frames
+    huge = GmcData.build("800", 3.0, "0", "0")
+    with np.errstate(all="ignore"):
+        with pytest.warns(RuntimeWarning, match="path defect nan"):
+            with pytest.raises(IntegrationError, match="drift nan"):
+                integrate_lax(huge, (0.0, 1.0, 0.0, 1.0), 5, 5, gate=False)
+
+
+def test_nan_initial_frame_is_rejected():
+    with pytest.raises(ValueError, match="initial frame is not unimodular.*nan"):
+        integrate_lax(LIOUVILLE, (0.1, 0.5, 0.1, 0.5), 5, 5,
+                      init=(np.full((2, 2), np.nan), np.eye(2)))
 
 
 def test_gate_can_be_disabled():

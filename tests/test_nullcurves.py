@@ -1,10 +1,10 @@
-"""Null frame legs in the unimodular group and the two product assemblies."""
+"""Null frame legs in the unimodular group and their product assembly."""
 
 import numpy as np
 import pytest
 
 from adscmc.algebra import adjugate, det2, mat_of_vec
-from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, KIND_F2_NU, assemble_mu,
+from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, IntegrationError, assemble_mu,
                                assemble_nu, frame_metric_grid, integrate_frame,
                                null_coefficient)
 
@@ -46,7 +46,7 @@ def test_halving_shows_fourth_order():
 
 def test_nu_leg_substeps_refine_at_fourth_order():
     def end(substeps):
-        curve = integrate_frame(KIND_F2_NU, "sin(3*v)", "cosh(v)", (-0.5, 1.0), 41,
+        curve = integrate_frame(KIND_F2_MU, "sin(3*v)", "cosh(v)", (-0.5, 1.0), 41,
                                 substeps=substeps)
         assert np.allclose(curve.samples @ adjugate(curve.samples), np.eye(2), atol=1e-12)
         return curve.samples[-1]
@@ -83,11 +83,12 @@ def test_frozen_endpoint_value(gallery_module):
 def test_kind_tags_are_enforced():
     f1 = integrate_frame(KIND_F1, "0", "1", (0.0, 1.0), 11)
     f2m = integrate_frame(KIND_F2_MU, "0", "1", (0.0, 1.0), 11)
-    f2n = integrate_frame(KIND_F2_NU, "0", "1", (0.0, 1.0), 11)
-    with pytest.raises(ValueError, match="leg"):
-        assemble_mu(f1, f2n)
-    with pytest.raises(ValueError, match="leg"):
-        assemble_nu(f1, f2m)
+    with pytest.raises(ValueError, match="leg kind"):
+        integrate_frame("F2-antiholomorphic-nu", "0", "1", (0.0, 1.0), 11)
+    with pytest.raises(ValueError, match="second"):
+        assemble_mu(f1, f1)
+    with pytest.raises(ValueError, match="second"):
+        assemble_nu(f1, f1)
     with pytest.raises(ValueError, match="first"):
         assemble_mu(f2m, f2m)
 
@@ -104,39 +105,22 @@ def test_assembled_surface_matches_closed_form(gallery_module):
 
 
 def test_both_assemblies_agree_from_identity_frames():
-    # the inverse-action leg solves the transpose of the product-action
-    # leg system, so with identity initial frames the two assembled
-    # surfaces coincide point for point
+    # the inverse-action product F1 Psi^-1 of Psi = F2^-T is F1 F2^T, so
+    # both assemblies build the same points and differ only in the label
     f1 = integrate_frame(KIND_F1, "u", "1", (-0.5, 0.5), 101)
-    f2m = integrate_frame(KIND_F2_MU, "v", "1", (-0.5, 0.5), 101)
-    f2n = integrate_frame(KIND_F2_NU, "v", "1", (-0.5, 0.5), 101)
-    sm = assemble_mu(f1, f2m)
-    sn = assemble_nu(f1, f2n)
+    f2 = integrate_frame(KIND_F2_MU, "v", "1", (-0.5, 0.5), 101)
+    sm = assemble_mu(f1, f2)
+    sn = assemble_nu(f1, f2)
     assert np.array_equal(sm.points, sn.points)
-
-
-def test_nu_leg_is_the_adjugate_of_the_transposed_mu_leg():
-    # G = F2^-1 solves dG = C^T G, so G^T solves the mu leg's dY = Y C
-    m = np.array([[2.0, 1.0], [3.0, 2.0]])
-    nu = integrate_frame(KIND_F2_NU, "sin(3*v)", "cosh(v)", (-0.5, 1.0), 41,
-                         init=m, substeps=3)
-    mu = integrate_frame(KIND_F2_MU, "sin(3*v)", "cosh(v)", (-0.5, 1.0), 41,
-                         init=adjugate(m).T, substeps=3)
-    assert np.array_equal(nu.samples, adjugate(np.swapaxes(mu.samples, -1, -2)))
-    assert nu.det_drift == mu.det_drift
-
-
-def test_both_actions_share_the_metric_grid():
-    f1 = integrate_frame(KIND_F1, "sin(u)", "1+u*u/4", (-0.5, 0.7), 31)
-    f2m = integrate_frame(KIND_F2_MU, "v*v", "cosh(v)", (-0.4, 0.6), 27)
-    f2n = integrate_frame(KIND_F2_NU, "v*v", "cosh(v)", (-0.4, 0.6), 27)
-    assert np.array_equal(frame_metric_grid(f1, f2n), frame_metric_grid(f1, f2m))
+    assert np.array_equal(sm.mask, sn.mask)
+    assert (sm.assembly, sn.assembly) == ("mu", "nu")
 
 
 def test_degenerate_data_builds_the_flat_orbit():
     f1 = integrate_frame(KIND_F1, "0", "1", (0.0, 1.0), 11)
-    f2 = integrate_frame(KIND_F2_NU, "0", "1", (0.0, 1.0), 11)
+    f2 = integrate_frame(KIND_F2_MU, "0", "1", (0.0, 1.0), 11)
     surf = assemble_nu(f1, f2)
+    assert surf.assembly == "nu"
     want = np.array([[1.0, 1.0], [1.0, 2.0]])
     assert np.allclose(mat_of_vec(surf.points[-1, -1]), want, atol=1e-12)
     assert not surf.mask.any()
@@ -164,3 +148,16 @@ def test_null_coefficient_shapes():
     # the coefficient matrix is trace free and nilpotent for a null leg
     assert np.allclose(np.trace(c, axis1=-2, axis2=-1), 0.0, atol=1e-14)
     assert np.allclose(det2(c), 0.0, atol=1e-14)
+
+
+def test_nan_initial_frame_is_rejected():
+    with pytest.raises(ValueError, match="initial frame is not unimodular.*nan"):
+        integrate_frame(KIND_F1, "u", "1", (0.0, 1.0), 11, init=np.full((2, 2), np.nan))
+
+
+def test_nan_drift_fails_the_drift_gate():
+    # w = 1e200 overflows every RK4 stage to inf - inf = nan, so the
+    # determinant drift itself is nan and must not pass its gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match="drift nan"):
+            integrate_frame(KIND_F1, "u", "1e200", (0.0, 1.0), 11)

@@ -8,8 +8,7 @@ from adscmc.export import export_json, read_json
 from adscmc.gallery import GALLERY_NAMES, gallery, oracle_surface
 from adscmc.geometry import AmbientSpec, SurfaceGrid, fundamental_data, geometry_report
 from adscmc.lax import GmcData, integrate_lax
-from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, KIND_F2_NU, assemble_mu,
-                               assemble_nu, integrate_frame)
+from adscmc.nullcurves import KIND_F1, KIND_F2_MU, assemble_mu, assemble_nu, integrate_frame
 from adscmc.weierstrass import WeierstrassData, integrate_minimal
 
 H31, E31 = AmbientSpec.h31(), AmbientSpec.e31()
@@ -32,7 +31,7 @@ def _check(surface, ambient, assembly, shape):
 def test_null_curve_assembly_builds_quadric_grids():
     f1 = _leg(KIND_F1)
     _check(assemble_mu(f1, _leg(KIND_F2_MU)), H31, "mu", (9, 9))
-    _check(assemble_nu(f1, _leg(KIND_F2_NU)), H31, "nu", (9, 9))
+    _check(assemble_nu(f1, _leg(KIND_F2_MU)), H31, "nu", (9, 9))
 
 
 def test_lax_assembly_builds_quadric_grids():
