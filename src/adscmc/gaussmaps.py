@@ -34,7 +34,6 @@ from .algebra import det2, mat_of_vec, scalar_product4
 from .config import DEFAULT_TOL
 from .fields import fd_derivative
 from .geometry import _cd1, fundamental_data
-from .lax import lax_matrices
 from .nullcurves import KIND_F1, KIND_F2_MU
 
 
@@ -202,25 +201,34 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     that moves the frame in that direction: minus the (1,0) entry for
     the plus line, which reads e^{-w/2} Q and e^{w/2}(H-1)/2 in u, and
     e^{w/2}(H-1)/2 and e^{-w/2} R in v; the (0,1) entry for the minus
-    line.  The map is classified antiholomorphic where both
+    line, which reads e^{w/2}(H+1)/2 and e^{-w/2} Q in u, and
+    e^{-w/2} R and e^{w/2}(H+1)/2 in v.  All of them come from one
+    evaluation of omega, with no Lax matrix built.  The map is
+    classified antiholomorphic where both
     u-Wronskians vanish, holomorphic where both v-Wronskians vanish,
     constant where all four do; the report's label is the one every
     point shares, or "mixed".
     """
     if not hasattr(frames, "phi1"):
         raise ValueError("holomorphicity check needs integrated coordinate frames")
+    if sign not in ("plus", "minus"):
+        raise ValueError("sign must be 'plus' or 'minus'")
     us, vs = frames.us, frames.vs
     hu = float(us[1] - us[0])
     hv = float(vs[1] - vs[0])
+    data = frames.data
     u, v = us[:, None], vs[None, :]
-    coefs = (*lax_matrices(frames.data, u, v, True),
-             *lax_matrices(frames.data, u, v, False))
+    w = data.omega(u, v)
+    ep = np.exp(0.5 * w)
+    em = np.exp(-0.5 * w)
+    q = em * np.asarray(data.Q(u), dtype=float)
+    r = em * np.asarray(data.R(v), dtype=float)
     if sign == "plus":
-        col, pred = 0, [-m[..., 1, 0] for m in coefs]
-    elif sign == "minus":
-        col, pred = 1, [m[..., 0, 1] for m in coefs]
+        minus = 0.5 * ep * (data.H - 1.0)
+        col, pred = 0, (q, minus, minus, r)
     else:
-        raise ValueError("sign must be 'plus' or 'minus'")
+        plus = 0.5 * ep * (data.H + 1.0)
+        col, pred = 1, (plus, q, r, plus)
 
     a1, c1 = frames.phi1[..., 0, col], frames.phi1[..., 1, col]
     a2, c2 = frames.phi2[..., 0, col], frames.phi2[..., 1, col]
