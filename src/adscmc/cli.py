@@ -390,7 +390,7 @@ def _add_gmc(sp):
     sp.add_argument("--H", type=float, help="constant mean curvature of the data")
     sp.add_argument("--Q", help="expression for the uu Hopf coefficient, in u")
     sp.add_argument("--R", help="expression for the vv Hopf coefficient, in v")
-    sp.add_argument("--substeps", type=int, help="RK4 substeps per grid cell")
+    sp.add_argument("--substeps", type=int, help="Magnus substeps per grid cell")
 
 
 def _add_flip(sp):
@@ -414,7 +414,7 @@ def build_parser():
     _add_weierstrass(sp)
     sp.add_argument("--action", choices=("mu", "nu"),
                     help="assembly label (default mu); both build the same surface F1 F2^T")
-    sp.add_argument("--substeps", type=int, help="RK4 substeps per grid cell")
+    sp.add_argument("--substeps", type=int, help="Magnus substeps per grid cell")
     sp.add_argument("--pole", choices=("plus", "minus"), help="projection pole for OBJ")
     _add_flip(sp)
     _add_common(sp)

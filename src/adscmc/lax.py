@@ -23,11 +23,13 @@ Derivatives of omega are evaluated in forward mode through the
 expression tree, so the compatibility gate tests the equation itself,
 not a discretization of it.  Integration marches the bottom edge in u
 and then all columns together in v, both frames stacked in one state,
-with the RK4 coefficients of a block of v nodes for the whole column
-batch evaluated in one call.  A second path to the far corner (up the
-left edge, which is the sweep's first column, then along the top edge)
-measures the path-independence defect there, which is the numerical
-witness of the zero-curvature condition.
+with the Magnus integrator of nullcurves.py.  The coefficients at the
+Gauss points of a block of v nodes, and the sl(2,R) exponentials they
+give, are computed for the whole column batch in one call each, so each
+step of the march is one 2x2 product.  A second path to the far corner
+(up the left edge, which is the sweep's first column, then along the
+top edge) measures the path-independence defect there, which is the
+numerical witness of the zero-curvature condition.
 """
 
 import warnings
@@ -39,7 +41,8 @@ from .algebra import act, adjugate, check_unimodular, det2, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d, as_field2d, fd_derivative
 from .geometry import AmbientSpec, SurfaceGrid
-from .nullcurves import KIND_F1, KIND_F2_MU, IntegrationError, rk4_march, stage_times
+from .nullcurves import (KIND_F1, KIND_F2_MU, IntegrationError, magnus_increments,
+                         magnus_march, stage_times)
 from .weierstrass import WeierstrassData
 
 
@@ -80,8 +83,12 @@ def gmc_residual(data, us, vs):
     return wuv + 0.5 * (data.H ** 2 - 1.0) * e - 2.0 * q * r / e
 
 
-def lax_matrices(data, u, v, along_u):
-    """The coefficient pair (U1, U2) if along_u, else (V1, V2), at points (u, v)."""
+def _lax_entries(data, u, v, along_u):
+    """Trace-free entries (x, y, z) of (U1, U2) if along_u, else (V1, V2).
+
+    A coefficient [[x, y], [z, -x]] is given by its entries (x, y, z),
+    evaluated at points (u, v).
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     w, wu, wv, _ = data.omega.with_derivatives(u, v)
@@ -92,10 +99,15 @@ def lax_matrices(data, u, v, along_u):
     if along_u:
         d = wu / 4.0
         q = em * np.asarray(data.Q(u), dtype=float)
-        return pack2(d, plus, -q, -d), pack2(-d, q, -minus, d)
+        return (d, plus, -q), (-d, q, -minus)
     d = wv / 4.0
     r = em * np.asarray(data.R(v), dtype=float)
-    return pack2(-d, r, -minus, d), pack2(d, plus, -r, -d)
+    return (-d, r, -minus), (d, plus, -r)
+
+
+def lax_matrices(data, u, v, along_u):
+    """The coefficient pair (U1, U2) if along_u, else (V1, V2), at points (u, v)."""
+    return tuple(pack2(x, y, z, -x) for x, y, z in _lax_entries(data, u, v, along_u))
 
 
 @dataclass
@@ -119,48 +131,61 @@ class LaxFrames:
 
 
 def _coefs(data, u, v, along_u):
-    """(U1, U2) or (V1, V2) at points (u, v) batched along their last axis.
+    """Entries of (U1, U2) or (V1, V2) at points (u, v), laid out for Magnus.
 
-    The frame axis goes right before the batch axis, as in the state.
+    The points carry the stage times' [stage, node, substep] axes first
+    and a batch axis last; the entries come out indexed [(x, y, z),
+    stage, node, substep, frame, batch], the frame axis going right
+    before the batch axis, as in the state.
     """
-    return np.stack(lax_matrices(data, u, v, along_u), axis=-4)
+    f1, f2 = _lax_entries(data, u, v, along_u)
+    return np.stack([np.stack(pair, axis=-2) for pair in zip(f1, f2)])
 
 
-# points per column coefficient call: 10^4 is 16 v nodes at 201 x 201
-# with one substep, 13 calls per sweep instead of 200.  The integrate_lax
-# tracemalloc peak there reads 3.8 MiB with one node per call, 4.6 MiB
-# with 16, 10.8 MiB with 64 and 20.9 MiB with the whole grid in one call.
+def _planes(m):
+    """A view of matrices (..., 2, 2) as component planes (2, 2, ...)."""
+    return np.moveaxis(m, (-2, -1), (0, 1))
+
+
+# points per column coefficient call: 10^4 is 24 v nodes at 201 x 201
+# with one substep, 9 calls per sweep instead of 200; the block's Magnus
+# increments come from one call too.  The integrate_lax tracemalloc peak
+# there reads 3.8 MiB with one node per call, 4.3 MiB with 24, 7.2 MiB
+# with 64 and 14.8 MiB with the whole grid in one call.
 _BLOCK_POINTS = 10_000
 
 
 def _edge(data, y, us, v, substeps):
-    """Both frames (2, 1, 2, 2) at the nodes us of the grid row at v.
+    """Both frames as planes (2, 2, 2, nu) at the nodes us of the grid row at v.
 
-    The coefficients of the whole row come from one call.
+    y holds both frames at us[0] as planes (2, 2, 2, 1); the
+    coefficients and increments of the whole row come from one call.
     """
     h = (us[-1] - us[0]) / ((len(us) - 1) * substeps)
     times = stage_times(us[:-1], h, substeps)[..., None]
-    return list(rk4_march(y, _coefs(data, times, v, True), h))
+    steps = magnus_increments(_coefs(data, times, v, True), h)
+    return np.concatenate(list(magnus_march(y, steps)), axis=-1)
 
 
 def _sweep(data, us, vs, init, substeps):
     """Both frames (2, nu, nv, 2, 2): bottom edge in u, then all columns in v.
 
-    The columns advance together.  One coefficient call covers every
-    stage time of a block of v nodes, about _BLOCK_POINTS points, and the
-    march reads the block node by node.
+    The columns advance together.  One coefficient call and one
+    increment call cover every stage time of a block of v nodes, about
+    _BLOCK_POINTS points, and the march reads the block node by node,
+    writing each node straight into the output.
     """
     out = np.empty((2, len(us), len(vs), 2, 2))
     bottom = _edge(data, init, us, vs[0], substeps)
-    out[:, :, 0] = np.concatenate(bottom, axis=1)
     h = (vs[-1] - vs[0]) / ((len(vs) - 1) * substeps)
     times = stage_times(vs[:-1], h, substeps)
-    k = max(1, _BLOCK_POINTS // (times[0].size * len(us)))
-    blocks = (_coefs(data, us, times[i:i + k, ..., None], False)
-              for i in range(0, len(times), k))
+    k = max(1, _BLOCK_POINTS // (times[:, 0].size * len(us)))
+    blocks = (magnus_increments(_coefs(data, us, times[:, i:i + k, ..., None], False), h)
+              for i in range(0, times.shape[1], k))
     columns = (node for block in blocks for node in block)
-    for j, y in enumerate(rk4_march(out[:, :, 0], columns, h)):
-        out[:, :, j] = y
+    planes = _planes(out)
+    for j, y in enumerate(magnus_march(bottom, columns)):
+        planes[..., j] = y
     return out
 
 
@@ -174,8 +199,8 @@ def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL,
     The compatibility gate evaluates the integrability residual on the
     grid (exactly for closed-form omega) and rejects incompatible data.
     The sweep is bottom edge then columns, with one coefficient call per
-    edge and one per block of column nodes (all their RK4 stage times at
-    once).  A single alternate path, up the left edge (the sweep's first
+    edge and one per block of column nodes (all their Magnus stage times
+    at once).  A single alternate path, up the left edge (the sweep's first
     column) and then along the top edge, reaches the far corner, where
     the path-independence defect is largest; only that corner of it is
     compared.
@@ -198,10 +223,10 @@ def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL,
     for m in init:
         check_unimodular(np.asarray(m, dtype=float), tol, what="initial frame")
 
-    init = np.stack(init).astype(float)[:, None]
+    init = _planes(np.stack(init).astype(float)[:, None])
     frames = _sweep(data, us, vs, init, substeps)
-    corner = _edge(data, frames[:, :1, -1], us, vs[-1], substeps)[-1]
-    defect = float(np.max(np.abs(frames[:, -1, -1:] - corner)))
+    corner = _edge(data, _planes(frames[:, :1, -1]), us, vs[-1], substeps)[..., -1]
+    defect = float(np.max(np.abs(_planes(frames[:, -1, -1]) - corner)))
     if not defect <= tol.path:
         warnings.warn(f"far-corner path defect {defect:.3e} exceeds {tol.path:g}",
                       RuntimeWarning, stacklevel=2)

@@ -25,23 +25,23 @@ CASES = {
     "minimal": ([], ["minimal", *ENNEPER], 0,
         "ada5950adb37d05a6dce10e00ed6a9396897f758e5e6851448a95cfee964f51f"),
     "cmc1-mu-json": ([], GRID, 0,
-        "0c056d0cac858de3fe1f508596e31ff3e9fc13b46148f27a1d9e4988b16d51fa"),
+        "bd895919d6f4ebea7f2abba496dba181d2584dc44681a6b44b33ac9886603e75"),
     "cmc1-nu-csv": ([], ["cmc1", *ENNEPER, "--action", "nu", "--out", "s.csv"], 0,
-        "9e4e87777305aa24741f25d8327e6a784dc8697eb13660cc7f42094784b2a319"),
+        "e31b4595f5329e54347ef96dfc3fb0b69046ddf4187407e470a96d78bb444b4b"),
     "lax-mu-obj": ([], ["lax", *LIOUVILLE, "--out", "s.obj"], 0,
-        "fc6ca27a3a2c50779cfae3bed52fe09e501772e9e8f06007c95887a133832ec0"),
+        "12d43c438466be55db7e688428f7e79957ee834d80c8f53f66d37718539a54df"),
     "lax-flipped": ([], ["lax", *LIOUVILLE, "--flip-normal"], 0,
-        "2cb6dfc958c94723d340925a6fc9b708fcd1bcf59baec79c043a2683f27cba50"),
+        "cff580864988be1372838dfbf81891304f9c61dc19fae52c73adad74dfe4b08f"),
     "gauss": ([], ["gauss", *LIOUVILLE, "--out", "g.json"], 0,
-        "9c7a828d5570735686670589f9e15eb5fbefecacf5f1c4571f8cfb765a63728e"),
+        "8102d1e5b5c1449967878bcfcbf1b69232dcd2cfe1b8f0e351b39539308dd86d"),
     "verify": ([GRID], ["verify", "grid.json", "--H", "1"], 0,
-        "353e2986a3809d0b28070d264e1a66f97453e6ea8ca8e9ce3cd65753fe94ff16"),
+        "9c712c42d638a0f025085003abe6b04dcaa3bd4a08cddec46f735b35e7966d55"),
     "project-plus-json": ([GRID], PROJECTED, 0,
-        "e0cda421f75f2d13b33c3b5899290b80d32def57762b1c66e8d9e0de976134f0"),
+        "43912bfcdc7982e8c27c8254e98f682f89c90681237ef9b848aa27549d68e177"),
     "project-minus-obj": ([GRID], ["project", "grid.json", "--pole", "minus", "--out", "p.obj"], 0,
         "c825c9838916ea1676117954eb8970685579f8fdca0bd50cfc2505ed5707571f"),
     "verify-projected": ([GRID, PROJECTED], ["verify", "proj.json"], 1,
-        "0f22ae7a7946ecca76b0556563277c8b4c8e0b50f1870c357ed55e3cce5ad431"),
+        "7d572f891be4ad31efc1217722d3fdd84192454d7fdb82cc19f9ceb6df06acdd"),
     "gallery-fail": ([], ["gallery", "b-scroll", *SMALL], 1,
         "5a1bcb5605ce04676d567ea89d01c35aebea35f843647bcc633303e34fa76d87"),
     "gallery-minimal-json": ([], ["gallery", "minimal-enneper", "--domain", "-0.3", "0.3",

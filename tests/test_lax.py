@@ -241,7 +241,7 @@ def _count_omega_calls(monkeypatch, data):
 
 def _block_calls(nu, nv, substeps):
     """Column coefficient calls of one sweep: one per block of v nodes."""
-    k = max(1, lax._BLOCK_POINTS // (3 * substeps * nu))
+    k = max(1, lax._BLOCK_POINTS // (2 * substeps * nu))
     return math.ceil((nv - 1) / k)
 
 
@@ -259,8 +259,8 @@ def test_sweep_evaluates_omega_once_per_block(monkeypatch):
     data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
     calls = _count_omega_calls(monkeypatch, data)
     integrate_lax(data, DIGEST_DOMAIN, 201, 201)
-    # 3 + ceil(200 / 16): 16 nodes of 603 points fit a block
-    assert len(calls) <= 3 + _block_calls(201, 201, 1) == 16
+    # 3 + ceil(200 / 24): 24 nodes of 402 points fit a block
+    assert len(calls) <= 3 + _block_calls(201, 201, 1) == 12
     # no call covers more than a block of column nodes
     assert max(math.prod(shape) for shape in calls[1:]) <= lax._BLOCK_POINTS
 
@@ -284,19 +284,19 @@ def test_sweep_peak_memory_stays_flat():
 
 
 # sha256 of phi1.tobytes() + phi2.tobytes() and repr(path_defect) for the
-# Liouville frames, keyed by (nu, nv, substeps), as computed with
-# one coefficient call per column node and a separate march up the left
-# edge.  201 x 201 ends in a part block, and (201, 51) with two substeps
-# in another; every bit must survive the blocks and the reused column.
+# Liouville frames, keyed by (nu, nv, substeps), as computed by the
+# Magnus march with one coefficient call per column node.  201 x 201
+# ends in a part block, and (201, 51) with two substeps in another;
+# every bit must survive the blocks and the reused column.
 FRAME_DIGESTS = {
-    (201, 201, 1): ("0dc031052d7d057bd1240f217210e6c5d2ec4248c1abd7398ce4323a297e7440",
-                    "2.723765657464128e-12"),
-    (37, 18, 1): ("658d99e6c063778604973107f3e1d94bbb2119f6491eb2b3cb33ff8d5542a2a9",
-                  "3.891778288522829e-08"),
-    (5, 2, 1): ("eb9add93d0abf3da3bf97e8d84c3131c378ceec8a971d4ccc9f112464b4e7c9e",
-                "1.2515974923132944e-09"),
-    (201, 51, 2): ("9b369f2d8f6c269949dcde071bbda3077e863282e8fbb6d854abe80596c2afd5",
-                   "3.239153389955618e-11"),
+    (201, 201, 1): ("923dc28f238f5f3a1b6696a5e85ed5e5aeee49f704a88398af8ed7e4f06cddfd",
+                    "2.2906676555578542e-12"),
+    (37, 18, 1): ("3b41e7e379149ed2a1e84fa198792919c29b8e87e357d72192f7b164f596cd06",
+                  "3.82617548200237e-08"),
+    (5, 2, 1): ("ec31d11fe45f6f454028584cf26dd1e2a7c67ec84cfaa4568c364ec1eab9e3c1",
+                "7.215081865297179e-10"),
+    (201, 51, 2): ("ed5fd9d153cfa5f44b48b54c5ed595ce5515439f7d64c8540435d125fe050f0c",
+                   "3.1986635562475385e-11"),
 }
 
 
@@ -312,7 +312,7 @@ def test_frames_keep_their_bits(key):
     assert _frame_digest(*key) == FRAME_DIGESTS[key]
 
 
-@pytest.mark.parametrize("points", [1, 5 * 3 * 37, 10 ** 6])
+@pytest.mark.parametrize("points", [1, 5 * 2 * 37, 10 ** 6])
 def test_block_size_moves_no_bit(monkeypatch, points):
     # one node per block, blocks of 5 nodes (17 = 3 * 5 + 2), the whole sweep at once
     monkeypatch.setattr(lax, "_BLOCK_POINTS", points)

@@ -156,8 +156,8 @@ def test_nan_initial_frame_is_rejected():
 
 
 def test_nan_drift_fails_the_drift_gate():
-    # w = 1e200 overflows every RK4 stage to inf - inf = nan, so the
-    # determinant drift itself is nan and must not pass its gate
+    # w = 1e200 overflows every Magnus step's Omega to inf - inf = nan,
+    # so the determinant drift itself is nan and must not pass its gate
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError, match="drift nan"):
             integrate_frame(KIND_F1, "u", "1e200", (0.0, 1.0), 11)
