@@ -70,9 +70,13 @@ def null_coefficient(s, w):
     s and w may be arrays; the result has shape s.shape + (2, 2) and is
     nilpotent (trace and determinant both vanish identically).
     """
-    s = np.asarray(s, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return pack2(s, -s * s, 1.0, -s) * w[..., None, None]
+    x, y, z = _null_entries(np.asarray(s, dtype=float), np.asarray(w, dtype=float))
+    return pack2(x, y, z, -x)
+
+
+def _null_entries(s, w):
+    """Trace-free entries (x, y, z) of the leg coefficient [[x, y], [z, -x]]."""
+    return s * w, -s * s * w, w
 
 
 # Gauss-Legendre nodes of one step, as fractions of it
@@ -190,8 +194,7 @@ def integrate_frame(kind, s, w, t_range, n, init=None, substeps=1, tol=DEFAULT_T
 
     h = (t1 - t0) / ((n - 1) * substeps)
     ts = stage_times(t0 + np.arange(n - 1) * (t1 - t0) / (n - 1), h, substeps)
-    sv, wv = s(ts), w(ts)
-    steps = magnus_increments((sv * wv, -sv * sv * wv, wv), h)
+    steps = magnus_increments(_null_entries(s(ts), w(ts)), h)
     out = np.stack(list(magnus_march(init, steps)))
     drift = float(np.max(np.abs(det2(out) - 1.0)))
     if not drift <= tol.drift:

@@ -312,9 +312,10 @@ def test_frames_keep_their_bits(key):
     assert _frame_digest(*key) == FRAME_DIGESTS[key]
 
 
-@pytest.mark.parametrize("points", [1, 5 * 2 * 37, 10 ** 6])
+@pytest.mark.parametrize("points", [1, 555, 10 ** 6])
 def test_block_size_moves_no_bit(monkeypatch, points):
-    # one node per block, blocks of 5 nodes (17 = 3 * 5 + 2), the whole sweep at once
+    # one node per block, blocks of 7 nodes of 2 * 37 points (17 = 2 * 7 + 3),
+    # the whole sweep at once
     monkeypatch.setattr(lax, "_BLOCK_POINTS", points)
     key = (37, 18, 1)
     assert _frame_digest(*key) == FRAME_DIGESTS[key]
