@@ -86,8 +86,8 @@ HOMOGENEOUS = {
 @pytest.mark.parametrize("n", [51, 201])
 def test_homogeneous_frames_are_exact_exponentials(name, n):
     # Magnus is exact on constant commuting coefficients, so the frames
-    # equal exp((u - u0) U + (v - v0) V) to rounding (RK4 missed it by
-    # 4.8e-12 at 201^2)
+    # equal exp((u - u0) U + (v - v0) V) to rounding (RK4 frames missed it
+    # by 2.7e-12 at 201^2)
     data = HOMOGENEOUS[name]
     dom = (0.1, 0.9, -0.2, 0.6)
     assert np.max(np.abs(gmc_residual(data, np.zeros(1), np.zeros(1)))) < 1e-15
