@@ -204,10 +204,9 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     line, which reads e^{w/2}(H+1)/2 and e^{-w/2} Q in u, and
     e^{-w/2} R and e^{w/2}(H+1)/2 in v.  All of them come from one
     evaluation of omega, with no Lax matrix built.  The map is
-    classified antiholomorphic where both
-    u-Wronskians vanish, holomorphic where both v-Wronskians vanish,
-    constant where all four do; the report's label is the one every
-    point shares, or "mixed".
+    classified antiholomorphic where both u-Wronskians vanish,
+    holomorphic where both v-Wronskians vanish, constant where all four
+    do; the report's label is the one every point shares, or "mixed".
     """
     if not hasattr(frames, "phi1"):
         raise ValueError("holomorphicity check needs integrated coordinate frames")

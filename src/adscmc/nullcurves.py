@@ -102,7 +102,7 @@ def stage_times(starts, h, substeps):
 
 
 def _horner(coefs, x):
-    out = np.full_like(x, coefs[0])
+    out = coefs[0]
     for c in coefs[1:]:
         out = out * x + c
     return out
