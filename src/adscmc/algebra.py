@@ -168,24 +168,15 @@ def cross3(a, b):
     return out
 
 
-def project_h31(x, pole="plus", strict=True, tol=DEFAULT_TOL):
+def project_h31(x, pole="plus", tol=DEFAULT_TOL):
     """Stereographic chart of the unimodular quadric into 3-space.
 
-    Components (x1, x2, x3) are divided by 1 + x0 (pole "plus") or
-    1 - x0 (pole "minus").  Input may be component vectors (..., 4) or
-    matrices (..., 2, 2).  By default points must lie on the quadric
-    within 1e-8 and clear the pole by more than tol.pole, else this
-    raises; strict=False instead maps pole-adjacent points to NaN and
-    skips the quadric check (grid exports mask rather than abort).
+    Components (x1, x2, x3) of component vectors (..., 4) are divided by
+    1 + x0 (pole "plus") or 1 - x0 (pole "minus").  Points within
+    tol.pole of the pole map to NaN, so grid exports mask them rather
+    than abort.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] == 2 and x.ndim >= 2 and x.shape[-2] == 2:
-        x = vec_of_mat(x)
-    if strict:
-        quad = -x[..., 0] ** 2 - x[..., 1] ** 2 + x[..., 2] ** 2 + x[..., 3] ** 2
-        off = np.max(np.abs(quad + 1.0)) if quad.size else 0.0
-        if not off <= 1e-8:
-            raise ValueError(f"point off the unit-determinant quadric by {off:.3e}")
     if pole == "plus":
         den = 1.0 + x[..., 0]
     elif pole == "minus":
@@ -193,8 +184,6 @@ def project_h31(x, pole="plus", strict=True, tol=DEFAULT_TOL):
     else:
         raise ValueError("pole must be 'plus' or 'minus'")
     at_pole = np.abs(den) <= tol.pole
-    if strict and np.any(at_pole):
-        raise ZeroDivisionError("projection evaluated at its pole (1 +- x0 = 0)")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = x[..., 1:] / den[..., None]
     return np.where(at_pole[..., None], np.nan, out)

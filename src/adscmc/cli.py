@@ -193,15 +193,18 @@ def _print_stats(stats):
         print(f"{key} = {value!r}")
 
 
+def _print_gate(ok, name, value, bound):
+    """Print the gate line of an (ok, name, value, bound) verdict; return its exit status."""
+    print(f"gate {name} = {value!r} bound {bound!r} -> {'pass' if ok else 'FAIL'}")
+    return 0 if ok else 1
+
+
 def _gate(report, cfg, target_h):
     h_error = None
     if target_h is not None:
         h_error = report.stats_h_error(target_h)
         print(f"max_h_error = {h_error!r}")
-    ok, name, value, bound = report.worst(cfg.tol, target_h=target_h, h_error=h_error)
-    verdict = "pass" if ok else "FAIL"
-    print(f"gate {name} = {value!r} bound {bound!r} -> {verdict}")
-    return 0 if ok else 1
+    return _print_gate(*report.worst(cfg.tol, target_h=target_h, h_error=h_error))
 
 
 def _export(cfg, surface, report):
@@ -311,10 +314,8 @@ def _cmd_gauss(cfg):
         print(f"wrote {cfg.out}")
 
     value = findings["max_identity_residual"]
-    ok = np.isfinite(value) and value <= cfg.tol.hol
-    verdict = "pass" if ok else "FAIL"
-    print(f"gate holomorphicity_identity = {value!r} bound {cfg.tol.hol!r} -> {verdict}")
-    return 0 if ok else 1
+    return _print_gate(np.isfinite(value) and value <= cfg.tol.hol,
+                       "holomorphicity_identity", value, cfg.tol.hol)
 
 
 def _cmd_project(cfg):
@@ -324,7 +325,7 @@ def _cmd_project(cfg):
         raise UsageError("project needs a raw quadric surface (4-component vertices)")
 
     x = surface.points
-    y = project_h31(x, cfg.pole, strict=False, tol=cfg.tol)
+    y = project_h31(x, cfg.pole, tol=cfg.tol)
     good = ~surface.mask & np.isfinite(y).all(axis=-1)
     # Each pole maps its own half {±x0 > 0} into the open unit indefinite
     # ball; points from the other half land outside by construction, so
@@ -339,11 +340,8 @@ def _cmd_project(cfg):
 
     export_surface(surface, cfg.pole, cfg.out_format, cfg.out, tol=cfg.tol, chart=y)
     print(f"wrote {cfg.out}")
-    if np.any(gated) and not (np.isfinite(worst) and worst < 1.0):
-        print(f"gate projection_interior = {worst!r} bound 1.0 -> FAIL")
-        return 1
-    print(f"gate projection_interior = {worst!r} bound 1.0 -> pass")
-    return 0
+    return _print_gate(not np.any(gated) or (np.isfinite(worst) and worst < 1.0),
+                       "projection_interior", worst, 1.0)
 
 
 def _cmd_gallery(cfg):

@@ -96,15 +96,14 @@ def _grid_vertices(surface, projection, tol, chart=None):
     """Zero-filled (nu*nv, k) vertex rows and the effective (nu, nv) mask.
 
     chart, when given, is the caller's own
-    project_h31(surface.points, projection, strict=False, tol=tol),
-    so that a grid is projected once.
+    project_h31(surface.points, projection, tol=tol), so that a grid is
+    projected once.
     """
     comps = surface.points
     if projection is not None:
         if surface.ambient.name != "H31":
             raise ValueError("projection applies only to quadric surfaces")
-        comps = chart if chart is not None else project_h31(
-            comps, pole=projection, strict=False, tol=tol)
+        comps = chart if chart is not None else project_h31(comps, projection, tol=tol)
     finite = np.isfinite(comps)
     mask = np.asarray(surface.mask, dtype=bool) | ~finite.all(axis=-1)
     return np.where(finite, comps, 0.0).reshape(-1, comps.shape[-1]), mask

@@ -490,7 +490,11 @@ class ScalarField2D:
         return cls(expr=Num(float(value)))
 
     def __call__(self, u, v):
-        return self.with_derivatives(u, v)[0]
+        """Value at broadcastable points (u, v), without the derivative slots."""
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        val = eval_expression(self.expr, {"u": u, "v": v})
+        return np.broadcast_to(val, np.broadcast_shapes(u.shape, v.shape))
 
     def with_derivatives(self, u, v):
         """Value, f_u, f_v, f_uv at broadcastable points (u, v)."""

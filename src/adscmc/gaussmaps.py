@@ -33,8 +33,9 @@ import numpy as np
 from .algebra import det2, mat_of_vec, scalar_product4
 from .config import DEFAULT_TOL
 from .fields import fd_derivative
-from .geometry import _cd1, fundamental_data
-from .nullcurves import KIND_F1, KIND_F2_MU
+from .geometry import _cd1
+from .lax import lax_terms
+from .nullcurves import check_leg_pair
 
 
 @dataclass
@@ -83,12 +84,17 @@ def _require_h31(surface):
         raise ValueError("Gauss map charts need a surface in the matrix model")
 
 
+def _sign_index(sign):
+    """0 for the plus line, 1 for the minus line."""
+    if sign not in ("plus", "minus"):
+        raise ValueError("sign must be 'plus' or 'minus'")
+    return 0 if sign == "plus" else 1
+
+
 def hyperbolic_gauss(surface, fd, sign="plus", tol=DEFAULT_TOL):
     """Chart coordinates of [phi +- N] from the measured normal."""
     _require_h31(surface)
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
-    s = 1.0 if sign == "plus" else -1.0
+    s = (1.0, -1.0)[_sign_index(sign)]
     rep = mat_of_vec(surface.points + s * fd.normal)
     g1, g2, bad = chart_coordinates(rep, tol)
     return GaussMapGrid(us=surface.us, vs=surface.vs, rep=rep, g1=g1, g2=g2,
@@ -105,10 +111,7 @@ def _frame_grids(frames):
     if hasattr(frames, "phi1"):   # integrated Lax frames
         return frames.us, frames.vs, frames.phi1, frames.phi2
     f1, f2 = frames
-    if f1.kind != KIND_F1:
-        raise ValueError(f"first leg must have kind {KIND_F1!r}")
-    if f2.kind != KIND_F2_MU:
-        raise ValueError(f"second leg has kind {f2.kind!r}")
+    check_leg_pair(f1, f2)
     shape = (f1.n, f2.n, 2, 2)
     return (f1.ts, f2.ts, np.broadcast_to(f1.samples[:, None], shape),
             np.broadcast_to(f2.samples[None, :], shape))
@@ -122,9 +125,7 @@ def frame_gauss_coordinates(frames, sign="plus", tol=DEFAULT_TOL):
     first columns, the minus line the second.
     """
     us, vs, p1, p2 = _frame_grids(frames)
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
-    k = 0 if sign == "plus" else 1
+    k = _sign_index(sign)
     rep = _outer(p1[..., :, k], p2[..., :, k])
     g1, g2, bad = chart_coordinates(rep, tol)
     return GaussMapGrid(us=np.asarray(us), vs=np.asarray(vs), rep=rep,
@@ -202,32 +203,21 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     the plus line, which reads e^{-w/2} Q and e^{w/2}(H-1)/2 in u, and
     e^{w/2}(H-1)/2 and e^{-w/2} R in v; the (0,1) entry for the minus
     line, which reads e^{w/2}(H+1)/2 and e^{-w/2} Q in u, and
-    e^{-w/2} R and e^{w/2}(H+1)/2 in v.  All of them come from one
-    evaluation of omega, with no Lax matrix built.  The map is
+    e^{-w/2} R and e^{w/2}(H+1)/2 in v.  All of them are lax_terms of
+    one plain evaluation of omega, with no Lax matrix built.  The map is
     classified antiholomorphic where both u-Wronskians vanish,
     holomorphic where both v-Wronskians vanish, constant where all four
     do; the report's label is the one every point shares, or "mixed".
     """
     if not hasattr(frames, "phi1"):
         raise ValueError("holomorphicity check needs integrated coordinate frames")
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
+    col = _sign_index(sign)
     us, vs = frames.us, frames.vs
     hu = float(us[1] - us[0])
     hv = float(vs[1] - vs[0])
-    data = frames.data
     u, v = us[:, None], vs[None, :]
-    w = data.omega(u, v)
-    ep = np.exp(0.5 * w)
-    em = np.exp(-0.5 * w)
-    q = em * np.asarray(data.Q(u), dtype=float)
-    r = em * np.asarray(data.R(v), dtype=float)
-    if sign == "plus":
-        minus = 0.5 * ep * (data.H - 1.0)
-        col, pred = 0, (q, minus, minus, r)
-    else:
-        plus = 0.5 * ep * (data.H + 1.0)
-        col, pred = 1, (plus, q, r, plus)
+    plus, minus, q, r = lax_terms(frames.data, frames.data.omega(u, v), u, v)
+    pred = (plus, q, r, plus) if col else (q, minus, minus, r)
 
     a1, c1 = frames.phi1[..., 0, col], frames.phi1[..., 1, col]
     a2, c2 = frames.phi2[..., 0, col], frames.phi2[..., 1, col]
@@ -254,7 +244,7 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
         label=str(labels.flat[0]) if (labels == labels.flat[0]).all() else "mixed")
 
 
-def gauss_conformality_check(surface, fd=None, sign="plus", tol=DEFAULT_TOL):
+def gauss_conformality_check(surface, fd, sign="plus", tol=DEFAULT_TOL):
     """Residual of the chart-metric identity for near-unit |H|.
 
     The du dv coefficient of <d(phi +- N), d(phi +- N)> equals
@@ -262,11 +252,7 @@ def gauss_conformality_check(surface, fd=None, sign="plus", tol=DEFAULT_TOL):
     is the pointwise gap, NaN on the stencil border.
     """
     _require_h31(surface)
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
-    if fd is None:
-        fd = fundamental_data(surface, tol=tol)
-    s = 1.0 if sign == "plus" else -1.0
+    s = (1.0, -1.0)[_sign_index(sign)]
     m = surface.points + s * fd.normal
     mu = _cd1(m, fd.hu, 0)
     mv = _cd1(m, fd.hv, 1)

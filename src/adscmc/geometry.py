@@ -129,11 +129,6 @@ def _cdm(a, hu, hv):
     return out
 
 
-def _planes(points):
-    """Components first: one contiguous (c, nu, nv) copy of (nu, nv, c) points."""
-    return np.ascontiguousarray(np.moveaxis(points, -1, 0))
-
-
 def _uniform_step(ts, name):
     d = np.diff(ts)
     if d.size == 0 or np.max(np.abs(d - d[0])) > 1e-9 * max(1.0, abs(d[0])):
@@ -179,13 +174,13 @@ class FundamentalData:
             return self.valid() & (self.metric >= tol.metric_floor)
 
 
-def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False, strict=False):
+def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
     """Measure fundamental forms of a sampled surface grid.
 
     Degenerate points (2 <phi_u, phi_v> <= 0) and points where the
-    normal system is rank-deficient are masked; with strict=True they
-    raise instead.  flip_normal reverses the normal field, which flips
-    the signs of H, Q and R while preserving K.
+    normal system is rank-deficient are masked.  flip_normal reverses
+    the normal field, which flips the signs of H, Q and R while
+    preserving K.
     """
     ambient = surface.ambient
     nu, nv = surface.shape
@@ -196,7 +191,7 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False, strict=False):
     hyperbolic = ambient.name == "H31"
     sp = scalar_product4 if hyperbolic else scalar_product3
 
-    x = _planes(surface.points)
+    x = np.ascontiguousarray(np.moveaxis(surface.points, -1, 0))
     xu = _cd1(x, hu, 1)
     xv = _cd1(x, hv, 2)
     xuu = _cd2(x, hu, 1)
@@ -206,9 +201,6 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False, strict=False):
     metric = 2.0 * sp(xu, xv)
     with np.errstate(invalid="ignore"):
         degenerate = np.isfinite(metric) & (metric <= 0.0)
-    if strict and np.any(degenerate & ~surface.mask):
-        raise ValueError(
-            f"degenerate metric (2<phi_u,phi_v> <= 0) at {int(np.sum(degenerate))} grid points")
     metric = np.where(degenerate | surface.mask, np.nan, metric)
     with np.errstate(invalid="ignore", divide="ignore"):
         omega = np.log(metric)
@@ -217,10 +209,6 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False, strict=False):
     normal = cross4(x, xu, xv) if hyperbolic else cross3(xu, xv)
     normal[:2 if hyperbolic else 1] *= -1.0
     nn = sp(normal, normal)
-    with np.errstate(invalid="ignore"):
-        flat = np.isfinite(nn) & (nn <= 0.0) & ~degenerate & ~surface.mask
-    if strict and np.any(flat):
-        raise ValueError(f"normal solve rank-deficient at {int(np.sum(flat))} grid points")
     with np.errstate(invalid="ignore", divide="ignore"):
         nn = np.where(nn > 0.0, nn, np.nan)
         normal /= np.sqrt(nn)
@@ -240,62 +228,45 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False, strict=False):
 
     conf_u = sp(xu, xu)
     conf_v = sp(xv, xv)
-    mask = ~np.isfinite(H)
 
-    fd = FundamentalData(
-        us=np.asarray(surface.us, dtype=float), vs=np.asarray(surface.vs, dtype=float),
-        ambient=ambient, metric=metric, omega=omega, normal=np.moveaxis(normal, 0, -1),
-        H=H, Q=Q, R=R, K=K, K_shape=None, conf_u=conf_u, conf_v=conf_v,
-        gauss_eq=None, sff=None, shape_op=None, mask=mask, hu=hu, hv=hv)
-    _second_form(fd, xu, xv, sp)
-    return fd
-
-
-def _second_form(fd, xu, xv, sp):
-    """Fill the second-order fields by differencing the normal field.
-
-    xu and xv are the tangent planes (c, nu, nv) of fundamental_data.
-    """
-    n = np.moveaxis(fd.normal, -1, 0)
-    nu_ = _cd1(n, fd.hu, 1)
-    nv_ = _cd1(n, fd.hv, 2)
-    n_x, n_y = nu_ - nv_, nu_ + nv_
-    del nu_, nv_
+    n_u = _cd1(normal, hu, 1)
+    n_v = _cd1(normal, hv, 2)
+    n_x, n_y = n_u - n_v, n_u + n_v
+    del n_u, n_v
     phi_x, phi_y = xu - xv, xu + xv
     ii_xx = -sp(phi_x, n_x)
     ii_yy = -sp(phi_y, n_y)
     ii_xy = -0.5 * (sp(phi_x, n_y) + sp(phi_y, n_x))
     del phi_x, phi_y, n_x, n_y
 
-    e = fd.metric
     with np.errstate(invalid="ignore", divide="ignore"):
-        model_xx = fd.Q + fd.R - fd.H * e
-        model_yy = fd.Q + fd.R + fd.H * e
-        model_xy = fd.Q - fd.R
-        fd.sff = np.fmax(np.abs(ii_xx - model_xx),
-                         np.fmax(np.abs(ii_yy - model_yy), np.abs(ii_xy - model_xy)))
+        model_xx = Q + R - H * metric
+        model_yy = Q + R + H * metric
+        model_xy = Q - R
+        sff = np.fmax(np.abs(ii_xx - model_xx),
+                      np.fmax(np.abs(ii_yy - model_yy), np.abs(ii_xy - model_xy)))
         det_ii = ii_xx * ii_yy - ii_xy ** 2
-        fd.K_shape = fd.ambient.kbar - det_ii / e ** 2
-        fd.gauss_eq = fd.K - fd.K_shape
+        K_shape = ambient.kbar - det_ii / metric ** 2
+        gauss_eq = K - K_shape
         # filled entry by entry: packing four finished entry grids would
         # hold them all at once, which raised peak memory on long grids
-        s = np.empty(ii_xx.shape + (2, 2))
-        s[..., 0, 0] = -ii_xx / e
-        s[..., 0, 1] = -ii_xy / e
-        s[..., 1, 0] = ii_xy / e
-        s[..., 1, 1] = ii_yy / e
-        fd.shape_op = s
+        shape_op = np.empty(ii_xx.shape + (2, 2))
+        shape_op[..., 0, 0] = -ii_xx / metric
+        shape_op[..., 0, 1] = -ii_xy / metric
+        shape_op[..., 1, 0] = ii_xy / metric
+        shape_op[..., 1, 1] = ii_yy / metric
+
+    return FundamentalData(
+        us=np.asarray(surface.us, dtype=float), vs=np.asarray(surface.vs, dtype=float),
+        ambient=ambient, metric=metric, omega=omega, normal=np.moveaxis(normal, 0, -1),
+        H=H, Q=Q, R=R, K=K, K_shape=K_shape, conf_u=conf_u, conf_v=conf_v,
+        gauss_eq=gauss_eq, sff=sff, shape_op=shape_op, mask=~np.isfinite(H),
+        hu=hu, hv=hv)
 
 
 def second_form_residual(surface, fd):
-    """Entrywise gap between differenced and modelled second forms."""
-    x = _planes(surface.points)
-    sp = scalar_product4 if fd.ambient.name == "H31" else scalar_product3
-    xu = _cd1(x, fd.hu, 1)
-    xv = _cd1(x, fd.hv, 2)
-    probe = FundamentalData(**{**fd.__dict__})
-    _second_form(probe, xu, xv, sp)
-    return probe.sff
+    """The entrywise second-form gap fd.sff, kept while perfbench/spans.py times it."""
+    return fd.sff
 
 
 def umbilic_detect(fd, tol=DEFAULT_TOL):

@@ -41,8 +41,8 @@ from .algebra import act, adjugate, check_unimodular, det2, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d, as_field2d, fd_derivative
 from .geometry import AmbientSpec, SurfaceGrid
-from .nullcurves import (KIND_F1, KIND_F2_MU, IntegrationError, magnus_increments,
-                         magnus_march, stage_times)
+from .nullcurves import (IntegrationError, check_leg_pair, magnus_increments, magnus_march,
+                         stage_times)
 from .weierstrass import WeierstrassData
 
 
@@ -83,25 +83,32 @@ def gmc_residual(data, us, vs):
     return wuv + 0.5 * (data.H ** 2 - 1.0) * e - 2.0 * q * r / e
 
 
+def lax_terms(data, w, u=None, v=None):
+    """e^{w/2}(H+1)/2, e^{w/2}(H-1)/2, e^{-w/2} Q(u), e^{-w/2} R(v) from omega values w.
+
+    The off-diagonal Lax terms, shared with gaussmaps.holomorphicity_check;
+    the Q or R term is None, its field unevaluated, when u or v is.
+    """
+    ep = np.exp(0.5 * w)
+    em = np.exp(-0.5 * w)
+    q = None if u is None else em * np.asarray(data.Q(u), dtype=float)
+    r = None if v is None else em * np.asarray(data.R(v), dtype=float)
+    return 0.5 * ep * (data.H + 1.0), 0.5 * ep * (data.H - 1.0), q, r
+
+
 def _lax_entries(data, u, v, along_u):
     """Trace-free entries (x, y, z) of (U1, U2) if along_u, else (V1, V2).
 
     A coefficient [[x, y], [z, -x]] is given by its entries (x, y, z),
     evaluated at points (u, v).
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
     w, wu, wv, _ = data.omega.with_derivatives(u, v)
-    ep = np.exp(0.5 * w)
-    em = np.exp(-0.5 * w)
-    plus = 0.5 * ep * (data.H + 1.0)
-    minus = 0.5 * ep * (data.H - 1.0)
     if along_u:
+        plus, minus, q, _ = lax_terms(data, w, u=u)
         d = wu / 4.0
-        q = em * np.asarray(data.Q(u), dtype=float)
         return (d, plus, -q), (-d, q, -minus)
+    plus, minus, _, r = lax_terms(data, w, v=v)
     d = wv / 4.0
-    r = em * np.asarray(data.R(v), dtype=float)
     return (-d, r, -minus), (d, plus, -r)
 
 
@@ -189,15 +196,15 @@ def _sweep(data, us, vs, init, substeps):
     return out
 
 
-def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL,
-                  gate=True):
+def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL):
     """Integrate both frames over a rectangle after gating the data.
 
     One set of matrices moves both frames; an inverse-action set would
     only give second frames Phi2^-T, and Phi1 (Phi2^-T)^-1 = Phi1 Phi2^T.
 
     The compatibility gate evaluates the integrability residual on the
-    grid (exactly for closed-form omega) and rejects incompatible data.
+    grid (exactly for closed-form omega) and rejects incompatible data;
+    tol.compat = inf lets every residual but NaN through.
     The sweep is bottom edge then columns, with one coefficient call per
     edge and one per block of column nodes (all their Magnus stage times
     at once).  A single alternate path, up the left edge (the sweep's first
@@ -212,12 +219,10 @@ def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL,
     u0, u1, v0, v1 = domain
     us = np.linspace(u0, u1, nu)
     vs = np.linspace(v0, v1, nv)
-    if gate:
-        res = float(np.max(np.abs(gmc_residual(data, us, vs))))
-        if not res <= tol.compat:
-            raise CompatibilityError(
-                f"data fails the integrability condition: max residual {res:.3e} "
-                f"> {tol.compat:g}")
+    res = float(np.max(np.abs(gmc_residual(data, us, vs))))
+    if not res <= tol.compat:
+        raise CompatibilityError(
+            f"data fails the integrability condition: max residual {res:.3e} > {tol.compat:g}")
     if init is None:
         init = (np.eye(2), np.eye(2))
     for m in init:
@@ -231,7 +236,10 @@ def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL,
         warnings.warn(f"far-corner path defect {defect:.3e} exceeds {tol.path:g}",
                       RuntimeWarning, stacklevel=2)
 
-    drift = float(np.max(np.abs(det2(frames) - 1.0)))
+    # row blocks hold no full-size determinant; np.max keeps a NaN block maximum
+    k = max(1, _BLOCK_POINTS // nv)
+    drift = float(np.max([np.max(np.abs(det2(frames[:, i:i + k]) - 1.0))
+                          for i in range(0, nu, k)]))
     if not drift <= tol.drift:
         raise IntegrationError(
             f"determinant drift {drift:.3e} exceeds {tol.drift:g} in the frame sweep")
@@ -266,10 +274,7 @@ def extract_weierstrass_data(f1, f2, tol=DEFAULT_TOL):
     entries.  The frames must be null within 1e-8 and the dividing
     entry must not vanish anywhere on the range.
     """
-    if f1.kind != KIND_F1:
-        raise ValueError(f"first leg must have kind {KIND_F1!r}, got {f1.kind!r}")
-    if f2.kind != KIND_F2_MU:
-        raise ValueError(f"second leg must have kind {KIND_F2_MU!r}, got {f2.kind!r}")
+    check_leg_pair(f1, f2)
     q, f = _leg_data(f1, tol)
     r, g = _leg_data(f2, tol)
     return WeierstrassData.build(

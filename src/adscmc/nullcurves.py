@@ -214,11 +214,16 @@ def frame_metric_grid(f1, f2):
     return -det2(c1[:, None] + np.swapaxes(c2, -1, -2)[None, :])
 
 
-def _assemble(f1, f2, label, tol):
+def check_leg_pair(f1, f2):
+    """Raise unless f1 is a u leg and f2 a v leg, the factors of F1 F2^T."""
     if f1.kind != KIND_F1:
-        raise ValueError(f"first factor must be a {KIND_F1} leg, got {f1.kind!r}")
+        raise ValueError(f"first leg must have kind {KIND_F1!r}, got {f1.kind!r}")
     if f2.kind != KIND_F2_MU:
-        raise ValueError(f"second factor must be a {KIND_F2_MU} leg, got {f2.kind!r}")
+        raise ValueError(f"second leg must have kind {KIND_F2_MU!r}, got {f2.kind!r}")
+
+
+def _assemble(f1, f2, label, tol):
+    check_leg_pair(f1, f2)
     points = vec_of_mat(act(f1.samples[:, None], f2.samples[None, :]))
     coef = frame_metric_grid(f1, f2)
     return SurfaceGrid(us=f1.ts, vs=f2.ts, points=points, mask=np.abs(coef) < tol.degen,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from adscmc.algebra import adjugate, det2, mat_of_vec
+from adscmc.gaussmaps import frame_gauss_coordinates
+from adscmc.lax import extract_weierstrass_data
 from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, IntegrationError, assemble_mu,
                                assemble_nu, frame_metric_grid, integrate_frame,
                                null_coefficient)
@@ -91,6 +93,19 @@ def test_kind_tags_are_enforced():
         assemble_nu(f1, f1)
     with pytest.raises(ValueError, match="first"):
         assemble_mu(f2m, f2m)
+
+
+@pytest.mark.parametrize("consume", [
+    assemble_mu,
+    lambda f1, f2: frame_gauss_coordinates((f1, f2)),
+    extract_weierstrass_data,
+], ids=["assemble_mu", "frame_gauss_coordinates", "extract_weierstrass_data"])
+def test_swapped_legs_are_rejected(consume):
+    f1 = integrate_frame(KIND_F1, "u", "1", (0.0, 1.0), 11)
+    f2 = integrate_frame(KIND_F2_MU, "v", "1", (0.0, 1.0), 11)
+    with pytest.raises(ValueError, match="first leg must have kind 'F1-holomorphic', "
+                                         "got 'F2-antiholomorphic-mu'"):
+        consume(f2, f1)
 
 
 def test_assembled_surface_matches_closed_form(gallery_module):
