@@ -199,41 +199,13 @@ def _print_gate(ok, name, value, bound):
     return 0 if ok else 1
 
 
-def _gate(report, cfg, target_h):
-    h_error = None
-    if target_h is not None:
-        h_error = report.stats_h_error(target_h)
-        print(f"max_h_error = {h_error!r}")
-    return _print_gate(*report.worst(cfg.tol, target_h=target_h, h_error=h_error))
-
-
-def _export(cfg, surface, report):
-    if cfg.out is None:
-        return
-    fmt = cfg.out_format
-    projection = None
-    if fmt == "obj" and surface.ambient.name == "H31":
-        projection = cfg.pole
-    export_surface(surface, projection, fmt, cfg.out,
-                   report=report, fd=report.fd if report else None, tol=cfg.tol)
-    print(f"wrote {cfg.out}")
-
-
-def _finish(cfg, surface, report, target_h):
-    _print_stats(report.to_dict())
-    _export(cfg, surface, report)
-    return _gate(report, cfg, target_h)
-
-
-def _cmd_minimal(cfg):
+def _build_minimal(cfg):
     _require(cfg, "q", "f", "r", "g")
     data = WeierstrassData.build(cfg.q, cfg.f, cfg.r, cfg.g)
-    surface = integrate_minimal(data, cfg.domain, cfg.nu, cfg.nv, tol=cfg.tol)
-    report = geometry_report(surface, tol=cfg.tol)
-    return _finish(cfg, surface, report, target_h=0.0)
+    return integrate_minimal(data, cfg.domain, cfg.nu, cfg.nv, tol=cfg.tol), 0.0
 
 
-def _cmd_cmc1(cfg):
+def _build_cmc1(cfg):
     _require(cfg, "q", "f", "r", "g")
     u0, u1, v0, v1 = cfg.domain
     f1 = integrate_frame(KIND_F1, cfg.q, cfg.f, (u0, u1), cfg.nu,
@@ -242,47 +214,84 @@ def _cmd_cmc1(cfg):
                          substeps=cfg.substeps, tol=cfg.tol)
     # both assemblies build F1 F2^T; the action only sets the label
     assemble = assemble_nu if cfg.action == "nu" else assemble_mu
-    surface = assemble(f1, f2, tol=cfg.tol)
-    target = -1.0 if cfg.flip_normal else 1.0
-    report = geometry_report(surface, tol=cfg.tol, flip_normal=cfg.flip_normal)
-    return _finish(cfg, surface, report, target_h=target)
+    return assemble(f1, f2, tol=cfg.tol), -1.0 if cfg.flip_normal else 1.0
 
 
-def _cmd_lax(cfg):
+def _lax_surface(cfg):
+    """The Lax frames of cfg's (omega, H, Q, R) and their product surface."""
     _require(cfg, "omega", "H", "Q", "R")
     data = GmcData.build(cfg.omega, cfg.H, cfg.Q, cfg.R)
     frames = integrate_lax(data, cfg.domain, cfg.nu, cfg.nv,
                            substeps=cfg.substeps, tol=cfg.tol)
+    return frames, frames.assemble(cfg.tol)
+
+
+def _build_lax(cfg):
+    frames, surface = _lax_surface(cfg)
     print(f"path_defect = {frames.path_defect!r}")
-    surface = frames.assemble(cfg.tol)
-    target = -data.H if cfg.flip_normal else data.H
-    report = geometry_report(surface, tol=cfg.tol, flip_normal=cfg.flip_normal)
-    return _finish(cfg, surface, report, target_h=target)
+    return surface, -frames.data.H if cfg.flip_normal else frames.data.H
 
 
-def _cmd_verify(cfg):
+def _build_verify(cfg):
     _require(cfg, "path")
     surface, meta, _ = read_surface_json(cfg.path)
     print(f"loaded {cfg.path}: ambient {surface.ambient.name.lower()}, "
           f"{meta['nu']}x{meta['nv']}")
+    return surface, cfg.target_h
+
+
+def _build_gallery(cfg):
+    _require(cfg, "name")
+    entry = gallery(cfg.name)
+    surface = oracle_surface(entry, cfg.domain, cfg.nu, cfg.nv, tol=cfg.tol)
+    target = float(entry.expected["H"])
+    return surface, -target if cfg.flip_normal else target
+
+
+# the subcommands that build or load one surface and measure it; each
+# builder returns the surface and its target mean curvature (None: no
+# mean curvature gate)
+_BUILDERS = {
+    "minimal": _build_minimal,
+    "cmc1": _build_cmc1,
+    "lax": _build_lax,
+    "verify": _build_verify,
+    "gallery": _build_gallery,
+}
+
+
+def _cmd_measure(cfg):
+    """Build cfg's surface, print its statistics, export it and gate it.
+
+    The gate is GeometryReport.worst, with the mean curvature error
+    against the builder's target measured once.
+    """
+    surface, target_h = _BUILDERS[cfg.command](cfg)
     report = geometry_report(surface, tol=cfg.tol, flip_normal=cfg.flip_normal)
-    return _finish(cfg, surface, report, target_h=cfg.target_h)
+    _print_stats(report.to_dict())
+    if cfg.out is not None:
+        projection = None
+        if cfg.out_format == "obj" and surface.ambient.name == "H31":
+            projection = cfg.pole
+        export_surface(surface, projection, cfg.out_format, cfg.out,
+                       report=report, fd=report.fd, tol=cfg.tol)
+        print(f"wrote {cfg.out}")
+    h_error = None
+    if target_h is not None:
+        h_error = report.stats_h_error(target_h)
+        print(f"max_h_error = {h_error!r}")
+    return _print_gate(*report.worst(cfg.tol, target_h=target_h, h_error=h_error))
 
 
 def _cmd_gauss(cfg):
-    _require(cfg, "omega", "H", "Q", "R")
-    data = GmcData.build(cfg.omega, cfg.H, cfg.Q, cfg.R)
-    frames = integrate_lax(data, cfg.domain, cfg.nu, cfg.nv,
-                           substeps=cfg.substeps, tol=cfg.tol)
-    surface = frames.assemble(cfg.tol)
+    frames, surface = _lax_surface(cfg)
     fd = fundamental_data(surface, tol=cfg.tol)
     core = fd.core(cfg.tol)
 
     hol = holomorphicity_check(frames, sign=cfg.sign, tol=cfg.tol)
     hyp = hyperbolic_gauss(surface, fd, sign=cfg.sign, tol=cfg.tol)
     frm = frame_gauss_coordinates(frames, sign=cfg.sign, tol=cfg.tol)
-    gen_plus, gen_minus = generalized_gauss(surface, fd, tol=cfg.tol)
-    gen = gen_plus if cfg.sign == "plus" else gen_minus
+    gen = generalized_gauss(surface, fd, sign=cfg.sign, tol=cfg.tol)
     conf = gauss_conformality_check(surface, fd, sign=cfg.sign, tol=cfg.tol)
 
     def chart_gap(a, b):
@@ -344,26 +353,8 @@ def _cmd_project(cfg):
                        "projection_interior", worst, 1.0)
 
 
-def _cmd_gallery(cfg):
-    _require(cfg, "name")
-    entry = gallery(cfg.name)
-    surface = oracle_surface(entry, cfg.domain, cfg.nu, cfg.nv, tol=cfg.tol)
-    target = float(entry.expected["H"])
-    if cfg.flip_normal:
-        target = -target
-    report = geometry_report(surface, tol=cfg.tol, flip_normal=cfg.flip_normal)
-    return _finish(cfg, surface, report, target_h=target)
-
-
-_DISPATCH = {
-    "minimal": _cmd_minimal,
-    "cmc1": _cmd_cmc1,
-    "lax": _cmd_lax,
-    "verify": _cmd_verify,
-    "gauss": _cmd_gauss,
-    "project": _cmd_project,
-    "gallery": _cmd_gallery,
-}
+_DISPATCH = {**dict.fromkeys(_BUILDERS, _cmd_measure),
+             "gauss": _cmd_gauss, "project": _cmd_project}
 
 
 def _add_common(sp, grid=True):

@@ -16,7 +16,10 @@ frames and null-leg pairs both assemble that way.  A third route needs
 neither the normal nor frames: mat(phi_u) has a common column direction
 and mat(phi_v) a common row direction, and the outer product of those
 directions represents the plus line (swap the two matrices for the
-minus line).
+minus line).  It reads the tangents fundamental_data already
+differenced, fd.xu and fd.xv, so the only differences taken here are
+those of phi +- N in gauss_conformality_check.  Every route builds the
+map of one sign per call.
 
 All three routes land on the same chart values, which is the substance
 of the consistency checks in the test suite.  Wronskians of the
@@ -142,30 +145,26 @@ def _stable_column(m, tol):
     return col, bad
 
 
-def generalized_gauss(surface, fd, tol=DEFAULT_TOL):
-    """Both null-line maps from the tangent directions alone.
+def generalized_gauss(surface, fd, sign="plus", tol=DEFAULT_TOL):
+    """Chart coordinates of one null-line map from the tangents fd.xu, fd.xv.
 
     mat(phi_u) is rank one with the column direction of the plus line
     and the row direction of the minus line; mat(phi_v) carries the
-    other half of each.  Returns the (plus, minus) pair of chart grids.
+    other half of each.
     """
     _require_h31(surface)
-    xu = mat_of_vec(_cd1(surface.points, fd.hu, 0))
-    xv = mat_of_vec(_cd1(surface.points, fd.hv, 1))
-    out = []
-    for sign, cm, rm in (("plus", xu, xv), ("minus", xv, xu)):
-        with np.errstate(invalid="ignore"):
-            col, bad_c = _stable_column(cm, tol)
-            # a common row direction is a common column of the transpose
-            row, bad_r = _stable_column(np.swapaxes(rm, -1, -2), tol)
-            rep = _outer(col, row)
-            g1 = np.where(bad_c, np.nan, col[..., 0] / np.where(bad_c, 1.0, col[..., 1]))
-            g2 = np.where(bad_r, np.nan, row[..., 0] / np.where(bad_r, 1.0, row[..., 1]))
-        mask = bad_c | bad_r | ~np.isfinite(g1) | ~np.isfinite(g2)
-        out.append(GaussMapGrid(us=surface.us, vs=surface.vs, rep=rep,
-                                g1=g1, g2=g2, mask=mask, sign=sign,
-                                chart="generalized"))
-    return tuple(out)
+    xu, xv = mat_of_vec(fd.xu), mat_of_vec(fd.xv)
+    cm, rm = (xv, xu) if _sign_index(sign) else (xu, xv)
+    with np.errstate(invalid="ignore"):
+        col, bad_c = _stable_column(cm, tol)
+        # a common row direction is a common column of the transpose
+        row, bad_r = _stable_column(np.swapaxes(rm, -1, -2), tol)
+        rep = _outer(col, row)
+        g1 = np.where(bad_c, np.nan, col[..., 0] / np.where(bad_c, 1.0, col[..., 1]))
+        g2 = np.where(bad_r, np.nan, row[..., 0] / np.where(bad_r, 1.0, row[..., 1]))
+    return GaussMapGrid(us=surface.us, vs=surface.vs, rep=rep, g1=g1, g2=g2,
+                        mask=bad_c | bad_r | ~np.isfinite(g1) | ~np.isfinite(g2),
+                        sign=sign, chart="generalized")
 
 
 @dataclass

@@ -41,16 +41,19 @@ axes 1 and 2.  Every Lorentz product is then a sum over whole planes
 (algebra.scalar_product4/3), with no metric-scaled operand copy.  The
 metric signs of raw are applied by negating its negative planes in
 place, the normal is raw divided in place, and fd.normal is the
-(nu, nv, c) moveaxis view of those planes, not a copy.  The products
-sum in a fixed order, component 0 paired with 2, then 1 (and 3), then
-+ 0.0, which is how np.einsum("...i,...i->...", METRIC * x, y) sums
-contiguous components from a +0.0 accumulator.  The pinned field
-digests, stdout and golden files hold einsum's values: another order
-changes the last bit at roughly a third of random points, and without
-the + 0.0 a sum of -0.0 terms stays -0.0 where einsum gives +0.0.
+(nu, nv, c) moveaxis view of those planes, not a copy; fd.xu and fd.xv
+are such views of the tangent planes, so the Gauss maps read the same
+differences.  The products sum in a fixed order, component 0 paired
+with 2, then 1 (and 3), then + 0.0, which is how
+np.einsum("...i,...i->...", METRIC * x, y) sums contiguous components
+from a +0.0 accumulator.  The pinned field digests, stdout and golden
+files hold einsum's values: another order changes the last bit at
+roughly a third of random points, and without the + 0.0 a sum of -0.0
+terms stays -0.0 where einsum gives +0.0.
 Each full-size intermediate is dropped once its last product is taken
 (the position and second-derivative planes after H, Q and R, the normal
-differences after II), which bounds the peak memory of a measurement.
+differences and the tangent sums after II), which bounds the peak memory
+of a measurement; the tangents live on in fd.
 """
 
 from dataclasses import dataclass
@@ -151,6 +154,8 @@ class FundamentalData:
     metric: np.ndarray        # e^omega = 2 <phi_u, phi_v>
     omega: np.ndarray
     normal: np.ndarray        # (nu, nv, 4) or (nu, nv, 3), a view of component planes
+    xu: np.ndarray            # phi_u, a view of component planes like normal
+    xv: np.ndarray            # phi_v
     H: np.ndarray
     Q: np.ndarray
     R: np.ndarray
@@ -259,6 +264,7 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
     return FundamentalData(
         us=np.asarray(surface.us, dtype=float), vs=np.asarray(surface.vs, dtype=float),
         ambient=ambient, metric=metric, omega=omega, normal=np.moveaxis(normal, 0, -1),
+        xu=np.moveaxis(xu, 0, -1), xv=np.moveaxis(xv, 0, -1),
         H=H, Q=Q, R=R, K=K, K_shape=K_shape, conf_u=conf_u, conf_v=conf_v,
         gauss_eq=gauss_eq, sff=sff, shape_op=shape_op, mask=~np.isfinite(H),
         hu=hu, hv=hv)

@@ -248,7 +248,7 @@ def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL):
 
 
 def _leg_data(curve, tol):
-    """Recover (s, w) samples from one integrated null frame leg."""
+    """Recover the (s, w) fields from one integrated null frame leg."""
     ts = curve.ts
     dt = float(ts[1] - ts[0])
     dot = fd_derivative(curve.samples, dt, axis=0)
@@ -264,7 +264,9 @@ def _leg_data(curve, tol):
         raise ZeroDivisionError(
             "direction entry of the connection vanishes on the range "
             f"(min |.| = {bad:.3e}); data only recoverable locally")
-    return a / c, c
+    step = (curve.t1 - curve.t0) / (curve.n - 1)
+    return (ScalarField1D.from_samples(curve.t0, step, a / c),
+            ScalarField1D.from_samples(curve.t0, step, c))
 
 
 def extract_weierstrass_data(f1, f2, tol=DEFAULT_TOL):
@@ -275,10 +277,4 @@ def extract_weierstrass_data(f1, f2, tol=DEFAULT_TOL):
     entry must not vanish anywhere on the range.
     """
     check_leg_pair(f1, f2)
-    q, f = _leg_data(f1, tol)
-    r, g = _leg_data(f2, tol)
-    return WeierstrassData.build(
-        q=ScalarField1D.from_samples(f1.t0, (f1.t1 - f1.t0) / (f1.n - 1), q),
-        f=ScalarField1D.from_samples(f1.t0, (f1.t1 - f1.t0) / (f1.n - 1), f),
-        r=ScalarField1D.from_samples(f2.t0, (f2.t1 - f2.t0) / (f2.n - 1), r),
-        g=ScalarField1D.from_samples(f2.t0, (f2.t1 - f2.t0) / (f2.n - 1), g))
+    return WeierstrassData.build(*_leg_data(f1, tol), *_leg_data(f2, tol))

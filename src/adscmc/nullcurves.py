@@ -23,8 +23,11 @@ det = 1 to rounding with no repair.
 Products phi = F1 F2^T have mean curvature +1 in the unimodular quadric
 (with the orientation fixed downstream); mean curvature -1 needs the
 flipped normal.  The induced metric coefficient of the product is -det
-of the summed leg coefficients, which is evaluated exactly from the
-attached fields rather than by differencing the grid.
+of the summed leg coefficients, identically w1 w2 (1 + s1 s2)^2: the
+factor of the minimal cousin whose Weierstrass data (q, f, r, g) are
+the legs' (s1, w1, s2, w2).  It is evaluated exactly from the attached
+fields by that one formula, weierstrass.minimal_metric_factor, rather
+than by differencing the grid.
 """
 
 import math
@@ -36,6 +39,7 @@ from .algebra import act, check_unimodular, det2, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import as_field1d
 from .geometry import AmbientSpec, SurfaceGrid
+from .weierstrass import WeierstrassData, minimal_metric_factor
 
 KIND_F1 = "F1-holomorphic"
 KIND_F2_MU = "F2-antiholomorphic-mu"
@@ -207,11 +211,11 @@ def frame_metric_grid(f1, f2):
     """Exact conformal factor grid of the assembled product surface.
 
     It is -det(C1 + C2^T) with C1, C2 the two legs' coefficients in the
-    common dY = Y C form.
+    common dY = Y C form, which is identically w1 w2 (1 + s1 s2)^2, the
+    minimal cousin's metric factor (module docstring).
     """
-    c1 = null_coefficient(f1.s_field(f1.ts), f1.w_field(f1.ts))
-    c2 = null_coefficient(f2.s_field(f2.ts), f2.w_field(f2.ts))
-    return -det2(c1[:, None] + np.swapaxes(c2, -1, -2)[None, :])
+    cousin = WeierstrassData(f1.s_field, f1.w_field, f2.s_field, f2.w_field)
+    return minimal_metric_factor(cousin, f1.ts[:, None], f2.ts[None, :])
 
 
 def check_leg_pair(f1, f2):

@@ -1,4 +1,5 @@
-"""The package imports nothing beyond the standard library and numpy."""
+"""The package imports nothing beyond the standard library and numpy,
+and no module of the package or of the tests imports a name it never reads."""
 
 import ast
 import pathlib
@@ -6,13 +7,18 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "adscmc"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "adscmc"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def _imports(path):
     """(line, top-level module) of every absolute import in a source file."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name.partition(".")[0]
@@ -25,3 +31,25 @@ def test_only_stdlib_and_numpy_are_imported(path):
     bad = [f"{path.name}:{line} imports {name}" for line, name in _imports(path)
            if name not in ALLOWED]
     assert not bad, bad
+
+
+def _bound_names(tree):
+    """(line, name) of every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+
+
+# __init__.py imports are the package API, read by its users, not by itself
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") \
+    + sorted(TESTS.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_read(path):
+    tree = _tree(path)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{line} imports {name}" for line, name in _bound_names(tree)
+              if name not in read]
+    assert not unused, unused

@@ -22,9 +22,9 @@ GAUSS = ["gauss", "--omega=2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1",
          "--domain", "0.1", "0.9", "0.1", "0.9", "--nu", "21", "--nv", "21"]
 
 # sha256 of each file as the per-float writers printed it; gauss.json
-# since generalized_gauss differences component grids, which moves
-# chart_generalized_vs_surface in its 13th digit, and since the Lax
-# frames are marched by Magnus steps
+# since the tangents generalized_gauss reads are differences of component
+# grids, which moves chart_generalized_vs_surface in its 13th digit, and
+# since the Lax frames are marched by Magnus steps
 GOLDEN = {
     "horosphere.obj": (["gallery", "horosphere", *SMALL, "--pole", "plus"],
         "86471575744ef600642cc031af378d1143dfccd22db38b62c2d7a7c4b0fdafb2"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adscmc.fields import (EvalError, ExprError, ScalarField1D, ScalarField2D,
+from adscmc.fields import (EvalError, ExprError, ScalarField1D,
                            as_field1d, as_field2d, eval_expression,
                            eval_with_derivatives, fd_derivative,
                            parse_expression, print_expression)

@@ -57,7 +57,7 @@ def test_tangent_route_matches_normal_route_on_the_plus_line(name, gallery_modul
     entry = gallery_module.gallery(name)
     surface = gallery_module.oracle_surface(entry, (-0.3, 0.3, -0.3, 0.3), 101, 101)
     fd = fundamental_data(surface)
-    gen_plus, _ = generalized_gauss(surface, fd)
+    gen_plus = generalized_gauss(surface, fd, "plus")
     hyp = hyperbolic_gauss(surface, fd, "plus")
     ok = gen_plus.valid() & hyp.valid()
     assert np.sum(ok) > 0.9 * ok.size
@@ -73,7 +73,7 @@ def test_tangent_route_matches_normal_route_on_the_minus_line(gallery_module):
     entry = gallery_module.gallery("enneper-isothermic")
     surface = gallery_module.oracle_surface(entry, (0.8, 1.2, 0.8, 1.2), 201, 201)
     fd = fundamental_data(surface)
-    _, gen_minus = generalized_gauss(surface, fd)
+    gen_minus = generalized_gauss(surface, fd, "minus")
     hyp = hyperbolic_gauss(surface, fd, "minus")
     ok = gen_minus.valid() & hyp.valid()
     gap = max(np.max(np.abs(gen_minus.g1 - hyp.g1)[ok]),
@@ -193,6 +193,15 @@ def test_bad_sign_rejected(std_surfaces):
     _, surface, fd = std_surfaces["b-scroll"]
     with pytest.raises(ValueError, match="sign"):
         hyperbolic_gauss(surface, fd, "both")
+    with pytest.raises(ValueError, match="sign"):
+        generalized_gauss(surface, fd, "both")
+
+
+@pytest.mark.parametrize("route", [hyperbolic_gauss, generalized_gauss])
+def test_flat_space_surfaces_have_no_null_line_chart(route, std_surfaces):
+    _, surface, fd = std_surfaces["minimal-enneper"]
+    with pytest.raises(ValueError, match="matrix model"):
+        route(surface, fd)
 
 
 def test_conformality_check_rejects_a_bad_sign(std_surfaces):

@@ -11,6 +11,7 @@ from adscmc.geometry import (
     DEFAULT_TOL,
     AmbientSpec,
     SurfaceGrid,
+    _cd1,
     fundamental_data,
     geometry_report,
     lawson_shift,
@@ -120,6 +121,19 @@ def test_normal_has_the_positive_frame_orientation(name, std_surfaces):
     assert np.all(_frame_det(surface, fd.normal)[finite] > 0.0)
     flipped = fundamental_data(surface, flip_normal=True)
     assert np.all(_frame_det(surface, flipped.normal)[finite] < 0.0)
+
+
+@pytest.mark.parametrize("name", ["enneper-isothermic", "minimal-enneper"])
+def test_tangents_are_views_of_the_differenced_planes(name, std_surfaces):
+    # the Gauss maps read fd.xu and fd.xv instead of differencing again,
+    # so they must be exactly the central differences of the points
+    _, surface, fd = std_surfaces[name]
+    for got, h, axis in ((fd.xu, fd.hu, 0), (fd.xv, fd.hv, 1)):
+        want = _cd1(surface.points, h, axis)
+        assert np.array_equal(got, want, equal_nan=True)
+        planes = got.base
+        assert planes.shape == (surface.points.shape[-1],) + surface.shape
+        assert planes.flags.c_contiguous and np.shares_memory(got, planes)
 
 
 # sha256 of each field, NaN made canonical.  The first nine fields of the

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from adscmc.algebra import adjugate, det2, mat_of_vec
 from adscmc.gaussmaps import frame_gauss_coordinates
@@ -9,6 +10,7 @@ from adscmc.lax import extract_weierstrass_data
 from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, IntegrationError, assemble_mu,
                                assemble_nu, frame_metric_grid, integrate_frame,
                                null_coefficient)
+from adscmc.weierstrass import WeierstrassData, minimal_metric_factor
 
 LEGS = [
     ("enneper-isothermic", 1, KIND_F1),
@@ -163,6 +165,21 @@ def test_null_coefficient_shapes():
     # the coefficient matrix is trace free and nilpotent for a null leg
     assert np.allclose(np.trace(c, axis1=-2, axis2=-1), 0.0, atol=1e-14)
     assert np.allclose(det2(c), 0.0, atol=1e-14)
+
+
+@given(s1=st.floats(-10, 10), w1=st.floats(-10, 10), s2=st.floats(-10, 10),
+       w2=st.floats(-10, 10))
+def test_summed_leg_coefficients_give_the_cousin_metric_factor(s1, w1, s2, w2):
+    # frame_metric_grid masks by the closed form w1 w2 (1 + s1 s2)^2;
+    # it must stay -det(C1 + C2^T) of the leg system's own coefficients
+    summed = null_coefficient(s1, w1) + null_coefficient(s2, w2).T
+    cousin = WeierstrassData.build(s1, w1, s2, w2)
+    scale = (abs(s1 * w1) + abs(s2 * w2)) ** 2 \
+        + (abs(w2) + s1 * s1 * abs(w1)) * (abs(w1) + s2 * s2 * abs(w2))
+    # rounding is relative to the terms' size, and absolute where the
+    # products fall into the subnormal range
+    gap = abs(-det2(summed) - minimal_metric_factor(cousin, 0.0, 0.0))
+    assert gap <= 1e-14 * scale + 1e-300
 
 
 def test_nan_initial_frame_is_rejected():

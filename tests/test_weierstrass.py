@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from adscmc import weierstrass
-from adscmc.config import DEFAULT_TOL
 from adscmc.fields import ScalarField1D
 from adscmc.geometry import fundamental_data
 from adscmc.weierstrass import (QuadratureError, WeierstrassData,
