@@ -25,10 +25,10 @@ from .gaussmaps import (GaussMapGrid, HolomorphicityReport, chart_coordinates,
                         frame_gauss_coordinates, gauss_conformality_check,
                         generalized_gauss, holomorphicity_check,
                         hyperbolic_gauss)
-from .geometry import (AmbientSpec, FundamentalData, GeometryReport,
-                       SurfaceGrid, fundamental_data, geometry_report,
-                       lawson_shift, lawson_shift_residual,
-                       second_form_residual, umbilic_detect)
+from .geometry import (FundamentalData, GeometryReport, SurfaceGrid,
+                       fundamental_data, geometry_report, lawson_shift,
+                       lawson_shift_residual, second_form_residual,
+                       umbilic_detect)
 from .lax import (CompatibilityError, GmcData, LaxFrames,
                   extract_weierstrass_data, gmc_residual, integrate_lax,
                   lax_matrices)

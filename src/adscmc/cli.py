@@ -234,9 +234,9 @@ def _build_lax(cfg):
 
 def _build_verify(cfg):
     _require(cfg, "path")
-    surface, meta, _ = read_surface_json(cfg.path)
-    print(f"loaded {cfg.path}: ambient {surface.ambient.name.lower()}, "
-          f"{meta['nu']}x{meta['nv']}")
+    surface, _, _ = read_surface_json(cfg.path)
+    nu, nv = surface.shape
+    print(f"loaded {cfg.path}: ambient {surface.ambient.lower()}, {nu}x{nv}")
     return surface, cfg.target_h
 
 
@@ -271,10 +271,10 @@ def _cmd_measure(cfg):
     _print_stats(report.to_dict())
     if cfg.out is not None:
         projection = None
-        if cfg.out_format == "obj" and surface.ambient.name == "H31":
+        if cfg.out_format == "obj" and surface.ambient == "H31":
             projection = cfg.pole
         export_surface(surface, projection, cfg.out_format, cfg.out,
-                       report=report, fd=report.fd, tol=cfg.tol)
+                       report=report, tol=cfg.tol)
         print(f"wrote {cfg.out}")
     h_error = None
     if target_h is not None:
@@ -329,8 +329,8 @@ def _cmd_gauss(cfg):
 
 def _cmd_project(cfg):
     _require(cfg, "path", "out")
-    surface, meta, _ = read_surface_json(cfg.path)
-    if surface.ambient.name != "H31":
+    surface, _, _ = read_surface_json(cfg.path)
+    if surface.ambient != "H31":
         raise UsageError("project needs a raw quadric surface (4-component vertices)")
 
     x = surface.points

@@ -11,7 +11,7 @@ bytes on every platform.  The JSON layout is
      "mask": [true/false, ..],               # present when any point masked
      "report": {..}}                          # optional statistics
 
-"ambient" is the surface's AmbientSpec.name in lower case.  Quadric
+"ambient" is the surface's ambient name in lower case.  Quadric
 surfaces are stored with their four ambient components unless a
 projection pole is requested; 3-space surfaces always store three.  A
 projected file keeps "ambient": "h31", adds "projected": <pole>, and
@@ -39,7 +39,7 @@ import numpy as np
 
 from .algebra import project_h31
 from .config import DEFAULT_TOL
-from .geometry import AmbientSpec, SurfaceGrid
+from .geometry import SurfaceGrid
 
 # rows per % call: one call over a whole 301 x 301 CSV raised peak memory
 # by 15% at no gain in speed
@@ -101,7 +101,7 @@ def _grid_vertices(surface, projection, tol, chart=None):
     """
     comps = surface.points
     if projection is not None:
-        if surface.ambient.name != "H31":
+        if surface.ambient != "H31":
             raise ValueError("projection applies only to quadric surfaces")
         comps = chart if chart is not None else project_h31(comps, projection, tol=tol)
     finite = np.isfinite(comps)
@@ -130,7 +130,7 @@ def _meta(surface):
     us, vs = np.asarray(surface.us), np.asarray(surface.vs)
     return {"domain": [float(us[0]), float(us[-1]), float(vs[0]), float(vs[-1])],
             "nu": int(len(us)), "nv": int(len(vs)),
-            "ambient": surface.ambient.name.lower(), "assembly": str(surface.assembly)}
+            "ambient": surface.ambient.lower(), "assembly": str(surface.assembly)}
 
 
 def export_json(surface, projection, path, report=None, tol=DEFAULT_TOL, chart=None):
@@ -211,8 +211,7 @@ def read_json(path):
         raise ValueError(f"{path}: field 'meta.domain' should be four finite "
                          f"numbers, found {domain!r}")
     quadric = meta["ambient"] == "h31" and "projected" not in meta
-    ambient, assembly, k = ((AmbientSpec.h31(), "mu", 4) if quadric
-                            else (AmbientSpec.e31(), "minimal", 3))
+    assembly, k = ("mu", 4) if quadric else ("minimal", 3)
     verts = _grid_field(path, doc, "vertices", (nu * nv, k), float)
     if "mask" in doc:
         mask = _grid_field(path, doc, "mask", (nu * nv,), bool).reshape(nu, nv)
@@ -220,8 +219,7 @@ def read_json(path):
         mask = np.zeros((nu, nv), dtype=bool)
     u0, u1, v0, v1 = domain
     surface = SurfaceGrid(np.linspace(u0, u1, nu), np.linspace(v0, v1, nv),
-                          verts.reshape(nu, nv, k), mask, ambient,
-                          meta.get("assembly", assembly))
+                          verts.reshape(nu, nv, k), mask, meta.get("assembly", assembly))
     return surface, meta, doc.get("report")
 
 
@@ -241,19 +239,20 @@ def export_csv(fd, path):
     return path
 
 
-def export_surface(surface, projection, fmt, path, report=None, fd=None, tol=DEFAULT_TOL,
+def export_surface(surface, projection, fmt, path, report=None, tol=DEFAULT_TOL,
                    chart=None):
     """Write a surface grid in the requested format.
 
-    chart is the projected grid when the caller has already projected it
-    (see _grid_vertices).
+    A CSV file holds the measured fundamental data of report, a
+    GeometryReport.  chart is the projected grid when the caller has
+    already projected it (see _grid_vertices).
     """
     if fmt == "obj":
         return export_obj(surface, projection, path, tol=tol, chart=chart)
     if fmt == "json":
         return export_json(surface, projection, path, report=report, tol=tol, chart=chart)
     if fmt == "csv":
-        if fd is None:
+        if report is None:
             raise ValueError("CSV export needs measured fundamental data")
-        return export_csv(fd, path)
+        return export_csv(report.fd, path)
     raise ValueError(f"unknown format {fmt!r}; use obj, json, or csv")

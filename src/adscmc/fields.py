@@ -386,9 +386,18 @@ def _cubic_weights(x):
     )
 
 
+# how far past the sampled ends an evaluation point may lie, the rounding
+# of t0 + k dt and of (t - t0) / dt: below t0 a fraction of the range,
+# above the last node a fraction of the range plus a fraction of a step
+RANGE_SLACK_BELOW = 1e-9
+RANGE_SLACK_ABOVE = 1e-12
+STEP_SLACK_ABOVE = 1e-9
+
+
 def _cubic_base(t, t0, dt, n):
     s = (np.asarray(t, dtype=float) - t0) / dt
-    lo, hi = -1e-9 * max(n - 1, 1), (n - 1) * (1.0 + 1e-12) + 1e-9
+    lo = -RANGE_SLACK_BELOW * max(n - 1, 1)
+    hi = (n - 1) * (1.0 + RANGE_SLACK_ABOVE) + STEP_SLACK_ABOVE
     if np.any(s < lo) or np.any(s > hi):
         raise ValueError("evaluation outside the sampled range")
     i = np.clip(np.floor(s).astype(int), 1, n - 3)

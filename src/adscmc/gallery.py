@@ -7,6 +7,9 @@ product is tractable a closed-form surface.  The four quadric entries
 entries reuse the same data through the split-integral route and have
 mean curvature 0.  Expected Hopf coefficients are recorded with the
 signs the measurement pipeline produces under its orientation rule.
+oracle_surface masks the points where the entry data's metric factor
+f g (1 + q r)^2 (weierstrass.minimal_metric_factor) falls below
+tol.degen, the rule every null-data builder applies.
 
 The b-scroll product is stated explicitly because its (1,2) entry is a
 convenient regression target:
@@ -23,9 +26,8 @@ import numpy as np
 
 from .algebra import act, pack2, vec_of_mat
 from .config import DEFAULT_TOL
-from .fields import ScalarField2D
-from .geometry import AmbientSpec, SurfaceGrid
-from .weierstrass import WeierstrassData
+from .geometry import SurfaceGrid
+from .weierstrass import WeierstrassData, minimal_metric_factor
 
 DEFAULT_DOMAIN = (-1.5, 1.5, -1.5, 1.5)
 
@@ -103,12 +105,8 @@ class GalleryEntry:
     frame_f1: object = None      # callable u -> (..., 2, 2)
     frame_f2: object = None
     surface_fn: object = None    # closed-form surface, matrix- or 3-vector-valued
-    metric_expr: str = "1"       # conformal factor e^omega as an expression in u, v
     expected: dict = field(default_factory=dict)
     notes: str = ""
-
-    def metric_field(self):
-        return ScalarField2D.parse(self.metric_expr)
 
 
 def _entry_table():
@@ -119,7 +117,6 @@ def _entry_table():
         data=WeierstrassData.build("u", "1", "v", "1"),
         frame_f1=hyp, frame_f2=hyp,
         surface_fn=_product_phi(hyp, hyp),
-        metric_expr="(1+u*v)^2",
         expected={"H": 1.0, "Q": -1.0, "R": -1.0, "umbilic": False},
         notes="degenerate along u v = -1")
     table["enneper-anti"] = GalleryEntry(
@@ -127,7 +124,6 @@ def _entry_table():
         data=WeierstrassData.build("-u", "1", "v", "1"),
         frame_f1=trig, frame_f2=hyp,
         surface_fn=_product_phi(trig, hyp),
-        metric_expr="(1-u*v)^2",
         expected={"H": 1.0, "Q": 1.0, "R": -1.0, "umbilic": False},
         notes="degenerate along u v = 1")
     table["b-scroll"] = GalleryEntry(
@@ -135,7 +131,6 @@ def _entry_table():
         data=WeierstrassData.build("u", "1", "0", "1"),
         frame_f1=hyp, frame_f2=low,
         surface_fn=_bscroll_phi,
-        metric_expr="1",
         expected={"H": 1.0, "Q": -1.0, "R": 0.0, "umbilic": False},
         notes="flat ruled surface; second direction is constant")
     table["horosphere"] = GalleryEntry(
@@ -143,7 +138,6 @@ def _entry_table():
         data=WeierstrassData.build("0", "1", "0", "1"),
         frame_f1=low, frame_f2=low,
         surface_fn=_horosphere_phi,
-        metric_expr="1",
         expected={"H": 1.0, "Q": 0.0, "R": 0.0, "umbilic": True},
         notes="totally umbilic; constant null-line map")
     table["minimal-enneper"] = GalleryEntry(
@@ -151,7 +145,6 @@ def _entry_table():
         data=table["enneper-isothermic"].data,
         frame_f1=hyp, frame_f2=hyp,
         surface_fn=_minimal_enneper_psi,
-        metric_expr="(1+u*v)^2",
         expected={"H": 0.0, "Q": 1.0, "R": 1.0, "umbilic": False},
         notes="split-integral twin of enneper-isothermic")
     table["minimal-b-scroll"] = GalleryEntry(
@@ -159,7 +152,6 @@ def _entry_table():
         data=table["b-scroll"].data,
         frame_f1=hyp, frame_f2=low,
         surface_fn=_minimal_bscroll_psi,
-        metric_expr="1",
         expected={"H": 0.0, "Q": 1.0, "R": 0.0, "umbilic": False},
         notes="split-integral twin of b-scroll")
     return table
@@ -194,8 +186,8 @@ def oracle_surface(entry, domain=DEFAULT_DOMAIN, nu=101, nv=101, tol=DEFAULT_TOL
     us = np.linspace(u0, u1, nu)
     vs = np.linspace(v0, v1, nv)
     pts = entry.surface_fn(us[:, None], vs[None, :])
-    mask = entry.metric_field()(us[:, None], vs[None, :]) < tol.degen
+    mask = np.abs(minimal_metric_factor(entry.data, us[:, None], vs[None, :])) < tol.degen
     mask = np.broadcast_to(mask, (nu, nv)).copy()
     if entry.ambient == "h31":
-        return SurfaceGrid(us, vs, vec_of_mat(pts), mask, AmbientSpec.h31(), "mu")
-    return SurfaceGrid(us, vs, pts, mask, AmbientSpec.e31(), "minimal")
+        return SurfaceGrid(us, vs, vec_of_mat(pts), mask, "mu")
+    return SurfaceGrid(us, vs, pts, mask, "minimal")

@@ -45,13 +45,10 @@ from .nullcurves import check_leg_pair
 class GaussMapGrid:
     """Chart coordinates of a null-line map over a parameter grid."""
 
-    us: np.ndarray
-    vs: np.ndarray
     rep: np.ndarray    # (nu, nv, 2, 2) rank-<=1 representatives
     g1: np.ndarray
     g2: np.ndarray
     mask: np.ndarray   # True where a chart denominator vanished
-    sign: str          # "plus" | "minus"
     chart: str         # which identification produced the coordinates
 
     def valid(self):
@@ -83,7 +80,7 @@ def chart_coordinates(rep, tol=DEFAULT_TOL):
 
 
 def _require_h31(surface):
-    if surface.ambient.name != "H31":
+    if surface.ambient != "H31":
         raise ValueError("Gauss map charts need a surface in the matrix model")
 
 
@@ -100,9 +97,8 @@ def hyperbolic_gauss(surface, fd, sign="plus", tol=DEFAULT_TOL):
     s = (1.0, -1.0)[_sign_index(sign)]
     rep = mat_of_vec(surface.points + s * fd.normal)
     g1, g2, bad = chart_coordinates(rep, tol)
-    return GaussMapGrid(us=surface.us, vs=surface.vs, rep=rep, g1=g1, g2=g2,
-                        mask=bad | ~np.isfinite(g1) | ~np.isfinite(g2),
-                        sign=sign, chart="surface")
+    return GaussMapGrid(rep=rep, g1=g1, g2=g2,
+                        mask=bad | ~np.isfinite(g1) | ~np.isfinite(g2), chart="surface")
 
 
 def _outer(col, row):
@@ -110,13 +106,13 @@ def _outer(col, row):
 
 
 def _frame_grids(frames):
-    """Parameters and grids of both frames."""
+    """Grids of both frames."""
     if hasattr(frames, "phi1"):   # integrated Lax frames
-        return frames.us, frames.vs, frames.phi1, frames.phi2
+        return frames.phi1, frames.phi2
     f1, f2 = frames
     check_leg_pair(f1, f2)
     shape = (f1.n, f2.n, 2, 2)
-    return (f1.ts, f2.ts, np.broadcast_to(f1.samples[:, None], shape),
+    return (np.broadcast_to(f1.samples[:, None], shape),
             np.broadcast_to(f2.samples[None, :], shape))
 
 
@@ -127,13 +123,11 @@ def frame_gauss_coordinates(frames, sign="plus", tol=DEFAULT_TOL):
     legs; both assemble the product F1 F2^T.  The plus line reads the
     first columns, the minus line the second.
     """
-    us, vs, p1, p2 = _frame_grids(frames)
+    p1, p2 = _frame_grids(frames)
     k = _sign_index(sign)
     rep = _outer(p1[..., :, k], p2[..., :, k])
     g1, g2, bad = chart_coordinates(rep, tol)
-    return GaussMapGrid(us=np.asarray(us), vs=np.asarray(vs), rep=rep,
-                        g1=g1, g2=g2, mask=bad, sign=sign,
-                        chart="frame-mu")
+    return GaussMapGrid(rep=rep, g1=g1, g2=g2, mask=bad, chart="frame-mu")
 
 
 def _stable_column(m, tol):
@@ -162,23 +156,19 @@ def generalized_gauss(surface, fd, sign="plus", tol=DEFAULT_TOL):
         rep = _outer(col, row)
         g1 = np.where(bad_c, np.nan, col[..., 0] / np.where(bad_c, 1.0, col[..., 1]))
         g2 = np.where(bad_r, np.nan, row[..., 0] / np.where(bad_r, 1.0, row[..., 1]))
-    return GaussMapGrid(us=surface.us, vs=surface.vs, rep=rep, g1=g1, g2=g2,
+    return GaussMapGrid(rep=rep, g1=g1, g2=g2,
                         mask=bad_c | bad_r | ~np.isfinite(g1) | ~np.isfinite(g2),
-                        sign=sign, chart="generalized")
+                        chart="generalized")
 
 
 @dataclass
 class HolomorphicityReport:
     """Wronskian identity residuals and the dependence classification."""
 
-    us: np.ndarray
-    vs: np.ndarray
     residual_u1: np.ndarray   # | W_u(F1 entries) - e^{-w/2} Q |
     residual_u2: np.ndarray   # | W_u(F2 entries) - e^{w/2}(H-1)/2 |
     residual_v1: np.ndarray
     residual_v2: np.ndarray
-    wronskian_u: np.ndarray   # larger measured |W_u| of the two frames
-    wronskian_v: np.ndarray
     classification: np.ndarray  # per-point labels
     label: str                  # common label, or "mixed"
 
@@ -235,10 +225,8 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     labels[holo] = "holomorphic"
     labels[anti & holo] = "constant"
     return HolomorphicityReport(
-        us=us, vs=vs,
         residual_u1=res[0], residual_u2=res[1],
         residual_v1=res[2], residual_v2=res[3],
-        wronskian_u=mag_u, wronskian_v=mag_v,
         classification=labels,
         label=str(labels.flat[0]) if (labels == labels.flat[0]).all() else "mixed")
 

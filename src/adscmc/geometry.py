@@ -1,11 +1,11 @@
 """Sampled surfaces and their first and second fundamental forms.
 
-A SurfaceGrid is a grid of surface points in one of two flat ambient
-spaces, named by its AmbientSpec: the unimodular quadric H31 (curvature
--1), stored as four components in R^4_2, or Minkowski 3-space E31
-(curvature 0), stored as three components.  Builders that form matrix
-products convert once, so every consumer reads component vectors, and a
-grid read back from its JSON file holds exactly the values written.
+A SurfaceGrid is a grid of surface points whose component count names
+the ambient (AMBIENTS): four components in R^4_2 for the unimodular
+quadric H31 (curvature -1), three for Minkowski 3-space E31 (curvature
+0); any other count is an error.  Builders that form matrix products
+convert once, so every consumer reads component vectors, and a grid
+read back from its JSON file holds exactly the values written.
 
 Given such a grid, this module measures everything
 the constructions upstream claim: the null-coordinate conformality
@@ -64,37 +64,36 @@ from .algebra import cross3, cross4, scalar_product3, scalar_product4
 from .config import DEFAULT_TOL
 
 
-@dataclass(frozen=True)
-class AmbientSpec:
-    """Ambient space: its name and constant sectional curvature."""
-
-    name: str
-    kbar: float
-
-    @classmethod
-    def h31(cls):
-        return cls("H31", -1.0)
-
-    @classmethod
-    def e31(cls):
-        return cls("E31", 0.0)
+# the ambient name and its constant curvature kbar, keyed by the
+# component count of a point
+AMBIENTS = {4: ("H31", -1.0), 3: ("E31", 0.0)}
 
 
 @dataclass
 class SurfaceGrid:
     """Sampled surface over a uniform (u, v) grid, u along axis 0.
 
-    points holds ambient components: shape (nu, nv, 4) in H31 and
-    (nu, nv, 3) in E31.  assembly names the construction that produced
-    the grid.
+    points holds ambient components, shape (nu, nv, 4) or (nu, nv, 3);
+    the count names the ambient.  assembly names the construction that
+    produced the grid.
     """
 
     us: np.ndarray
     vs: np.ndarray
     points: np.ndarray
     mask: np.ndarray    # True where the metric factor is below tolerance
-    ambient: AmbientSpec
     assembly: str
+
+    def __post_init__(self):
+        shape = np.shape(self.points)
+        if not shape or shape[-1] not in AMBIENTS:
+            raise ValueError(f"surface points of shape {shape} need 4 (H31) "
+                             "or 3 (E31) components")
+
+    @property
+    def ambient(self):
+        """"H31" or "E31", named by the component count."""
+        return AMBIENTS[self.points.shape[-1]][0]
 
     @property
     def shape(self):
@@ -132,9 +131,14 @@ def _cdm(a, hu, hv):
     return out
 
 
+# relative spread of node steps still read as uniform: linspace nodes
+# differ by rounding, some 1e-16 of a step, and a real unevenness is far larger
+UNIFORM_STEP_RTOL = 1e-9
+
+
 def _uniform_step(ts, name):
     d = np.diff(ts)
-    if d.size == 0 or np.max(np.abs(d - d[0])) > 1e-9 * max(1.0, abs(d[0])):
+    if d.size == 0 or np.max(np.abs(d - d[0])) > UNIFORM_STEP_RTOL * max(1.0, abs(d[0])):
         raise ValueError(f"{name} nodes must be uniformly spaced")
     return float(d[0])
 
@@ -150,7 +154,6 @@ class FundamentalData:
 
     us: np.ndarray
     vs: np.ndarray
-    ambient: AmbientSpec
     metric: np.ndarray        # e^omega = 2 <phi_u, phi_v>
     omega: np.ndarray
     normal: np.ndarray        # (nu, nv, 4) or (nu, nv, 3), a view of component planes
@@ -170,6 +173,11 @@ class FundamentalData:
     hu: float
     hv: float
 
+    @property
+    def kbar(self):
+        """Ambient curvature, named by the normal's component count."""
+        return AMBIENTS[self.normal.shape[-1]][1]
+
     def valid(self):
         return ~self.mask
 
@@ -187,13 +195,13 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
     the normal field, which flips the signs of H, Q and R while
     preserving K.
     """
-    ambient = surface.ambient
     nu, nv = surface.shape
     if nu < 5 or nv < 5:
         raise ValueError("fundamental data needs at least a 5x5 grid")
     hu = _uniform_step(surface.us, "u")
     hv = _uniform_step(surface.vs, "v")
-    hyperbolic = ambient.name == "H31"
+    name, kbar = AMBIENTS[surface.points.shape[-1]]
+    hyperbolic = name == "H31"
     sp = scalar_product4 if hyperbolic else scalar_product3
 
     x = np.ascontiguousarray(np.moveaxis(surface.points, -1, 0))
@@ -228,7 +236,7 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
         H = 2.0 * sp(xuv, normal) / metric
         Q = sp(xuu, normal)
         R = sp(xvv, normal)
-        K = ambient.kbar + H ** 2 - 4.0 * Q * R / metric ** 2
+        K = kbar + H ** 2 - 4.0 * Q * R / metric ** 2
     del x, xuu, xvv, xuv
 
     conf_u = sp(xu, xu)
@@ -251,7 +259,7 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
         sff = np.fmax(np.abs(ii_xx - model_xx),
                       np.fmax(np.abs(ii_yy - model_yy), np.abs(ii_xy - model_xy)))
         det_ii = ii_xx * ii_yy - ii_xy ** 2
-        K_shape = ambient.kbar - det_ii / metric ** 2
+        K_shape = kbar - det_ii / metric ** 2
         gauss_eq = K - K_shape
         # filled entry by entry: packing four finished entry grids would
         # hold them all at once, which raised peak memory on long grids
@@ -263,7 +271,7 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
 
     return FundamentalData(
         us=np.asarray(surface.us, dtype=float), vs=np.asarray(surface.vs, dtype=float),
-        ambient=ambient, metric=metric, omega=omega, normal=np.moveaxis(normal, 0, -1),
+        metric=metric, omega=omega, normal=np.moveaxis(normal, 0, -1),
         xu=np.moveaxis(xu, 0, -1), xv=np.moveaxis(xv, 0, -1),
         H=H, Q=Q, R=R, K=K, K_shape=K_shape, conf_u=conf_u, conf_v=conf_v,
         gauss_eq=gauss_eq, sff=sff, shape_op=shape_op, mask=~np.isfinite(H),
@@ -302,7 +310,7 @@ def lawson_shift_residual(fd, c):
     s = fd.shape_op
     tr = s[..., 0, 0] + s[..., 1, 1]
     with np.errstate(invalid="ignore"):
-        ktilde = fd.ambient.kbar - c * tr - c * c
+        ktilde = fd.kbar - c * tr - c * c
         det_shift = (s[..., 0, 0] + c) * (s[..., 1, 1] + c) - s[..., 0, 1] * s[..., 1, 0]
         return np.abs(fd.K - ktilde - det_shift)
 
@@ -367,7 +375,7 @@ def geometry_report(surface, tol=DEFAULT_TOL, flip_normal=False):
     umb = umbilic_detect(fd, tol)
     n_valid = int(np.sum(fd.valid()))
     stats = {
-        "ambient": fd.ambient.name,
+        "ambient": surface.ambient,
         "nu": len(fd.us), "nv": len(fd.vs), "hu": fd.hu, "hv": fd.hv,
         "n_valid": n_valid,
         "n_core": int(np.sum(core)),

@@ -38,7 +38,7 @@ import numpy as np
 from .algebra import act, check_unimodular, det2, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import as_field1d
-from .geometry import AmbientSpec, SurfaceGrid
+from .geometry import SurfaceGrid
 from .weierstrass import WeierstrassData, minimal_metric_factor
 
 KIND_F1 = "F1-holomorphic"
@@ -231,7 +231,7 @@ def _assemble(f1, f2, label, tol):
     points = vec_of_mat(act(f1.samples[:, None], f2.samples[None, :]))
     coef = frame_metric_grid(f1, f2)
     return SurfaceGrid(us=f1.ts, vs=f2.ts, points=points, mask=np.abs(coef) < tol.degen,
-                       ambient=AmbientSpec.h31(), assembly=label)
+                       assembly=label)
 
 
 def assemble_mu(f1, f2, tol=DEFAULT_TOL):

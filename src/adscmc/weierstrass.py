@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import cross3, scalar_product3
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d
-from .geometry import AmbientSpec, SurfaceGrid
+from .geometry import SurfaceGrid
 
 
 def _mirror(half, sign):
@@ -119,7 +119,7 @@ def minimal_metric_factor(data, u, v):
     return (1.0 + q * r) ** 2 * np.asarray(data.f(u), dtype=float) * np.asarray(data.g(v), dtype=float)
 
 
-def adaptive_quadrature(fun, a, b, tol=1e-12, max_depth=40):
+def adaptive_quadrature(fun, a, b, tol=DEFAULT_TOL.quad, max_depth=40):
     """Adaptive Gauss-Kronrod integrals of a vector-valued integrand.
 
     a and b are scalars or equal-shape arrays of cell endpoints; the
@@ -195,8 +195,7 @@ def integrate_minimal(data, domain, nu, nv, tol=DEFAULT_TOL):
     points = a[:, None, :] + b[None, :, :]
     factor = minimal_metric_factor(data, us[:, None], vs[None, :])
     mask = np.abs(factor) < tol.degen
-    return SurfaceGrid(us=us, vs=vs, points=points, mask=mask,
-                       ambient=AmbientSpec.e31(), assembly="minimal")
+    return SurfaceGrid(us=us, vs=vs, points=points, mask=mask, assembly="minimal")
 
 
 def minimal_normal(data, u, v, tol=DEFAULT_TOL):

@@ -1,5 +1,6 @@
 """The package imports nothing beyond the standard library and numpy,
-and no module of the package or of the tests imports a name it never reads."""
+no module of the package or of the tests imports a name it never reads,
+and no numerical threshold of the package is a bare literal."""
 
 import ast
 import pathlib
@@ -53,3 +54,24 @@ def test_every_imported_name_is_read(path):
     unused = [f"{path.name}:{line} imports {name}" for line, name in _bound_names(tree)
               if name not in read]
     assert not unused, unused
+
+
+def _stray_thresholds(path):
+    """(line, value) of each nonzero float literal below 1e-6 in size that
+    is not part of a module-level assignment, which would name it."""
+    tree = _tree(path)
+    named = {id(node) for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+             for node in ast.walk(stmt)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) is float \
+                and 0.0 < abs(node.value) < 1e-6 and id(node) not in named:
+            yield node.lineno, node.value
+
+
+def test_small_thresholds_are_named():
+    # Tolerances in config.py holds the thresholds a run may override;
+    # any other one is a module constant whose comment gives its reason
+    hits = [f"{path.name}:{line} uses {value!r}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "config.py"
+            for line, value in _stray_thresholds(path)]
+    assert not hits, hits

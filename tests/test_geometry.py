@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from adscmc.geometry import (
     DEFAULT_TOL,
-    AmbientSpec,
     SurfaceGrid,
     _cd1,
     fundamental_data,
@@ -106,7 +105,7 @@ def _frame_det(surface, normal):
     xu = (x[2:, 1:-1] - x[:-2, 1:-1]) / (2.0 * hu)
     xv = (x[1:-1, 2:] - x[1:-1, :-2]) / (2.0 * hv)
     rows = [xu - xv, xu + xv, normal[1:-1, 1:-1]]
-    if surface.ambient.name == "H31":
+    if surface.ambient == "H31":
         rows.insert(0, x[1:-1, 1:-1])
     return np.linalg.det(np.stack(rows, axis=-2))
 
@@ -441,7 +440,7 @@ def _cousin_grid(shear):
     uu, vv = np.meshgrid(us, vs, indexing="ij")
     points = _cousin_leg_a(uu + shear * vv**2) + _cousin_leg_b(vv)
     mask = np.zeros_like(uu, dtype=bool)
-    return SurfaceGrid(us, vs, points, mask, AmbientSpec.e31(), "control")
+    return SurfaceGrid(us, vs, points, mask, "control")
 
 
 def test_report_gate_names_broken_conformality():

@@ -1,4 +1,7 @@
-"""Every builder returns a SurfaceGrid that names its ambient space."""
+"""Every builder returns a SurfaceGrid whose point layout names its ambient space:
+four components place it in H31 (kbar = -1), three in E31 (kbar = 0)."""
+
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +9,13 @@ import pytest
 from adscmc.config import DEFAULT_TOL
 from adscmc.export import export_json, read_json
 from adscmc.gallery import GALLERY_NAMES, gallery, oracle_surface
-from adscmc.geometry import AmbientSpec, SurfaceGrid, fundamental_data, geometry_report
+from adscmc.geometry import SurfaceGrid, fundamental_data, geometry_report
 from adscmc.lax import GmcData, integrate_lax
 from adscmc.nullcurves import KIND_F1, KIND_F2_MU, assemble_mu, assemble_nu, integrate_frame
 from adscmc.weierstrass import WeierstrassData, integrate_minimal
 
-H31, E31 = AmbientSpec.h31(), AmbientSpec.e31()
+# (name, kbar) of each ambient
+H31, E31 = ("H31", -1.0), ("E31", 0.0)
 LIOUVILLE = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
 
 
@@ -22,10 +26,18 @@ def _leg(kind):
 
 def _check(surface, ambient, assembly, shape):
     assert type(surface) is SurfaceGrid
-    assert surface.ambient == ambient and surface.assembly == assembly
+    assert surface.ambient == ambient[0] and surface.assembly == assembly
     assert surface.shape == shape and surface.mask.shape == shape
     k = 4 if ambient == H31 else 3
     assert surface.points.shape == shape + (k,)
+    assert fundamental_data(surface).kbar == ambient[1]
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_a_layout_that_names_no_ambient_is_rejected(k):
+    us = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(ValueError, match=re.escape(f"shape (9, 7, {k})")):
+        SurfaceGrid(us, us[:7], np.zeros((9, 7, k)), np.zeros((9, 7), dtype=bool), "mu")
 
 
 def test_null_curve_assembly_builds_quadric_grids():
