@@ -20,12 +20,12 @@ import numpy as np
 
 from .algebra import project_h31
 from .config import DEFAULT_TOL, Tolerances
-from .export import _dumps, export_surface
+from .export import dumps, export_surface
 from .export import read_json as read_surface_json
 from .gallery import DEFAULT_DOMAIN, gallery, oracle_surface
 from .gaussmaps import (frame_gauss_coordinates, gauss_conformality_check,
                         generalized_gauss, holomorphicity_check, hyperbolic_gauss)
-from .geometry import fundamental_data, geometry_report
+from .geometry import fundamental_data, geometry_report, stat_max
 from .lax import CompatibilityError, GmcData, integrate_lax
 from .nullcurves import (KIND_F1, KIND_F2_MU, IntegrationError, assemble_mu,
                          assemble_nu, integrate_frame)
@@ -268,7 +268,7 @@ def _cmd_measure(cfg):
     """
     surface, target_h = _BUILDERS[cfg.command](cfg)
     report = geometry_report(surface, tol=cfg.tol, flip_normal=cfg.flip_normal)
-    _print_stats(report.to_dict())
+    _print_stats(report.stats)
     if cfg.out is not None:
         projection = None
         if cfg.out_format == "obj" and surface.ambient == "H31":
@@ -289,17 +289,14 @@ def _cmd_gauss(cfg):
     core = fd.core(cfg.tol)
 
     hol = holomorphicity_check(frames, sign=cfg.sign, tol=cfg.tol)
-    hyp = hyperbolic_gauss(surface, fd, sign=cfg.sign, tol=cfg.tol)
+    hyp = hyperbolic_gauss(fd, sign=cfg.sign, tol=cfg.tol)
     frm = frame_gauss_coordinates(frames, sign=cfg.sign, tol=cfg.tol)
-    gen = generalized_gauss(surface, fd, sign=cfg.sign, tol=cfg.tol)
-    conf = gauss_conformality_check(surface, fd, sign=cfg.sign, tol=cfg.tol)
+    gen = generalized_gauss(fd, sign=cfg.sign, tol=cfg.tol)
+    conf = gauss_conformality_check(fd, sign=cfg.sign, tol=cfg.tol)
 
     def chart_gap(a, b):
         sel = a.valid() & b.valid()
-        if not np.any(sel):
-            return float("nan")
-        return max(float(np.max(np.abs(a.g1[sel] - b.g1[sel]))),
-                   float(np.max(np.abs(a.g2[sel] - b.g2[sel]))))
+        return max(stat_max(a.g1 - b.g1, sel), stat_max(a.g2 - b.g2, sel))
 
     findings = {
         "schema": 1,
@@ -310,12 +307,10 @@ def _cmd_gauss(cfg):
         "chart_frame_vs_surface": chart_gap(frm, hyp),
         "chart_generalized_vs_surface": chart_gap(gen, hyp),
         "max_rep_det": max(hyp.max_rep_det(), gen.max_rep_det()),
-        "max_conformality_residual": (
-            float(np.max(conf[core & np.isfinite(conf)]))
-            if np.any(core & np.isfinite(conf)) else float("nan")),
+        "max_conformality_residual": stat_max(conf, core),
         "chart_spread": list(hyp.spread()),
     }
-    text = _dumps(findings)
+    text = dumps(findings)
     print(text)
     if cfg.out is not None:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -27,7 +27,7 @@ Every array formatted this way is finite: vertices are zero-filled and
 CSV rows are filtered to finite values, so no ``nan`` or ``inf`` can
 appear.  ``"%.17g" % x`` is the same conversion as ``f"{x:.17g}"``, so
 the bytes equal those of per-float formatting.  The small parts of a
-file (JSON meta and report, gauss findings) go through ``_dumps``, which
+file (JSON meta and report, gauss findings) go through ``dumps``, which
 writes non-finite floats as null.
 """
 
@@ -86,7 +86,7 @@ def _emit(value, out):
         out.append(json.dumps(str(value)))
 
 
-def _dumps(value):
+def dumps(value):
     out = []
     _emit(value, out)
     return "".join(out)
@@ -133,23 +133,21 @@ def _meta(surface):
             "ambient": surface.ambient.lower(), "assembly": str(surface.assembly)}
 
 
-def export_json(surface, projection, path, report=None, tol=DEFAULT_TOL, chart=None):
+def export_json(surface, projection, path, stats=None, tol=DEFAULT_TOL, chart=None):
     vertices, mask = _grid_vertices(surface, projection, tol, chart)
     meta = _meta(surface)
     if projection is not None:
         meta["projected"] = str(projection)
     with open(path, "w", newline="\n") as fh:
-        fh.write('{"schema":1,"meta":' + _dumps(meta) + ',"vertices":[')
+        fh.write('{"schema":1,"meta":' + dumps(meta) + ',"vertices":[')
         rowfmt = "[" + ",".join(["%.17g"] * vertices.shape[1]) + "]"
         _write_rows(fh, rowfmt, vertices, sep=",")
         fh.write("]")
         if mask.any():
             fh.write(',"mask":[' + ",".join(
                 np.where(mask.reshape(-1), "true", "false").tolist()) + "]")
-        if report is not None:
-            if hasattr(report, "to_dict"):
-                report = report.to_dict()
-            fh.write(',"report":' + _dumps(report))
+        if stats is not None:
+            fh.write(',"report":' + dumps(stats))
         fh.write("}\n")
     return path
 
@@ -232,7 +230,7 @@ def export_csv(fd, path):
             fd.conf_u, fd.conf_v, fd.gauss_eq, fd.sff)
     finite = np.isfinite(np.stack(cols)).all(axis=0) & fd.valid()
     i, j = np.nonzero(finite)
-    rows = np.column_stack([fd.us[i], fd.vs[j]] + [c[finite] for c in cols])
+    rows = np.column_stack([fd.surface.us[i], fd.surface.vs[j]] + [c[finite] for c in cols])
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         _write_rows(fh, ",".join(["%.17g"] * rows.shape[1]) + "\n", rows)
@@ -243,14 +241,15 @@ def export_surface(surface, projection, fmt, path, report=None, tol=DEFAULT_TOL,
                    chart=None):
     """Write a surface grid in the requested format.
 
-    A CSV file holds the measured fundamental data of report, a
-    GeometryReport.  chart is the projected grid when the caller has
-    already projected it (see _grid_vertices).
+    report, a GeometryReport, gives a JSON file its statistics and a CSV
+    file its measured fundamental data.  chart is the projected grid
+    when the caller has already projected it (see _grid_vertices).
     """
     if fmt == "obj":
         return export_obj(surface, projection, path, tol=tol, chart=chart)
     if fmt == "json":
-        return export_json(surface, projection, path, report=report, tol=tol, chart=chart)
+        stats = None if report is None else report.stats
+        return export_json(surface, projection, path, stats=stats, tol=tol, chart=chart)
     if fmt == "csv":
         if report is None:
             raise ValueError("CSV export needs measured fundamental data")

@@ -72,13 +72,6 @@ def _bscroll_phi(u, v):
     return pack2(ch + 0.0 * v, -w * ch + sh, sh + 0.0 * v, -w * sh + ch)
 
 
-def _horosphere_phi(u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    one = np.ones(np.broadcast_shapes(np.shape(u), np.shape(v)))
-    return pack2(one, v + 0.0 * u, u + 0.0 * v, 1.0 + u * v)
-
-
 def _minimal_enneper_psi(u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -137,7 +130,7 @@ def _entry_table():
         name="horosphere", ambient="h31",
         data=WeierstrassData.build("0", "1", "0", "1"),
         frame_f1=low, frame_f2=low,
-        surface_fn=_horosphere_phi,
+        surface_fn=_product_phi(low, low),
         expected={"H": 1.0, "Q": 0.0, "R": 0.0, "umbilic": True},
         notes="totally umbilic; constant null-line map")
     table["minimal-enneper"] = GalleryEntry(
@@ -187,7 +180,6 @@ def oracle_surface(entry, domain=DEFAULT_DOMAIN, nu=101, nv=101, tol=DEFAULT_TOL
     vs = np.linspace(v0, v1, nv)
     pts = entry.surface_fn(us[:, None], vs[None, :])
     mask = np.abs(minimal_metric_factor(entry.data, us[:, None], vs[None, :])) < tol.degen
-    mask = np.broadcast_to(mask, (nu, nv)).copy()
     if entry.ambient == "h31":
         return SurfaceGrid(us, vs, vec_of_mat(pts), mask, "mu")
     return SurfaceGrid(us, vs, pts, mask, "minimal")

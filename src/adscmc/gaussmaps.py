@@ -18,8 +18,9 @@ and mat(phi_v) a common row direction, and the outer product of those
 directions represents the plus line (swap the two matrices for the
 minus line).  It reads the tangents fundamental_data already
 differenced, fd.xu and fd.xv, so the only differences taken here are
-those of phi +- N in gauss_conformality_check.  Every route builds the
-map of one sign per call.
+those of phi +- N in gauss_conformality_check.  The surface routes take
+a measurement fd alone and read its grid fd.surface.  Every route
+builds the map of one sign per call.
 
 All three routes land on the same chart values, which is the substance
 of the consistency checks in the test suite.  Wronskians of the
@@ -36,7 +37,7 @@ import numpy as np
 from .algebra import det2, mat_of_vec, scalar_product4
 from .config import DEFAULT_TOL
 from .fields import fd_derivative
-from .geometry import _cd1
+from .geometry import central_difference
 from .lax import lax_terms
 from .nullcurves import check_leg_pair
 
@@ -49,7 +50,6 @@ class GaussMapGrid:
     g1: np.ndarray
     g2: np.ndarray
     mask: np.ndarray   # True where a chart denominator vanished
-    chart: str         # which identification produced the coordinates
 
     def valid(self):
         return ~self.mask
@@ -91,14 +91,14 @@ def _sign_index(sign):
     return 0 if sign == "plus" else 1
 
 
-def hyperbolic_gauss(surface, fd, sign="plus", tol=DEFAULT_TOL):
+def hyperbolic_gauss(fd, sign="plus", tol=DEFAULT_TOL):
     """Chart coordinates of [phi +- N] from the measured normal."""
-    _require_h31(surface)
+    _require_h31(fd.surface)
     s = (1.0, -1.0)[_sign_index(sign)]
-    rep = mat_of_vec(surface.points + s * fd.normal)
+    rep = mat_of_vec(fd.surface.points + s * fd.normal)
     g1, g2, bad = chart_coordinates(rep, tol)
     return GaussMapGrid(rep=rep, g1=g1, g2=g2,
-                        mask=bad | ~np.isfinite(g1) | ~np.isfinite(g2), chart="surface")
+                        mask=bad | ~np.isfinite(g1) | ~np.isfinite(g2))
 
 
 def _outer(col, row):
@@ -127,7 +127,7 @@ def frame_gauss_coordinates(frames, sign="plus", tol=DEFAULT_TOL):
     k = _sign_index(sign)
     rep = _outer(p1[..., :, k], p2[..., :, k])
     g1, g2, bad = chart_coordinates(rep, tol)
-    return GaussMapGrid(rep=rep, g1=g1, g2=g2, mask=bad, chart="frame-mu")
+    return GaussMapGrid(rep=rep, g1=g1, g2=g2, mask=bad)
 
 
 def _stable_column(m, tol):
@@ -139,14 +139,14 @@ def _stable_column(m, tol):
     return col, bad
 
 
-def generalized_gauss(surface, fd, sign="plus", tol=DEFAULT_TOL):
+def generalized_gauss(fd, sign="plus", tol=DEFAULT_TOL):
     """Chart coordinates of one null-line map from the tangents fd.xu, fd.xv.
 
     mat(phi_u) is rank one with the column direction of the plus line
     and the row direction of the minus line; mat(phi_v) carries the
     other half of each.
     """
-    _require_h31(surface)
+    _require_h31(fd.surface)
     xu, xv = mat_of_vec(fd.xu), mat_of_vec(fd.xv)
     cm, rm = (xv, xu) if _sign_index(sign) else (xu, xv)
     with np.errstate(invalid="ignore"):
@@ -157,25 +157,19 @@ def generalized_gauss(surface, fd, sign="plus", tol=DEFAULT_TOL):
         g1 = np.where(bad_c, np.nan, col[..., 0] / np.where(bad_c, 1.0, col[..., 1]))
         g2 = np.where(bad_r, np.nan, row[..., 0] / np.where(bad_r, 1.0, row[..., 1]))
     return GaussMapGrid(rep=rep, g1=g1, g2=g2,
-                        mask=bad_c | bad_r | ~np.isfinite(g1) | ~np.isfinite(g2),
-                        chart="generalized")
+                        mask=bad_c | bad_r | ~np.isfinite(g1) | ~np.isfinite(g2))
 
 
 @dataclass
 class HolomorphicityReport:
     """Wronskian identity residuals and the dependence classification."""
 
-    residual_u1: np.ndarray   # | W_u(F1 entries) - e^{-w/2} Q |
-    residual_u2: np.ndarray   # | W_u(F2 entries) - e^{w/2}(H-1)/2 |
-    residual_v1: np.ndarray
-    residual_v2: np.ndarray
+    residual: np.ndarray        # pointwise largest finite gap of the four identities
     classification: np.ndarray  # per-point labels
     label: str                  # common label, or "mixed"
 
     def max_residual(self):
-        vals = [np.nanmax(r) for r in (self.residual_u1, self.residual_u2,
-                                       self.residual_v1, self.residual_v2)]
-        return float(max(vals))
+        return float(np.nanmax(self.residual))
 
 
 def _wronskian(a, c, h, axis):
@@ -215,7 +209,8 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     wv1 = _wronskian(a1, c1, hv, 1)
     wv2 = _wronskian(a2, c2, hv, 1)
 
-    res = [np.abs(wr - p) for wr, p in zip((wu1, wu2, wv1, wv2), pred)]
+    gaps = [np.abs(wr - p) for wr, p in zip((wu1, wu2, wv1, wv2), pred)]
+    residual = np.fmax(np.fmax(gaps[0], gaps[1]), np.fmax(gaps[2], gaps[3]))
     mag_u = np.maximum(np.abs(wu1), np.abs(wu2))
     mag_v = np.maximum(np.abs(wv1), np.abs(wv2))
     anti = mag_u <= tol.hol
@@ -225,23 +220,21 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     labels[holo] = "holomorphic"
     labels[anti & holo] = "constant"
     return HolomorphicityReport(
-        residual_u1=res[0], residual_u2=res[1],
-        residual_v1=res[2], residual_v2=res[3],
-        classification=labels,
+        residual=residual, classification=labels,
         label=str(labels.flat[0]) if (labels == labels.flat[0]).all() else "mixed")
 
 
-def gauss_conformality_check(surface, fd, sign="plus", tol=DEFAULT_TOL):
+def gauss_conformality_check(fd, sign="plus", tol=DEFAULT_TOL):
     """Residual of the chart-metric identity for near-unit |H|.
 
     The du dv coefficient of <d(phi +- N), d(phi +- N)> equals
     -K e^omega when H = 1 (plus) or H = -1 (minus); the returned grid
     is the pointwise gap, NaN on the stencil border.
     """
-    _require_h31(surface)
+    _require_h31(fd.surface)
     s = (1.0, -1.0)[_sign_index(sign)]
-    m = surface.points + s * fd.normal
-    mu = _cd1(m, fd.hu, 0)
-    mv = _cd1(m, fd.hv, 1)
+    m = fd.surface.points + s * fd.normal
+    mu = central_difference(m, fd.hu, 0)
+    mv = central_difference(m, fd.hv, 1)
     coef = 2.0 * scalar_product4(np.moveaxis(mu, -1, 0), np.moveaxis(mv, -1, 0))
     return np.abs(coef + fd.K * fd.metric)

@@ -100,7 +100,7 @@ class SurfaceGrid:
         return self.points.shape[:2]
 
 
-def _cd1(a, h, axis):
+def central_difference(a, h, axis):
     """Central first difference; NaN where the stencil leaves the grid."""
     out = np.full_like(a, np.nan)
     sl = [slice(None)] * a.ndim
@@ -147,13 +147,14 @@ def _uniform_step(ts, name):
 class FundamentalData:
     """Measured first and second order data of a sampled surface.
 
-    All arrays have the full grid shape; entries are NaN wherever the
-    finite-difference stencil or the degeneracy mask leaves them
-    undefined.  mask is True at points with no valid first-order data.
+    surface is the grid measured, so its nodes and points travel with
+    the measurement.  All arrays have the full grid shape; entries are
+    NaN wherever the finite-difference stencil or the degeneracy mask
+    leaves them undefined.  mask is True at points with no valid
+    first-order data.
     """
 
-    us: np.ndarray
-    vs: np.ndarray
+    surface: SurfaceGrid
     metric: np.ndarray        # e^omega = 2 <phi_u, phi_v>
     omega: np.ndarray
     normal: np.ndarray        # (nu, nv, 4) or (nu, nv, 3), a view of component planes
@@ -205,8 +206,8 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
     sp = scalar_product4 if hyperbolic else scalar_product3
 
     x = np.ascontiguousarray(np.moveaxis(surface.points, -1, 0))
-    xu = _cd1(x, hu, 1)
-    xv = _cd1(x, hv, 2)
+    xu = central_difference(x, hu, 1)
+    xv = central_difference(x, hv, 2)
     xuu = _cd2(x, hu, 1)
     xvv = _cd2(x, hv, 2)
     xuv = _cdm(x, hu, hv)
@@ -242,8 +243,8 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
     conf_u = sp(xu, xu)
     conf_v = sp(xv, xv)
 
-    n_u = _cd1(normal, hu, 1)
-    n_v = _cd1(normal, hv, 2)
+    n_u = central_difference(normal, hu, 1)
+    n_v = central_difference(normal, hv, 2)
     n_x, n_y = n_u - n_v, n_u + n_v
     del n_u, n_v
     phi_x, phi_y = xu - xv, xu + xv
@@ -270,8 +271,7 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
         shape_op[..., 1, 1] = ii_yy / metric
 
     return FundamentalData(
-        us=np.asarray(surface.us, dtype=float), vs=np.asarray(surface.vs, dtype=float),
-        metric=metric, omega=omega, normal=np.moveaxis(normal, 0, -1),
+        surface=surface, metric=metric, omega=omega, normal=np.moveaxis(normal, 0, -1),
         xu=np.moveaxis(xu, 0, -1), xv=np.moveaxis(xv, 0, -1),
         H=H, Q=Q, R=R, K=K, K_shape=K_shape, conf_u=conf_u, conf_v=conf_v,
         gauss_eq=gauss_eq, sff=sff, shape_op=shape_op, mask=~np.isfinite(H),
@@ -315,7 +315,8 @@ def lawson_shift_residual(fd, c):
         return np.abs(fd.K - ktilde - det_shift)
 
 
-def _stat_max(a, where):
+def stat_max(a, where):
+    """max |a| over the finite entries that where selects; NaN when there are none."""
     sel = np.asarray(where) & np.isfinite(a)
     return float(np.max(np.abs(a[sel]))) if np.any(sel) else float("nan")
 
@@ -352,13 +353,7 @@ class GeometryReport:
         return ratio <= 1.0, name, value, bound
 
     def stats_h_error(self, target_h):
-        sel = self.core & np.isfinite(self.fd.H)
-        if not np.any(sel):
-            return float("nan")
-        return float(np.max(np.abs(self.fd.H[sel] - target_h)))
-
-    def to_dict(self):
-        return dict(self.stats)
+        return stat_max(self.fd.H - target_h, self.core)
 
 
 def geometry_report(surface, tol=DEFAULT_TOL, flip_normal=False):
@@ -370,23 +365,23 @@ def geometry_report(surface, tol=DEFAULT_TOL, flip_normal=False):
     """
     fd = fundamental_data(surface, tol=tol, flip_normal=flip_normal)
     core = fd.core(tol)
-    h_vals = fd.H[core & np.isfinite(fd.H)]
+    h_vals = fd.H[core]
     h_median = float(np.median(h_vals)) if h_vals.size else float("nan")
     umb = umbilic_detect(fd, tol)
     n_valid = int(np.sum(fd.valid()))
     stats = {
         "ambient": surface.ambient,
-        "nu": len(fd.us), "nv": len(fd.vs), "hu": fd.hu, "hv": fd.hv,
+        "nu": len(surface.us), "nv": len(surface.vs), "hu": fd.hu, "hv": fd.hv,
         "n_valid": n_valid,
         "n_core": int(np.sum(core)),
         "n_degenerate": int(fd.mask[1:-1, 1:-1].sum()),
         "min_metric": float(np.nanmin(fd.metric)) if np.any(np.isfinite(fd.metric)) else float("nan"),
-        "max_conf_u": _stat_max(fd.conf_u, core),
-        "max_conf_v": _stat_max(fd.conf_v, core),
-        "max_gauss_eq": _stat_max(fd.gauss_eq, core),
-        "max_sff": _stat_max(fd.sff, core),
+        "max_conf_u": stat_max(fd.conf_u, core),
+        "max_conf_v": stat_max(fd.conf_v, core),
+        "max_gauss_eq": stat_max(fd.gauss_eq, core),
+        "max_sff": stat_max(fd.sff, core),
         "h_median": h_median,
-        "h_spread": _stat_max(fd.H - h_median, core),
+        "h_spread": stat_max(fd.H - h_median, core),
         "umbilic_fraction": float(np.sum(umb & core) / max(1, np.sum(core))),
     }
     return GeometryReport(fd=fd, stats=stats, core=core)

@@ -37,12 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import act, adjugate, check_unimodular, det2, pack2, vec_of_mat
+from .algebra import adjugate, check_unimodular, pack2
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d, as_field2d, fd_derivative
-from .geometry import SurfaceGrid
-from .nullcurves import (IntegrationError, check_leg_pair, magnus_increments, magnus_march,
-                         stage_times)
+from .nullcurves import (check_drift, check_leg_pair, magnus_increments, magnus_march,
+                         product_surface, stage_times)
 from .weierstrass import WeierstrassData
 
 
@@ -129,12 +128,9 @@ class LaxFrames:
     data: GmcData
 
     def assemble(self, tol=DEFAULT_TOL):
-        """Product surface Phi1 Phi2^T."""
-        points = act(self.phi1, self.phi2)
-        w = self.data.omega(self.us[:, None], self.vs[None, :])
-        mask = np.broadcast_to(np.exp(w) < tol.degen, points.shape[:2]).copy()
-        return SurfaceGrid(us=self.us, vs=self.vs, points=vec_of_mat(points), mask=mask,
-                           assembly="mu")
+        """Product surface Phi1 Phi2^T, masked where e^omega < tol.degen."""
+        factor = np.exp(self.data.omega(self.us[:, None], self.vs[None, :]))
+        return product_surface(self.us, self.vs, self.phi1, self.phi2, factor, "mu", tol)
 
 
 def _coefs(data, u, v, along_u):
@@ -236,13 +232,7 @@ def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL):
         warnings.warn(f"far-corner path defect {defect:.3e} exceeds {tol.path:g}",
                       RuntimeWarning, stacklevel=2)
 
-    # row blocks hold no full-size determinant; np.max keeps a NaN block maximum
-    k = max(1, _BLOCK_POINTS // nv)
-    drift = float(np.max([np.max(np.abs(det2(frames[:, i:i + k]) - 1.0))
-                          for i in range(0, nu, k)]))
-    if not drift <= tol.drift:
-        raise IntegrationError(
-            f"determinant drift {drift:.3e} exceeds {tol.drift:g} in the frame sweep")
+    check_drift(frames, tol, "in the frame sweep")
     return LaxFrames(us=us, vs=vs, phi1=frames[0], phi2=frames[1],
                      path_defect=defect, data=data)
 
@@ -255,9 +245,8 @@ LEG_NULLITY_BOUND = 1e-8
 
 def _leg_data(curve, tol):
     """Recover the (s, w) fields from one integrated null frame leg."""
-    ts = curve.ts
-    dt = float(ts[1] - ts[0])
-    dot = fd_derivative(curve.samples, dt, axis=0)
+    step = (curve.t1 - curve.t0) / (curve.n - 1)
+    dot = fd_derivative(curve.samples, step, axis=0)
     coef = adjugate(curve.samples) @ dot
     a = coef[:, 0, 0]
     b = coef[:, 0, 1]
@@ -270,7 +259,6 @@ def _leg_data(curve, tol):
         raise ZeroDivisionError(
             "direction entry of the connection vanishes on the range "
             f"(min |.| = {bad:.3e}); data only recoverable locally")
-    step = (curve.t1 - curve.t0) / (curve.n - 1)
     return (ScalarField1D.from_samples(curve.t0, step, a / c),
             ScalarField1D.from_samples(curve.t0, step, c))
 

@@ -27,7 +27,9 @@ of the summed leg coefficients, identically w1 w2 (1 + s1 s2)^2: the
 factor of the minimal cousin whose Weierstrass data (q, f, r, g) are
 the legs' (s1, w1, s2, w2).  It is evaluated exactly from the attached
 fields by that one formula, weierstrass.minimal_metric_factor, rather
-than by differencing the grid.
+than by differencing the grid.  The Lax frames of lax.py end here too:
+product_surface forms and masks every product grid, and check_drift is
+the determinant-drift gate of every integrated frame.
 """
 
 import math
@@ -175,6 +177,20 @@ def magnus_march(y, steps):
         yield y
 
 
+def check_drift(frames, tol, where):
+    """max |det - 1| of frames (..., 2, 2), gated by tol.drift.
+
+    Raises IntegrationError, its message ending in where.  Blocks of k
+    frames hold no full-size determinant, and np.max keeps a NaN block
+    maximum, so a NaN frame fails.
+    """
+    m, k = frames.reshape(-1, 2, 2), 10_000
+    drift = float(np.max([np.max(np.abs(det2(m[i:i + k]) - 1.0)) for i in range(0, len(m), k)]))
+    if not drift <= tol.drift:
+        raise IntegrationError(f"determinant drift {drift:.3e} exceeds {tol.drift:g} {where}")
+    return drift
+
+
 def integrate_frame(kind, s, w, t_range, n, init=None, substeps=1, tol=DEFAULT_TOL):
     """Magnus integration of one leg, sampled at n uniform nodes.
 
@@ -200,10 +216,7 @@ def integrate_frame(kind, s, w, t_range, n, init=None, substeps=1, tol=DEFAULT_T
     ts = stage_times(t0 + np.arange(n - 1) * (t1 - t0) / (n - 1), h, substeps)
     steps = magnus_increments(_null_entries(s(ts), w(ts)), h)
     out = np.stack(list(magnus_march(init, steps)))
-    drift = float(np.max(np.abs(det2(out) - 1.0)))
-    if not drift <= tol.drift:
-        raise IntegrationError(
-            f"determinant drift {drift:.3e} exceeds {tol.drift:g} on the {kind} leg")
+    drift = check_drift(out, tol, f"on the {kind} leg")
     return FrameCurve(kind, s, w, t0, t1, n, samples=out, det_drift=drift)
 
 
@@ -226,12 +239,17 @@ def check_leg_pair(f1, f2):
         raise ValueError(f"second leg must have kind {KIND_F2_MU!r}, got {f2.kind!r}")
 
 
+def product_surface(us, vs, phi1, phi2, factor, label, tol):
+    """Grid of products phi1 phi2^T of broadcast frames, masked where the
+    (nu, nv) conformal factor grid has |factor| < tol.degen."""
+    return SurfaceGrid(us=us, vs=vs, points=vec_of_mat(act(phi1, phi2)),
+                       mask=np.abs(factor) < tol.degen, assembly=label)
+
+
 def _assemble(f1, f2, label, tol):
     check_leg_pair(f1, f2)
-    points = vec_of_mat(act(f1.samples[:, None], f2.samples[None, :]))
-    coef = frame_metric_grid(f1, f2)
-    return SurfaceGrid(us=f1.ts, vs=f2.ts, points=points, mask=np.abs(coef) < tol.degen,
-                       assembly=label)
+    return product_surface(f1.ts, f2.ts, f1.samples[:, None], f2.samples[None, :],
+                           frame_metric_grid(f1, f2), label, tol)
 
 
 def assemble_mu(f1, f2, tol=DEFAULT_TOL):

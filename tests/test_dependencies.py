@@ -1,5 +1,6 @@
 """The package imports nothing beyond the standard library and numpy,
 no module of the package or of the tests imports a name it never reads,
+no module of the package imports another's private name,
 and no numerical threshold of the package is a bare literal."""
 
 import ast
@@ -54,6 +55,22 @@ def test_every_imported_name_is_read(path):
     unused = [f"{path.name}:{line} imports {name}" for line, name in _bound_names(tree)
               if name not in read]
     assert not unused, unused
+
+
+def _private_imports(path):
+    """(line, name) of every private name a relative import binds."""
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    yield node.lineno, alias.name
+
+
+def test_no_module_imports_a_private_name():
+    # a helper that another module needs is public under a public name
+    hits = [f"{path.name}:{line} imports {name}" for path in sorted(SRC.glob("*.py"))
+            for line, name in _private_imports(path)]
+    assert not hits, hits
 
 
 def _stray_thresholds(path):

@@ -10,7 +10,7 @@ import pytest
 
 from adscmc import export
 from adscmc.cli import main
-from adscmc.export import CSV_HEADER, _dumps, export_csv, export_obj, read_json
+from adscmc.export import CSV_HEADER, dumps, export_csv, export_obj, read_json
 from adscmc.gallery import oracle_surface
 from adscmc.geometry import fundamental_data
 
@@ -81,7 +81,7 @@ def test_obj_with_every_face_masked_keeps_its_vertex_lines(tmp_path):
 
 
 def test_numpy_bools_are_json_literals():
-    assert _dumps({"a": np.bool_(True), "b": [np.bool_(False), True]}) == \
+    assert dumps({"a": np.bool_(True), "b": [np.bool_(False), True]}) == \
         '{"a":true,"b":[false,true]}'
 
 

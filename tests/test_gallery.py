@@ -109,8 +109,9 @@ def test_entry_without_surface_raises():
 
 def test_metric_expression_matches_the_measured_factor(std_surfaces):
     entry, _, fd = std_surfaces["enneper-isothermic"]
-    uu = fd.us[:, None] + 0.0 * fd.vs[None, :]
-    vv = 0.0 * uu + fd.vs[None, :]
+    us, vs = fd.surface.us, fd.surface.vs
+    uu = us[:, None] + 0.0 * vs[None, :]
+    vv = 0.0 * uu + vs[None, :]
     want = (1.0 + uu * vv) ** 2
     sel = fd.core() & np.isfinite(fd.metric)
     # differenced tangents put an h^2 floor under the product

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from adscmc.geometry import (
     DEFAULT_TOL,
     SurfaceGrid,
-    _cd1,
+    central_difference,
     fundamental_data,
     geometry_report,
     lawson_shift,
@@ -128,7 +128,7 @@ def test_tangents_are_views_of_the_differenced_planes(name, std_surfaces):
     # so they must be exactly the central differences of the points
     _, surface, fd = std_surfaces[name]
     for got, h, axis in ((fd.xu, fd.hu, 0), (fd.xv, fd.hv, 1)):
-        want = _cd1(surface.points, h, axis)
+        want = central_difference(surface.points, h, axis)
         assert np.array_equal(got, want, equal_nan=True)
         planes = got.base
         assert planes.shape == (surface.points.shape[-1],) + surface.shape
@@ -460,11 +460,3 @@ def test_unsheared_control_passes_the_same_gate():
     ok, _, _, _ = report.worst(target_h=0.0)
     assert ok
     assert report.stats["ambient"] == "E31"
-
-
-def test_report_to_dict_round_trips_stats(std_surfaces):
-    _, surface, _ = std_surfaces["b-scroll"]
-    report = geometry_report(surface)
-    d = report.to_dict()
-    assert d == report.stats
-    assert d is not report.stats

@@ -173,6 +173,51 @@ def test_both_routes_build_congruent_surfaces():
     assert np.max(np.abs(fd_lax.K - fd_bry.K)[core]) < 1e-3
 
 
+def _conjugator(x, y):
+    """The A with y A = A x at every point, scaled to |det A| = 1.
+
+    Row-major, vec(y A - A x) = (y (x) I - I (x) x^T) vec(A), so A is the
+    right singular vector of the stacked systems with the least
+    singular value.
+    """
+    eye = np.eye(2)
+    m = np.einsum("nik,jl->nijkl", y, eye) - np.einsum("ik,nlj->nijkl", eye, x)
+    a = np.linalg.svd(m.reshape(-1, 4), full_matrices=False)[2][-1].reshape(2, 2)
+    return a / np.sqrt(abs(np.linalg.det(a)))
+
+
+# (q, f, r, g) and the Lax data (omega, Q, R) of the same surface, H = 1:
+# omega = ln(f g (1 + q r)^2), Q = -f q' and R = -g r'
+ONE_SURFACE = {
+    "uv": (("u", "1", "v", "1"), ("2*ln(1+u*v)", "-1", "-1")),
+    "sin": (("sin(u)", "1+u^2/4", "v^2", "exp(v/3)"),
+            ("ln((1+u^2/4)*exp(v/3)*(1+v^2*sin(u))^2)", "-(1+u^2/4)*cos(u)",
+             "-2*v*exp(v/3)")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SURFACE))
+def test_legs_and_lax_frames_build_one_surface_at_order_4(name):
+    # both routes start from identity frames, so their surfaces differ by
+    # a constant motion y = A x A^-1, fitted here; the remaining gap is
+    # the two integrators' error, which falls by 16 per halving of h
+    (q, f, r, g), (omega, hopf_q, hopf_r) = ONE_SURFACE[name]
+    data = GmcData.build(omega, 1.0, hopf_q, hopf_r)
+    gaps = []
+    for n in (51, 101, 201):
+        f1 = integrate_frame(KIND_F1, q, f, (-0.5, 0.5), n)
+        f2 = integrate_frame(KIND_F2_MU, r, g, (-0.5, 0.5), n)
+        x = mat_of_vec(assemble_mu(f1, f2).points).reshape(-1, 2, 2)
+        frames = integrate_lax(data, (-0.5, 0.5, -0.5, 0.5), n, n)
+        y = mat_of_vec(frames.assemble().points).reshape(-1, 2, 2)
+        a = _conjugator(x, y)
+        assert abs(np.linalg.det(a) + 1.0) < 1e-12
+        gaps.append(np.max(np.abs(y - a @ x @ np.linalg.inv(a))))
+    # measured 7.38e-9, 4.61e-10, 2.88e-11 on the uv data: ratios 16.0
+    assert gaps[0] / gaps[1] >= 14.0
+    assert gaps[1] / gaps[2] >= 14.0
+
+
 def test_extraction_needs_null_frames():
     ts = np.linspace(0.0, 1.0, 101)
     boosts = np.zeros((101, 2, 2))
