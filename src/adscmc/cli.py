@@ -3,15 +3,17 @@
 Every subcommand builds or loads one surface grid, measures it, prints
 the measurement statistics, and exits 0 exactly when every gated
 residual is within tolerance.  The gate is GeometryReport.worst, so the
-failure line always names the worst offender.  Configuration can come
-from flags or from a JSON manifest (flags win), which keeps runs
-reproducible from a single checked-in file.
+failure line always names the worst offender.  A run is reproducible
+from a checked-in argument file: `adscmc cmc1 @run.args --nu 11` reads
+run.args, one argument per line, in place of `@run.args`, and later
+arguments win.  Any argument that starts with "@", a path included, is
+read as an argument file.
 """
 
 import argparse
 import dataclasses
 import functools
-import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ from .weierstrass import QuadratureError, WeierstrassData, integrate_minimal
 
 
 class UsageError(Exception):
-    """Bad flag or config value; the message names the offender."""
+    """Bad flag value; the message names the offender."""
 
 
 # the --out suffixes a command writes; the suffix picks the format
@@ -42,7 +44,7 @@ _OUT_FORMATS = {"gauss": ("json",), "project": ("obj", "json")}
 
 @dataclass
 class RunConfig:
-    """Merged settings for one subcommand invocation."""
+    """Settings for one subcommand invocation: its parsed flags over these defaults."""
 
     command: str
     q: str = None
@@ -71,8 +73,8 @@ class RunConfig:
         if self.nu < 5 or self.nv < 5:
             raise UsageError("--nu and --nv must be at least 5")
         u0, u1, v0, v1 = self.domain
-        if not (u1 > u0 and v1 > v0):
-            raise UsageError("--domain must satisfy u1 > u0 and v1 > v0")
+        if not (all(map(math.isfinite, self.domain)) and u1 > u0 and v1 > v0):
+            raise UsageError("--domain needs four finite bounds with u1 > u0 and v1 > v0")
         if self.substeps < 1:
             raise UsageError("--substeps must be at least 1")
         formats = _OUT_FORMATS.get(self.command, ("obj", "json", "csv"))
@@ -90,7 +92,8 @@ class RunConfig:
 _TOL_KEYS = {f.name for f in dataclasses.fields(Tolerances)}
 
 
-def _parse_tol_overrides(pairs):
+def _tolerances(pairs):
+    """DEFAULT_TOL with the --tol KEY=VALUE overrides applied in order."""
     out = {}
     for item in pairs:
         key, sep, value = item.partition("=")
@@ -102,90 +105,22 @@ def _parse_tol_overrides(pairs):
             out[key] = float(value)
         except ValueError:
             raise UsageError(f"tolerance {key} needs a number, got {value!r}") from None
-    return out
-
-
-def _flag_value(action, key, value):
-    """Convert a JSON scalar as argparse converts the same text given as the flag."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise UsageError(f"config key {key!r} needs a string or a number, got {value!r}")
-    text = value if isinstance(value, str) else repr(value)
     try:
-        out = text if action.type is None else action.type(text)
-    except ValueError:
-        raise UsageError(f"config key {key!r}: invalid {action.type.__name__} "
-                         f"value {text!r}") from None
-    if action.choices is not None and out not in action.choices:
-        raise UsageError(f"config key {key!r}: {text!r} is not one of {', '.join(action.choices)}")
-    return out
+        return DEFAULT_TOL.with_(**out)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _check_config(key, value, action):
-    """A config value, accepted exactly when its flag accepts the same text."""
-    if key == "tol":
-        if not isinstance(value, dict):
-            raise UsageError(f"config key 'tol' needs an object, got {value!r}")
-        return _parse_tol_overrides(f"{k}={_flag_value(action, k, v)}" for k, v in value.items())
-    if action.nargs == 0:
-        # a switch such as --flip-normal is a JSON boolean in a config
-        if not isinstance(value, bool):
-            raise UsageError(f"config key {key!r} needs true or false, got {value!r}")
-        return value
-    if not isinstance(action.nargs, int):
-        return _flag_value(action, key, value)
-    if not isinstance(value, list) or len(value) != action.nargs:
-        raise UsageError(f"config key {key!r} needs a list of {action.nargs} values, got {value!r}")
-    return [_flag_value(action, key, x) for x in value]
-
-
-def _merge_config(ns, parser):
-    """Flags > config file > RunConfig defaults.
-
-    A config file may set any option of the subcommand, and a value is
-    accepted exactly when its flag would accept the same text.
-    """
-    flags = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
-    manifest = {}
-    if ns.config:
-        try:
-            with open(ns.config, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read --config {ns.config}: {exc}") from None
-        if not isinstance(manifest, dict):
-            raise UsageError("--config must hold a JSON object")
-        for key in manifest:
-            if key not in flags:
-                raise UsageError(f"unknown config key {key!r} for {ns.command}")
-        sub = next(a for a in parser._actions if a.dest == "command")
-        actions = {a.dest: a for a in sub.choices[ns.command]._actions}
-        manifest = {key: _check_config(key, value, actions[key])
-                    for key, value in manifest.items() if value is not None}
-
-    merged = {"command": ns.command}
-    for key, flag in flags.items():
-        if key == "tol":
-            continue
-        if flag is None:
-            flag = manifest.get(key)
-        if flag is not None:
-            merged[key] = flag
-
-    overrides = manifest.get("tol", {})
-    overrides.update(_parse_tol_overrides(ns.tol or []))
-    merged["tol"] = DEFAULT_TOL.with_(**overrides)
-
+def _merge_config(ns):
+    """The validated RunConfig of the parsed flags; a flag left unset
+    keeps its RunConfig default."""
+    merged = {key: value for key, value in vars(ns).items() if value is not None}
+    merged["tol"] = _tolerances(ns.tol or [])
     if "domain" in merged:
         merged["domain"] = tuple(merged["domain"])
     cfg = RunConfig(**merged)
     cfg.validate()
     return cfg
-
-
-def _require(cfg, *names):
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise UsageError(f"--{name} is required for {cfg.command}")
 
 
 def _print_stats(stats):
@@ -200,13 +135,11 @@ def _print_gate(ok, name, value, bound):
 
 
 def _build_minimal(cfg):
-    _require(cfg, "q", "f", "r", "g")
     data = WeierstrassData.build(cfg.q, cfg.f, cfg.r, cfg.g)
     return integrate_minimal(data, cfg.domain, cfg.nu, cfg.nv, tol=cfg.tol), 0.0
 
 
 def _build_cmc1(cfg):
-    _require(cfg, "q", "f", "r", "g")
     u0, u1, v0, v1 = cfg.domain
     f1 = integrate_frame(KIND_F1, cfg.q, cfg.f, (u0, u1), cfg.nu,
                          substeps=cfg.substeps, tol=cfg.tol)
@@ -219,7 +152,6 @@ def _build_cmc1(cfg):
 
 def _lax_surface(cfg):
     """The Lax frames of cfg's (omega, H, Q, R) and their product surface."""
-    _require(cfg, "omega", "H", "Q", "R")
     data = GmcData.build(cfg.omega, cfg.H, cfg.Q, cfg.R)
     frames = integrate_lax(data, cfg.domain, cfg.nu, cfg.nv,
                            substeps=cfg.substeps, tol=cfg.tol)
@@ -233,7 +165,6 @@ def _build_lax(cfg):
 
 
 def _build_verify(cfg):
-    _require(cfg, "path")
     surface, _, _ = read_surface_json(cfg.path)
     nu, nv = surface.shape
     print(f"loaded {cfg.path}: ambient {surface.ambient.lower()}, {nu}x{nv}")
@@ -241,7 +172,6 @@ def _build_verify(cfg):
 
 
 def _build_gallery(cfg):
-    _require(cfg, "name")
     entry = gallery(cfg.name)
     surface = oracle_surface(entry, cfg.domain, cfg.nu, cfg.nv, tol=cfg.tol)
     target = float(entry.expected["H"])
@@ -323,7 +253,6 @@ def _cmd_gauss(cfg):
 
 
 def _cmd_project(cfg):
-    _require(cfg, "path", "out")
     surface, _, _ = read_surface_json(cfg.path)
     if surface.ambient != "H31":
         raise UsageError("project needs a raw quadric surface (4-component vertices)")
@@ -352,8 +281,7 @@ _DISPATCH = {**dict.fromkeys(_BUILDERS, _cmd_measure),
              "gauss": _cmd_gauss, "project": _cmd_project}
 
 
-def _add_common(sp, grid=True):
-    sp.add_argument("--config", help="JSON manifest of flag values; explicit flags win")
+def _add_common(sp, grid=True, out_required=False):
     sp.add_argument("--tol", action="append", metavar="KEY=VALUE",
                     help="tolerance override, repeatable")
     if grid:
@@ -361,32 +289,35 @@ def _add_common(sp, grid=True):
                         metavar=("U0", "U1", "V0", "V1"))
         sp.add_argument("--nu", type=int, help="grid points in u")
         sp.add_argument("--nv", type=int, help="grid points in v")
-    sp.add_argument("--out", help="output file path; its suffix picks the format")
+    sp.add_argument("--out", required=out_required,
+                    help="output file path; its suffix picks the format")
 
 
 def _add_weierstrass(sp):
     for flag in ("--q", "--f", "--r", "--g"):
-        sp.add_argument(flag, help=f"expression for {flag[2:]}")
+        sp.add_argument(flag, required=True, help=f"expression for {flag[2:]}")
 
 
 def _add_gmc(sp):
-    sp.add_argument("--omega", help="expression for the log conformal factor")
-    sp.add_argument("--H", type=float, help="constant mean curvature of the data")
-    sp.add_argument("--Q", help="expression for the uu Hopf coefficient, in u")
-    sp.add_argument("--R", help="expression for the vv Hopf coefficient, in v")
+    sp.add_argument("--omega", required=True, help="expression for the log conformal factor")
+    sp.add_argument("--H", type=float, required=True, help="constant mean curvature of the data")
+    sp.add_argument("--Q", required=True, help="expression for the uu Hopf coefficient, in u")
+    sp.add_argument("--R", required=True, help="expression for the vv Hopf coefficient, in v")
     sp.add_argument("--substeps", type=int, help="Magnus substeps per grid cell")
 
 
 def _add_flip(sp):
-    sp.add_argument("--flip-normal", dest="flip_normal", action="store_const",
-                    const=True, help="reverse the normal orientation")
+    sp.add_argument("--flip-normal", action="store_true", help="reverse the normal orientation")
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="adscmc",
+        prog="adscmc", fromfile_prefix_chars="@",
         description="Timelike constant mean curvature surfaces in the "
-                    "unimodular quadric and their flat-space minimal cousins.")
+                    "unimodular quadric and their flat-space minimal cousins.",
+        epilog="An argument @FILE is replaced by the lines of FILE, one argument "
+               "per line; later arguments win.  Any argument that starts with @, "
+               "a path included, is read as an argument file.")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
@@ -410,7 +341,7 @@ def build_parser():
     _add_common(sp)
 
     sp = sub.add_parser("verify", help="measure a surface stored as JSON")
-    sp.add_argument("path", nargs="?", help="JSON surface file")
+    sp.add_argument("path", help="JSON surface file")
     sp.add_argument("--H", dest="target_h", type=float,
                     help="expected mean curvature (omitting it skips that gate)")
     sp.add_argument("--pole", choices=("plus", "minus"))
@@ -423,12 +354,12 @@ def build_parser():
     _add_common(sp)
 
     sp = sub.add_parser("project", help="stereographic re-projection of a stored surface")
-    sp.add_argument("path", nargs="?", help="JSON surface file")
+    sp.add_argument("path", help="JSON surface file")
     sp.add_argument("--pole", choices=("plus", "minus"), help="projection pole")
-    _add_common(sp, grid=False)
+    _add_common(sp, grid=False, out_required=True)
 
     sp = sub.add_parser("gallery", help="build a named closed-form surface and verify it")
-    sp.add_argument("name", nargs="?", help="gallery entry name")
+    sp.add_argument("name", help="gallery entry name")
     sp.add_argument("--pole", choices=("plus", "minus"), help="projection pole for OBJ")
     _add_flip(sp)
     _add_common(sp)
@@ -447,7 +378,7 @@ def main(argv=None):
     parser = _parser()
     ns = parser.parse_args(argv)
     try:
-        cfg = _merge_config(ns, parser)
+        cfg = _merge_config(ns)
         return _DISPATCH[cfg.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

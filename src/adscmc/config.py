@@ -2,10 +2,11 @@
 
 Every numerical gate in the package reads its threshold from a single
 Tolerances object so that a CLI run, a library call, and a test exercise
-the same policy.  All values are absolute unless noted.
+the same policy.  All values are absolute unless noted, and none is
+negative or NaN; inf turns a gate off.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,13 @@ class Tolerances:
     # finite-difference error grows like h^2 over the factor, so points
     # adjacent to it carry no curvature information at any tolerance
     metric_floor: float = 5e-2
+
+    def __post_init__(self):
+        # NaN or a negative bound would pass or mask every point unseen
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value >= 0:
+                raise ValueError(f"tolerance {f.name} must be >= 0, got {value!r}")
 
     def with_(self, **kw):
         return replace(self, **kw)

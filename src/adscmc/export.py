@@ -205,9 +205,10 @@ def read_json(path):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"{path}: field 'meta.{key}' should be a positive "
                              f"integer, found {n!r}")
-    if not (isinstance(domain, list) and len(domain) == 4 and all(map(_is_number, domain))):
-        raise ValueError(f"{path}: field 'meta.domain' should be four finite "
-                         f"numbers, found {domain!r}")
+    if not (isinstance(domain, list) and len(domain) == 4 and all(map(_is_number, domain))
+            and domain[0] < domain[1] and domain[2] < domain[3]):
+        raise ValueError(f"{path}: field 'meta.domain' should be four finite numbers "
+                         f"with u0 < u1 and v0 < v1, found {domain!r}")
     quadric = meta["ambient"] == "h31" and "projected" not in meta
     assembly, k = ("mu", 4) if quadric else ("minimal", 3)
     verts = _grid_field(path, doc, "vertices", (nu * nv, k), float)

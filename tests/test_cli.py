@@ -1,5 +1,7 @@
 """End-to-end runs of the command line tool and the file formats."""
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -65,8 +67,10 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys, monkeypat
 
 
 def test_missing_required_flag_is_a_usage_error(capsys):
-    assert main(["minimal", "--q", "u"]) == 2
-    assert "usage error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["minimal", "--q", "u"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --f, --r, --g" in capsys.readouterr().err
 
 
 def test_bad_domain_is_a_usage_error():
@@ -213,32 +217,70 @@ def test_verify_flip_normal_flips_the_target(tmp_path, capsys):
     assert main(["verify", str(out), "--H", "-1.0", "--flip-normal"]) == 0
 
 
+def _args_file(tmp_path, *lines):
+    """An argument file holding one argument per line, as its @-argument."""
+    path = tmp_path / "run.args"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
+
+
+def _exit_code(argv):
+    """main's exit status, also when argparse rejects argv."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({
-        "name": "horosphere",
-        "domain": [-0.5, 0.5, -0.5, 0.5],
-        "nu": 7, "nv": 9,
-    }))
-    assert main(["gallery", "--config", str(cfg), "--nu", "11"]) == 0
+    run = _args_file(tmp_path, "horosphere", "--domain", "-0.5", "0.5", "-0.5", "0.5",
+                     "--nu", "7", "--nv", "9")
+    assert main(["gallery", run, "--nu", "11"]) == 0
     out = capsys.readouterr().out
     assert "nu = 11" in out
     assert "nv = 9" in out
 
 
 def test_config_tolerances_apply_and_flag_overrides(tmp_path, capsys):
-    cfg = tmp_path / "tol.json"
-    cfg.write_text(json.dumps({"tol": {"conf": 1e-09, "sff": 0.01}}))
-    args = ["gallery", "b-scroll", *SMALL, "--config", str(cfg)]
+    run = _args_file(tmp_path, "--tol", "conf=1e-09", "--tol", "sff=0.01")
+    args = ["gallery", "b-scroll", *SMALL, run]
     assert main(args) == 1
     assert main([*args, "--tol", "conf=0.01"]) == 0
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"frobnicate": 1}))
-    assert main(["gallery", "horosphere", *SMALL, "--config", str(cfg)]) == 2
-    assert "frobnicate" in capsys.readouterr().err
+    run = _args_file(tmp_path, "--frobnicate", "1")
+    assert _exit_code(["gallery", "horosphere", *SMALL, run]) == 2
+    assert "--frobnicate" in capsys.readouterr().err
+
+
+def test_missing_args_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.args"
+    assert _exit_code(["gallery", "horosphere", *SMALL, f"@{missing}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and str(missing) in err
+
+
+def test_args_file_may_carry_the_subcommand(tmp_path, capsys):
+    assert main(["gallery", "horosphere", *SMALL]) == 0
+    direct = capsys.readouterr().out
+    assert main([_args_file(tmp_path, "gallery", "horosphere", *SMALL)]) == 0
+    assert capsys.readouterr().out == direct
+
+
+@pytest.mark.parametrize("argv", [
+    ["cmc1", "--q", "u", "--f", "1", "--r", "v", "--g", "1", *SMALL, "--action", "nu"],
+    ["lax", "--omega=2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1",
+     "--domain", "0.2", "0.6", "0.2", "0.6", "--nu", "11", "--nv", "11", "--flip-normal"],
+    ["gauss", "--omega", "2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1",
+     "--domain", "0.2", "0.6", "0.2", "0.6", "--nu", "11", "--nv", "11", "--sign", "minus"],
+    ["gallery", "b-scroll", *SMALL, "--tol", "conf=0.01", "--tol", "sff=0.01"],
+])
+def test_args_file_prints_what_the_command_line_prints(tmp_path, capsys, argv):
+    code = main(argv)
+    direct = capsys.readouterr().out
+    assert main([argv[0], _args_file(tmp_path, *argv[1:])]) == code
+    assert capsys.readouterr().out == direct
 
 
 def test_bad_tol_syntax_is_a_usage_error(capsys):
@@ -409,54 +451,47 @@ GAUSS_SMALL = ["gauss", "--omega", "2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R",
                "--domain", "0", "0.9", "0", "0.9", "--nu", "11", "--nv", "11"]
 
 
-def _with_config(tmp_path, args, manifest):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(manifest))
-    return main([*args, "--config", str(cfg)])
-
-
-def test_config_switch_needs_a_json_boolean(tmp_path, capsys):
-    assert _with_config(tmp_path, CMC1_SMALL, {"flip_normal": "no"}) == 2
-    assert "'flip_normal'" in capsys.readouterr().err
-    _with_config(tmp_path, CMC1_SMALL, {"flip_normal": False})
+def test_config_switch_is_a_bare_flag_line(tmp_path, capsys):
+    main(CMC1_SMALL)
     assert "h_median = 0.99" in capsys.readouterr().out
-    _with_config(tmp_path, CMC1_SMALL, {"flip_normal": True})
+    main([*CMC1_SMALL, _args_file(tmp_path, "--flip-normal")])
     assert "h_median = -0.99" in capsys.readouterr().out
 
 
 def test_config_choice_outside_the_flag_choices_is_a_usage_error(tmp_path, capsys):
-    assert _with_config(tmp_path, CMC1_SMALL, {"action": "MU"}) == 2
+    assert _exit_code([*CMC1_SMALL, _args_file(tmp_path, "--action", "MU")]) == 2
     err = capsys.readouterr().err
-    assert "'action'" in err and "'MU'" in err
+    assert "--action" in err and "'MU'" in err
 
 
 def test_lax_has_no_action_option(tmp_path, capsys):
-    # lax integrates one set of frames, so it takes no action by flag or config
+    # lax integrates one set of frames, so it takes no action, on the
+    # command line or in an argument file
     lax = ["lax", "--omega", "2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1",
            "--domain", "0.2", "0.6", "0.2", "0.6", "--nu", "11", "--nv", "11"]
     with pytest.raises(SystemExit) as exc:
         main([*lax, "--action", "nu"])
     assert exc.value.code == 2
     assert "--action" in capsys.readouterr().err
-    assert _with_config(tmp_path, lax, {"action": "mu"}) == 2
-    assert "unknown config key 'action' for lax" in capsys.readouterr().err
+    assert _exit_code([*lax, _args_file(tmp_path, "--action", "mu")]) == 2
+    assert "unrecognized arguments: --action mu" in capsys.readouterr().err
 
 
 def test_config_number_as_text_converts_like_the_flag(tmp_path, capsys):
     args = ["cmc1", "--q", "u", "--f", "1", "--r", "v", "--g", "1",
             "--domain", "-0.5", "0.5", "-0.5", "0.5", "--nv", "11"]
-    code = _with_config(tmp_path, args, {"nu": "11"})
-    from_config = capsys.readouterr().out
+    code = main([*args, _args_file(tmp_path, "--nu", "11")])
+    from_file = capsys.readouterr().out
     assert code == main(CMC1_SMALL)
-    assert from_config == capsys.readouterr().out
-    assert _with_config(tmp_path, args, {"nu": 11.5}) == 2
-    assert "'nu'" in capsys.readouterr().err
+    assert from_file == capsys.readouterr().out
+    assert _exit_code([*args, _args_file(tmp_path, "--nu", "11.5")]) == 2
+    assert "argument --nu: invalid int value: '11.5'" in capsys.readouterr().err
 
 
 def test_config_gauss_sign_is_checked_before_the_build(tmp_path, capsys):
-    assert _with_config(tmp_path, GAUSS_SMALL, {"sign": "up"}) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "'sign'" in err
+    assert _exit_code([*GAUSS_SMALL, _args_file(tmp_path, "--sign", "up")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --sign: invalid choice: 'up'" in err
 
 
 def test_gauss_writes_json_findings_only(tmp_path, capsys):
@@ -468,14 +503,47 @@ def test_gauss_writes_json_findings_only(tmp_path, capsys):
     assert main([*GAUSS_SMALL, "--out", str(out)]) == 2
     assert "must end in .json" in capsys.readouterr().err
     assert not out.exists()
-    assert _with_config(tmp_path, GAUSS_SMALL, {"fmt": "json"}) == 2
-    assert "'fmt'" in capsys.readouterr().err
+    assert _exit_code([*GAUSS_SMALL, _args_file(tmp_path, "--fmt", "json")]) == 2
+    assert "--fmt" in capsys.readouterr().err
 
 
 def test_config_tolerances_go_through_the_tol_checks(tmp_path, capsys):
     args = ["gallery", "horosphere", *SMALL]
-    assert _with_config(tmp_path, args, {"tol": {"conf": "abc"}}) == 2
-    assert _with_config(tmp_path, args, {"tol": {"conf": True}}) == 2
-    assert _with_config(tmp_path, args, {"tol": {"inv": 1e-12}}) == 2
+    for bad in ("conf=abc", "inv=1e-12", "conf=-1", "degen=nan"):
+        assert main([*args, _args_file(tmp_path, "--tol", bad)]) == 2
     assert main([*args, "--tol", "inv=1e-12"]) == 2
-    assert _with_config(tmp_path, args, {"tol": {"conf": "1e-3"}}) == 0
+    assert main([*args, _args_file(tmp_path, "--tol", "conf=1e-3")]) == 0
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["gallery", "horosphere", *SMALL], "conf=-1"),
+    (["gallery", "horosphere", *SMALL], "degen=nan"),
+    (GAUSS_SMALL, "pole=nan"),
+])
+def test_nan_or_negative_tolerance_is_a_usage_error(argv, bad, capsys):
+    assert main([*argv, "--tol", bad]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage error: tolerance {bad.split('=')[0]} ")
+
+
+@pytest.mark.parametrize("domain", [("0", "inf", "0", "1"), ("0", "1", "0", "inf"),
+                                    ("0", "1", "0", "nan")])
+def test_nonfinite_domain_is_a_usage_error_before_the_build(domain, capsys):
+    argv = ["minimal", "--q", "u", "--f", "1", "--r", "v", "--g", "1",
+            "--domain", *domain, "--nu", "11", "--nv", "11"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: --domain needs four finite bounds")
+
+
+def test_every_dest_is_a_run_config_field_and_every_field_a_dest():
+    # main builds RunConfig(**namespace), so a flag without a field, or a
+    # field no flag sets, breaks a run or leaves dead configuration
+    from adscmc.cli import RunConfig, build_parser
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    dests = {}
+    for command, sp in sub.choices.items():
+        dests[command] = {a.dest for a in sp._actions if a.dest != "help"}
+        assert dests[command] <= fields, (command, dests[command] - fields)
+    assert set().union(*dests.values()) == fields - {"command"}

@@ -141,6 +141,7 @@ def test_missing_meta_field_names_the_file_and_field(tmp_path, field):
     ("domain", [-0.5, 0.5, -0.5]), ("domain", [-0.5, 0.5, -0.5, "0.5"]),
     ("domain", [-0.5, 0.5, -0.5, float("nan")]), ("domain", [-0.5, 0.5, -0.5, False]),
     ("domain", "(-0.5, 0.5, -0.5, 0.5)"), ("domain", None),
+    ("domain", [0, 0, 0, 1]), ("domain", [1, 0, 0, 1]), ("domain", [0, 1, 0.5, -0.5]),
 ])
 def test_mistyped_meta_field_names_the_file_and_field(tmp_path, field, value):
     def edit(doc):
