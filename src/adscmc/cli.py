@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -317,7 +318,8 @@ def build_parser():
                     "unimodular quadric and their flat-space minimal cousins.",
         epilog="An argument @FILE is replaced by the lines of FILE, one argument "
                "per line; later arguments win.  Any argument that starts with @, "
-               "a path included, is read as an argument file.")
+               "a path included, is read as an argument file.  An expression that "
+               "starts with - is joined to its flag: --Q=-u.")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 
@@ -364,6 +366,10 @@ def build_parser():
     _add_flip(sp)
     _add_common(sp)
 
+    # read -1e-3 as a value, not a flag: argparse's own rule (Python 3.11)
+    # takes only -12 and -1.5, and each parser keeps its own copy of it
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return parser
 
 

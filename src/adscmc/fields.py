@@ -13,13 +13,21 @@ so '^' binds tighter than unary minus, which binds tighter than '*' and
 '/'.  Functions: sin cos sinh cosh tanh exp ln sqrt abs.  Parsing is a
 handwritten recursive descent; errors carry the byte offset.
 
-Evaluation is vectorized over numpy arrays.  First and mixed second
-derivatives of closed forms are computed by forward-mode differentiation
-through the syntax tree (value and derivative slots propagated
-together), never by rewriting the tree and never by finite differences.
-Only one-variable fields are sampled: they interpolate with the
-4-point cubic Lagrange rule on a uniform grid and differentiate with
-4th-order finite differences.
+Evaluation is vectorized over numpy arrays and walks the syntax tree
+once, carrying jets: a subtree that reads neither requested variable
+du, dv gives (f,), any other (f, f_u, f_v, f_uv).  A plain evaluation
+requests none, so it does no derivative work.  Every node computes its
+value with the numpy operation of a plain evaluation (np.divide,
+np.power, np.log, ...), so a jet's value is the plain value to the bit.
+Derivative slots are formed where an operand is a full jet, the other
+lifted to (f, 0, 0, 0).  A variable-free exponent takes the power rule,
+which holds at negative bases (u^-1 at u < 0); a zero coefficient gives
+a zero slot (u^0, u^1 at u = 0).  A variable exponent takes
+f^g = exp(g ln f).  No derivative is found by finite differences.
+
+Only one-variable fields are sampled: they interpolate with the 4-point
+cubic Lagrange rule on a uniform grid and differentiate with 4th-order
+finite differences.
 """
 
 from dataclasses import dataclass
@@ -32,6 +40,7 @@ _FN = {
     "sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
     "tanh": np.tanh, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "abs": np.abs,
 }
+_BIN = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 # first and second derivatives, as functions of the argument value
 _FN_D = {
@@ -258,119 +267,80 @@ def print_expression(ast):
 def eval_expression(ast, env):
     """Evaluate over an environment of scalars or numpy arrays."""
     with np.errstate(all="ignore"):
-        out = _eval(ast, env)
+        out = _jet(ast, env, None, None)[0]
     if not np.all(np.isfinite(out)):
         raise EvalError(f"non-finite value evaluating '{print_expression(ast)}'")
     return out
 
 
-def _eval(ast, env):
+def _full(jet):
+    """A jet with its derivative slots, zero for a variable-free one."""
+    return jet if len(jet) == 4 else (jet[0], 0.0, 0.0, 0.0)
+
+
+def _scaled_power(c, f, e):
+    """c f^e, taken as 0 where c is 0 (the slots of u^0 and u^1 at u = 0)."""
+    return np.where(c == 0, 0.0, c * np.power(f, e))
+
+
+def _jet(ast, env, du, dv):
+    """(f,) where ast reads neither du nor dv, else (f, f_u, f_v, f_uv)."""
+    # numpy leaves: 1/0 and 0^u give inf and nan, never ZeroDivisionError
     if isinstance(ast, Num):
-        return ast.value
+        return (np.float64(ast.value),)
     if isinstance(ast, Var):
         try:
-            return env[ast.name]
+            val = np.asarray(env[ast.name], dtype=float)
         except KeyError:
             raise EvalError(f"variable '{ast.name}' not bound") from None
+        if ast.name in (du, dv):
+            return (val, float(ast.name == du), float(ast.name == dv), 0.0)
+        return (val,)
     if isinstance(ast, Neg):
-        return -_eval(ast.arg, env)
+        return tuple(-x for x in _jet(ast.arg, env, du, dv))
     if isinstance(ast, Fn):
-        return _FN[ast.name](_eval(ast.arg, env))
-    a = _eval(ast.left, env)
-    b = _eval(ast.right, env)
-    if ast.op == "+":
-        return a + b
-    if ast.op == "-":
-        return a - b
-    if ast.op == "*":
-        return a * b
-    if ast.op == "/":
-        return a / b
-    return np.power(a, b)
-
-
-# ---------------------------------------------------------------------------
-# forward-mode differentiation: slots (f, f_u, f_v, f_uv)
-
-def _d2(ast, env, du, dv):
-    if isinstance(ast, Num):
-        return (ast.value, 0.0, 0.0, 0.0)
-    if isinstance(ast, Var):
-        val = env[ast.name]
-        return (val, 1.0 if ast.name == du else 0.0, 1.0 if ast.name == dv else 0.0, 0.0)
-    if isinstance(ast, Neg):
-        f, fu, fv, fw = _d2(ast.arg, env, du, dv)
-        return (-f, -fu, -fv, -fw)
-    if isinstance(ast, Fn):
-        f, fu, fv, fw = _d2(ast.arg, env, du, dv)
+        a = _jet(ast.arg, env, du, dv)
+        val = _FN[ast.name](a[0])
+        if len(a) == 1:
+            return (val,)
         p1, p2 = _FN_D[ast.name]
-        val = _FN[ast.name](f)
-        d1 = p1(f)
-        return (val, d1 * fu, d1 * fv, p2(f) * fu * fv + d1 * fw)
-    a = _d2(ast.left, env, du, dv)
-    if ast.op == "^":
-        if isinstance(ast.right, Num) and float(ast.right.value).is_integer():
-            return _ipow(a, int(ast.right.value))
-        b = _d2(ast.right, env, du, dv)
-        return _exp(_mul(b, _ln(a)))
-    b = _d2(ast.right, env, du, dv)
-    if ast.op == "+":
-        return tuple(x + y for x, y in zip(a, b))
-    if ast.op == "-":
-        return tuple(x - y for x, y in zip(a, b))
-    if ast.op == "*":
-        return _mul(a, b)
-    return _mul(a, _recip(b))
-
-
-def _mul(a, b):
-    f, fu, fv, fw = a
-    g, gu, gv, gw = b
-    return (f * g, fu * g + f * gu, fv * g + f * gv,
-            fw * g + fu * gv + fv * gu + f * gw)
-
-
-def _recip(b):
-    g, gu, gv, gw = b
-    r = 1.0 / g
-    return (r, -gu * r * r, -gv * r * r, (2.0 * gu * gv * r - gw) * r * r)
-
-
-def _ln(a):
-    f, fu, fv, fw = a
-    return (np.log(f), fu / f, fv / f, -fu * fv / f ** 2 + fw / f)
-
-
-def _exp(a):
-    f, fu, fv, fw = a
-    e = np.exp(f)
-    return (e, e * fu, e * fv, e * (fu * fv + fw))
-
-
-def _ipow(a, n):
-    if n == 0:
-        f = a[0]
-        one = np.ones_like(np.asarray(f, dtype=float))
-        return (one, 0.0 * one, 0.0 * one, 0.0 * one)
-    if n < 0:
-        return _recip(_ipow(a, -n))
-    out = a
-    for _ in range(n - 1):
-        out = _mul(out, a)
-    return out
+        d1 = p1(a[0])
+        return (val, d1 * a[1], d1 * a[2], p2(a[0]) * a[1] * a[2] + d1 * a[3])
+    a, b = _jet(ast.left, env, du, dv), _jet(ast.right, env, du, dv)
+    f, g, op = a[0], b[0], ast.op
+    val = _BIN[op](f, g)
+    if len(a) == len(b) == 1:
+        return (val,)
+    (_, fu, fv, fw), (_, gu, gv, gw) = _full(a), _full(b)
+    if op in "+-":
+        return (val, *map(_BIN[op], (fu, fv, fw), (gu, gv, gw)))
+    if op == "*":
+        return (val, fu * g + f * gu, fv * g + f * gv, fw * g + fu * gv + fv * gu + f * gw)
+    if op == "/":
+        qu, qv = (fu - val * gu) / g, (fv - val * gv) / g
+        return (val, qu, qv, (fw - qu * gv - qv * gu - val * gw) / g)
+    if len(b) == 1:
+        # power rule: holds at negative bases, where ln(f) does not
+        d1 = _scaled_power(g, f, g - 1.0)
+        d2 = _scaled_power(g * (g - 1.0), f, g - 2.0)
+        return (val, d1 * fu, d1 * fv, d2 * fu * fv + d1 * fw)
+    # variable exponent: f^g = exp(g ln f)
+    ln_f = np.log(f)
+    lu, lv = fu / f, fv / f
+    hu, hv = gu * ln_f + g * lu, gv * ln_f + g * lv
+    hw = gw * ln_f + gu * lv + gv * lu + g * (fw / f - lu * lv)
+    return (val, val * hu, val * hv, val * (hu * hv + hw))
 
 
 def eval_with_derivatives(ast, env, du, dv):
     """Value, d/d(du), d/d(dv) and the mixed second derivative."""
     with np.errstate(all="ignore"):
-        parts = _d2(ast, env, du, dv)
-    shape = np.broadcast_shapes(*[np.shape(x) for x in parts],
-                                *[np.shape(x) for x in env.values()])
-    shaped = [np.broadcast_to(np.asarray(x, dtype=float), shape) for x in parts]
-    for x in shaped:
-        if not np.all(np.isfinite(x)):
-            raise EvalError(f"non-finite derivative evaluating '{print_expression(ast)}'")
-    return tuple(shaped)
+        parts = _full(_jet(ast, env, du, dv))
+    shape = np.broadcast_shapes(*map(np.shape, (*parts, *env.values())))
+    shaped = tuple(np.broadcast_to(np.asarray(x, dtype=float), shape) for x in parts)
+    if not all(np.all(np.isfinite(x)) for x in shaped):
+        raise EvalError(f"non-finite derivative evaluating '{print_expression(ast)}'")
+    return shaped
 
 
 # ---------------------------------------------------------------------------
@@ -500,15 +470,11 @@ class ScalarField2D:
 
     def __call__(self, u, v):
         """Value at broadcastable points (u, v), without the derivative slots."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
         val = eval_expression(self.expr, {"u": u, "v": v})
-        return np.broadcast_to(val, np.broadcast_shapes(u.shape, v.shape))
+        return np.broadcast_to(val, np.broadcast_shapes(np.shape(u), np.shape(v)))
 
     def with_derivatives(self, u, v):
         """Value, f_u, f_v, f_uv at broadcastable points (u, v)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
         return eval_with_derivatives(self.expr, {"u": u, "v": v}, "u", "v")
 
 

@@ -547,3 +547,60 @@ def test_every_dest_is_a_run_config_field_and_every_field_a_dest():
         dests[command] = {a.dest for a in sp._actions if a.dest != "help"}
         assert dests[command] <= fields, (command, dests[command] - fields)
     assert set().union(*dests.values()) == fields - {"command"}
+
+
+def _h_median(out):
+    return float(next(line for line in out.splitlines()
+                      if line.startswith("h_median = ")).split(" = ")[1])
+
+
+def test_power_of_a_negative_base_builds_the_same_lax_surface(capsys):
+    # ln((-1-uv)^2) is 2 ln(1+uv); its power takes the power rule, not ln(-1-uv)
+    lax = ["lax", "--H", "1", "--Q", "1", "--R", "1",
+           "--domain", "0.2", "0.6", "0.2", "0.6", "--nu", "21", "--nv", "21"]
+    assert main([*lax, "--omega=ln((-1-u*v)^(1+1))"]) == 0
+    squared = _h_median(capsys.readouterr().out)
+    assert main([*lax, "--omega=2*ln(1+u*v)"]) == 0
+    doubled = _h_median(capsys.readouterr().out)
+    from adscmc.config import DEFAULT_TOL
+    assert abs(squared - doubled) <= DEFAULT_TOL.cmc
+
+
+def test_negative_domain_bound_in_exponent_notation(capsys):
+    assert main(["gallery", "horosphere", "--domain", "-1e-3", "1", "0", "1",
+                 "--nu", "11", "--nv", "11"]) == 0
+    assert main(["gallery", "horosphere", "--domain", "-0.001", "1", "0", "1",
+                 "--nu", "11", "--nv", "11"]) == 0
+    exponent, decimal = capsys.readouterr().out.split("ambient = ")[1:]
+    assert exponent == decimal
+
+
+def test_negative_mean_curvature_in_exponent_notation(capsys):
+    # constant omega = 0 meets the integrability condition when QR = (H^2 - 1)/4
+    lax = ["lax", "--omega", "0", "--Q", "1", "--R", "-0.2475",
+           "--domain", "0.2", "0.6", "0.2", "0.6", "--nu", "11", "--nv", "11"]
+    code = main([*lax, "--H", "-1e-1"])
+    out = capsys.readouterr().out
+    assert code == main([*lax, "--H=-0.1"])
+    assert out == capsys.readouterr().out
+    assert abs(_h_median(out) + 0.1) < 1e-3
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimal", "--q", "u", "--f", "1", "--r", "v", "--g", "1"],
+    ["cmc1", "--q", "u", "--f", "1", "--r", "v", "--g", "1"],
+    ["lax", "--omega", "0", "--H", "-1E+0", "--Q", "1", "--R", "1"],
+    ["gauss", "--omega", "0", "--H", "-.5e1", "--Q", "1", "--R", "1"],
+    ["gallery", "horosphere"],
+])
+def test_every_grid_subcommand_reads_exponent_notation(argv):
+    from adscmc.cli import build_parser
+    ns = build_parser().parse_args([*argv, "--domain", "-1e-3", "-2.5E-1", "-4e0", "3"])
+    assert ns.domain == [-1e-3, -0.25, -4.0, 3.0]
+    if "--H" in argv:
+        assert ns.H == float(argv[argv.index("--H") + 1])
+
+
+def test_verify_reads_a_target_in_exponent_notation():
+    from adscmc.cli import build_parser
+    assert build_parser().parse_args(["verify", "s.json", "--H", "-1e-1"]).target_h == -0.1

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adscmc.fields import (EvalError, ExprError, ScalarField1D,
-                           as_field1d, as_field2d, eval_expression,
-                           eval_with_derivatives, fd_derivative,
-                           parse_expression, print_expression)
+from adscmc import fields
+from adscmc.fields import (FUNCTIONS, Bin, EvalError, ExprError, Fn, Neg, Num,
+                           ScalarField1D, ScalarField2D, Var, as_field1d,
+                           as_field2d, eval_expression, eval_with_derivatives,
+                           fd_derivative, parse_expression, print_expression)
 
 ROUND_TRIP = [
     "u",
@@ -156,3 +157,138 @@ def test_coercion_accepts_numbers_and_fields():
     assert same is c
     two_d = as_field2d(1.5)
     assert two_d(0.2, 0.4) == 1.5
+
+
+# random trees over + - * / ^, unary minus and every function; integer
+# literals put negative bases under integer exponents
+TREES = st.recursive(
+    st.one_of(st.sampled_from([Var("u"), Var("v")]),
+              st.integers(-3, 3).map(lambda n: Num(float(n))),
+              st.floats(-3.0, 3.0, allow_nan=False).map(Num)),
+    lambda kids: st.one_of(
+        kids.map(Neg),
+        st.builds(Fn, st.sampled_from(FUNCTIONS), kids),
+        st.builds(Bin, st.sampled_from("+-*/^"), kids, kids)),
+    max_leaves=8)
+POINTS = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+def _plain(ast, u, v):
+    """The plain value at (u, v), or None where it is not finite."""
+    try:
+        return eval_expression(ast, {"u": u, "v": v})
+    except EvalError:
+        return None
+
+
+def _subtrees(ast):
+    yield ast
+    for child in (getattr(ast, "arg", None), getattr(ast, "left", None),
+                  getattr(ast, "right", None)):
+        if child is not None:
+            yield from _subtrees(child)
+
+
+@given(TREES, POINTS, POINTS)
+@settings(max_examples=300, deadline=None)
+def test_value_slot_is_the_plain_value_bit_for_bit(ast, u, v):
+    val = _plain(ast, u, v)
+    assume(val is not None)
+    for node in _subtrees(ast):
+        if isinstance(node, Bin) and node.op in "/^":
+            a, b, out = (_plain(x, u, v) for x in (node.left, node.right, node))
+            if None not in (a, b, out):
+                ref = np.divide(a, b) if node.op == "/" else np.power(a, b)
+                assert np.float64(out).tobytes() == np.float64(ref).tobytes()
+    try:
+        slots = eval_with_derivatives(ast, {"u": u, "v": v}, "u", "v")
+    except EvalError:
+        return  # a derivative slot is not finite here; the value has no slot to compare
+    assert np.float64(slots[0]).tobytes() == np.float64(val).tobytes()
+
+
+def _check_slot(slot, fd_h, fd_2h, tol):
+    """The centre of a slot sampled on a 5x5 stencil against a central
+    difference.  Only where the slot is resolved: it moves little across
+    the stencil (no pole or kink inside), and the differences at steps h
+    and 2h agree, which puts the one at h within a third of their gap of
+    the derivative."""
+    mid = slot[2, 2]
+    assume(np.max(np.abs(slot - mid)) < 0.1 * (1.0 + abs(mid)))
+    assume(abs(fd_h - fd_2h) < tol / 2)
+    assert abs(mid - fd_h) < tol
+
+
+@given(TREES, POINTS, POINTS)
+@settings(max_examples=300, deadline=None)
+def test_derivative_slots_match_central_differences(ast, u, v):
+    h = 1e-4
+    step = np.arange(-2, 3) * h
+    try:
+        f, fu, fv, fuv = eval_with_derivatives(
+            ast, {"u": u + step[:, None], "v": v + step[None, :]}, "u", "v")
+    except EvalError:
+        assume(False)
+    noise = 1e-10 * np.max(np.abs(f))
+    _check_slot(fu, (f[3, 2] - f[1, 2]) / (2 * h), (f[4, 2] - f[0, 2]) / (4 * h),
+                1e-6 * (1.0 + abs(fu[2, 2])) + noise / h)
+    _check_slot(fv, (f[2, 3] - f[2, 1]) / (2 * h), (f[2, 4] - f[2, 0]) / (4 * h),
+                1e-6 * (1.0 + abs(fv[2, 2])) + noise / h)
+    _check_slot(fuv, (f[3, 3] - f[3, 1] - f[1, 3] + f[1, 1]) / (2 * h) ** 2,
+                (f[4, 4] - f[4, 0] - f[0, 4] + f[0, 0]) / (4 * h) ** 2,
+                1e-4 * (1.0 + abs(fuv[2, 2])) + noise / h ** 2)
+
+
+def _jet_of(src, u):
+    """(f, f', f', f'') of a one-variable source at u."""
+    return [float(x) for x in eval_with_derivatives(parse_expression(src), {"u": u}, "u", "u")]
+
+
+@pytest.mark.parametrize("u", [-0.5, -1.7])
+def test_negative_powers_hold_at_negative_bases(u):
+    assert _jet_of("u^-1", u) == pytest.approx([1 / u, -u ** -2, -u ** -2, 2 * u ** -3], rel=1e-15)
+    assert _jet_of("u^-2", u) == pytest.approx([u ** -2, -2 * u ** -3, -2 * u ** -3, 6 * u ** -4],
+                                               rel=1e-15)
+    assert ScalarField1D.parse("u^-1", var="u").derivative(u) == pytest.approx(-u ** -2, rel=1e-15)
+
+
+def test_power_of_a_negative_base_under_a_computed_exponent():
+    assert _jet_of("(u-1)^(1+1)", 0.5) == [0.25, -1.0, -1.0, 2.0]
+
+
+@pytest.mark.parametrize("src, jet", [("u^0", [1.0, 0.0, 0.0, 0.0]),
+                                      ("u^1", [0.0, 1.0, 1.0, 0.0]),
+                                      ("u^2", [0.0, 0.0, 0.0, 2.0])])
+def test_small_integer_powers_at_zero(src, jet):
+    assert _jet_of(src, 0.0) == jet
+
+
+def test_plain_and_derivative_calls_give_one_value():
+    w = ScalarField2D.parse("u^3 + v/(1+u)")
+    rng = np.random.default_rng(7)
+    u, v = rng.uniform(-0.9, 2.0, 10_000), rng.uniform(-2.0, 2.0, 10_000)
+    assert w(u, v).tobytes() == w.with_derivatives(u, v)[0].tobytes()
+
+
+ALL_FUNCTIONS = "+".join(f"{name}(2+{var})" for name, var in
+                         zip(FUNCTIONS, "uvuvuvuvu"))
+
+
+def test_plain_calls_never_reach_a_derivative_rule(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def rule(x):
+        raise Reached
+
+    for name in FUNCTIONS:
+        monkeypatch.setitem(fields._FN_D, name, (rule, rule))
+    grid = np.linspace(0.1, 0.9, 5)
+    two = ScalarField2D.parse(ALL_FUNCTIONS)
+    one = ScalarField1D.parse(ALL_FUNCTIONS.replace("v", "u"), var="u")
+    assert np.all(np.isfinite(two(grid[:, None], grid[None, :])))
+    assert np.all(np.isfinite(one(grid)))
+    with pytest.raises(Reached):
+        two.with_derivatives(grid[:, None], grid[None, :])
+    with pytest.raises(Reached):
+        one.derivative(grid)
