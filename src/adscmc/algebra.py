@@ -70,26 +70,26 @@ def vec_of_mat(m):
     return out
 
 
-def scalar_product4(x, y):
+def scalar_product4(x, y, out=None):
     """Same metric on component-first vectors: -x0 y0 - x1 y1 + x2 y2 + x3 y3.
 
     The terms are summed in the order np.einsum("...i,...i->...",
     x * METRIC4, y) uses on contiguous components, (p0 + p2) + (p1 + p3)
     added to a +0.0 accumulator, so the result is bit-identical to it;
     the trailing + 0.0 turns a -0.0 sum into +0.0 as that accumulator
-    does.
+    does.  out, when given, receives that last sum.
     """
     x, y = np.asarray(x), np.asarray(y)
-    return ((x[2] * y[2] - x[0] * y[0]) + (x[3] * y[3] - x[1] * y[1])) + 0.0
+    return np.add((x[2] * y[2] - x[0] * y[0]) + (x[3] * y[3] - x[1] * y[1]), 0.0, out=out)
 
 
-def scalar_product3(x, y):
+def scalar_product3(x, y, out=None):
     """Minkowski product -x1 y1 + x2 y2 + x3 y3 on component-first (3, ...) vectors.
 
     Summed as ((p0 + p2) + p1) + 0.0, einsum's order (scalar_product4).
     """
     x, y = np.asarray(x), np.asarray(y)
-    return ((x[2] * y[2] - x[0] * y[0]) + x[1] * y[1]) + 0.0
+    return np.add((x[2] * y[2] - x[0] * y[0]) + x[1] * y[1], 0.0, out=out)
 
 
 def det2(m):
@@ -129,19 +129,21 @@ def check_unimodular(m, tol=DEFAULT_TOL, what="group element"):
     return float(drift)
 
 
-def cross4(a, b, c):
+def cross4(a, b, c, out=None):
     """Euclidean 4d cross product via cofactor expansion, component first.
 
     Returns n with n . a = n . b = n . c = 0 (Euclidean dot) and
     n_i = det of the 3x3 minor with alternating sign.  Used to solve the
     metric orthogonality system: METRIC4 * cross4(a, b, c) is orthogonal
     to span{a, b, c} in the (-,-,+,+) scalar product, because applying
-    the metric twice cancels and leaves the Euclidean statement.
+    the metric twice cancels and leaves the Euclidean statement.  out,
+    when given, receives n and must not share memory with a, b or c.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    out = np.empty(np.broadcast(a, b, c).shape)
+    if out is None:
+        out = np.empty(np.broadcast(a, b, c).shape)
 
     def minor(i, j, k):
         return (
@@ -157,11 +159,15 @@ def cross4(a, b, c):
     return out
 
 
-def cross3(a, b):
-    """Euclidean 3d cross product of component-first (3, ...) vectors."""
+def cross3(a, b, out=None):
+    """Euclidean 3d cross product of component-first (3, ...) vectors.
+
+    out, when given, receives it and must not share memory with a or b.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast(a, b).shape)
+    if out is None:
+        out = np.empty(np.broadcast(a, b).shape)
     out[0] = a[1] * b[2] - a[2] * b[1]
     out[1] = a[2] * b[0] - a[0] * b[2]
     out[2] = a[0] * b[1] - a[1] * b[0]

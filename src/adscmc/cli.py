@@ -6,8 +6,9 @@ residual is within tolerance.  The gate is GeometryReport.worst, so the
 failure line always names the worst offender.  A run is reproducible
 from a checked-in argument file: `adscmc cmc1 @run.args --nu 11` reads
 run.args, one argument per line, in place of `@run.args`, and later
-arguments win.  Any argument that starts with "@", a path included, is
-read as an argument file.
+arguments win; a blank line is a usage error, not an empty argument.
+Any argument that starts with "@", a path included, is read as an
+argument file.
 """
 
 import argparse
@@ -311,15 +312,26 @@ def _add_flip(sp):
     sp.add_argument("--flip-normal", action="store_true", help="reverse the normal orientation")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with the one-argument-per-line @FILE rule, minus blank lines."""
+
+    def convert_arg_line_to_args(self, arg_line):
+        # argparse would pass a blank line on as an empty argument and
+        # reject it with "unrecognized arguments: ", naming nothing
+        if not arg_line.strip():
+            self.error("a blank line in an @FILE is not an argument; remove it")
+        return [arg_line]
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="adscmc", fromfile_prefix_chars="@",
         description="Timelike constant mean curvature surfaces in the "
                     "unimodular quadric and their flat-space minimal cousins.",
         epilog="An argument @FILE is replaced by the lines of FILE, one argument "
-               "per line; later arguments win.  Any argument that starts with @, "
-               "a path included, is read as an argument file.  An expression that "
-               "starts with - is joined to its flag: --Q=-u.")
+               "per line, none of them blank; later arguments win.  Any argument "
+               "that starts with @, a path included, is read as an argument file.  "
+               "An expression that starts with - is joined to its flag: --Q=-u.")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
 

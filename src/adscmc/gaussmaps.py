@@ -37,7 +37,7 @@ import numpy as np
 from .algebra import det2, mat_of_vec, scalar_product4
 from .config import DEFAULT_TOL
 from .fields import fd_derivative
-from .geometry import central_difference
+from .geometry import central_difference, row_blocks
 from .lax import lax_terms
 from .nullcurves import check_leg_pair
 
@@ -229,12 +229,19 @@ def gauss_conformality_check(fd, sign="plus", tol=DEFAULT_TOL):
 
     The du dv coefficient of <d(phi +- N), d(phi +- N)> equals
     -K e^omega when H = 1 (plus) or H = -1 (minus); the returned grid
-    is the pointwise gap, NaN on the stencil border.
+    is the pointwise gap, NaN on the stencil border, measured in the
+    row blocks of fundamental_data.
     """
     _require_h31(fd.surface)
     s = (1.0, -1.0)[_sign_index(sign)]
-    m = fd.surface.points + s * fd.normal
-    mu = central_difference(m, fd.hu, 0)
-    mv = central_difference(m, fd.hv, 1)
-    coef = 2.0 * scalar_product4(np.moveaxis(mu, -1, 0), np.moveaxis(mv, -1, 0))
-    return np.abs(coef + fd.K * fd.metric)
+    nu, nv = fd.surface.shape
+    out = np.empty((nu, nv))
+    for a, b in row_blocks(nu, nv):
+        # rows [a - 1, b + 1) of phi +- N, the reach of the u difference
+        lo, hi = max(a - 1, 0), min(b + 1, nu)
+        m = fd.surface.points[lo:hi] + s * fd.normal[lo:hi]
+        mu = central_difference(m, fd.hu, 0)[a - lo:b - lo]
+        mv = central_difference(m[a - lo:b - lo], fd.hv, 1)
+        coef = 2.0 * scalar_product4(np.moveaxis(mu, -1, 0), np.moveaxis(mv, -1, 0))
+        np.abs(coef + fd.K[a:b] * fd.metric[a:b], out=out[a:b])
+    return out

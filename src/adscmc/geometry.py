@@ -35,25 +35,34 @@ N = raw / sqrt(nn) built from raw = METRIC4 cross4(x, x_u, x_v)
 determinant is identically -2 sqrt(nn) in H31 and +2 sqrt(nn) in E31,
 so the positive orientation is -raw / sqrt(nn) and +raw / sqrt(nn).
 
-fundamental_data works on one contiguous copy of the points with the
-component axis first, planes (c, nu, nv), and differences them along
-axes 1 and 2.  Every Lorentz product is then a sum over whole planes
-(algebra.scalar_product4/3), with no metric-scaled operand copy.  The
-metric signs of raw are applied by negating its negative planes in
-place, the normal is raw divided in place, and fd.normal is the
-(nu, nv, c) moveaxis view of those planes, not a copy; fd.xu and fd.xv
-are such views of the tangent planes, so the Gauss maps read the same
-differences.  The products sum in a fixed order, component 0 paired
-with 2, then 1 (and 3), then + 0.0, which is how
-np.einsum("...i,...i->...", METRIC * x, y) sums contiguous components
-from a +0.0 accumulator.  The pinned field digests, stdout and golden
-files hold einsum's values: another order changes the last bit at
-roughly a third of random points, and without the + 0.0 a sum of -0.0
-terms stays -0.0 where einsum gives +0.0.
-Each full-size intermediate is dropped once its last product is taken
-(the position and second-derivative planes after H, Q and R, the normal
-differences and the tangent sums after II), which bounds the peak memory
-of a measurement; the tangents live on in fd.
+fundamental_data measures the grid in blocks of consecutive u rows
+(row_blocks).  A block of rows [a, b) copies the points of rows
+[a - 2, b + 2), component axis first, into planes (c, rows, nv) framed
+by NaN where the rows leave the grid and one NaN column on each side, so
+every difference is a plain slice expression and is NaN exactly where
+its stencil leaves the grid.  Every Lorentz product is then a sum over
+whole planes (algebra.scalar_product4/3), with no metric-scaled operand
+copy.  The tangents and the normal are written on rows [a - 1, b + 1)
+straight into (c, nu, nv) planes allocated once; the rows two blocks
+share get the same bits from either, so the normal difference n_u reads
+its neighbour rows from those planes.  The metric signs of raw are
+applied by negating its negative planes in place, and the normal is raw
+divided in place.  fd.normal is the (nu, nv, c) moveaxis view of its
+planes, not a copy; fd.xu and fd.xv are such views of the tangent
+planes, so the Gauss maps read the same differences.  The products sum
+in a fixed order, component 0 paired with 2, then 1 (and 3), then
++ 0.0, which is how np.einsum("...i,...i->...", METRIC * x, y) sums
+contiguous components from a +0.0 accumulator.  The pinned field
+digests, stdout and golden files hold einsum's values: another order
+changes the last bit at roughly a third of random points, and without
+the + 0.0 a sum of -0.0 terms stays -0.0 where einsum gives +0.0.
+The steps hu and hv come from the whole grid's nodes, once: a block's
+own nodes differ in the last bits.  Every field is the same elementwise
+arithmetic at every point whatever the block size, so the blocks leave
+no seam, and the last operation of each field writes its rows in place.
+The only full-size arrays are the outputs: every intermediate spans one
+block, so the peak memory of a measurement is the outputs plus a block's
+intermediates, and stays flat as the grid grows.
 """
 
 from dataclasses import dataclass
@@ -112,23 +121,19 @@ def central_difference(a, h, axis):
     return out
 
 
-def _cd2(a, h, axis):
-    out = np.full_like(a, np.nan)
-    sl = [slice(None)] * a.ndim
-    hi, lo, mid = list(sl), list(sl), list(sl)
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(0, -2)
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = (a[tuple(hi)] - 2.0 * a[tuple(mid)] + a[tuple(lo)]) / h ** 2
-    return out
+# points per block of u rows that fundamental_data, lax.gmc_residual and
+# gaussmaps.gauss_conformality_check take at a time.  Of 1024 to 16384,
+# 8192 was the fastest fundamental_data at 4001 x 41 (E31), 201^2 and
+# 301^2 (H31) on a 2-core x86 container: best of 30 calls 49.8, 12.8 and
+# 34.6 ms, against 56.5, 14.8, 40.5 at 4096 and 52.8, 17.7, 37.9 at 16384,
+# and 77.9, 20.8, 53.5 ms for one pass holding full-grid intermediates.
+BLOCK_POINTS = 8192
 
 
-def _cdm(a, hu, hv):
-    """Central mixed difference over the last two axes."""
-    out = np.full_like(a, np.nan)
-    out[..., 1:-1, 1:-1] = (a[..., 2:, 2:] - a[..., 2:, :-2] - a[..., :-2, 2:]
-                            + a[..., :-2, :-2]) / (4.0 * hu * hv)
-    return out
+def row_blocks(nu, nv):
+    """Consecutive row ranges (a, b) covering range(nu), about BLOCK_POINTS points each."""
+    rows = max(1, BLOCK_POINTS // nv)
+    return [(a, min(a + rows, nu)) for a in range(0, nu, rows)]
 
 
 # relative spread of node steps still read as uniform: linspace nodes
@@ -188,39 +193,68 @@ class FundamentalData:
             return self.valid() & (self.metric >= tol.metric_floor)
 
 
+# the (nu, nv) fields of FundamentalData, in the order _measure_rows unpacks them
+_GRID_FIELDS = ("metric", "omega", "H", "Q", "R", "K", "K_shape", "conf_u", "conf_v",
+                "gauss_eq", "sff")
+
+
 def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
     """Measure fundamental forms of a sampled surface grid.
 
     Degenerate points (2 <phi_u, phi_v> <= 0) and points where the
     normal system is rank-deficient are masked.  flip_normal reverses
     the normal field, which flips the signs of H, Q and R while
-    preserving K.
+    preserving K.  The grid is measured in row blocks (row_blocks), each
+    written straight into the outputs.
     """
     nu, nv = surface.shape
     if nu < 5 or nv < 5:
         raise ValueError("fundamental data needs at least a 5x5 grid")
     hu = _uniform_step(surface.us, "u")
     hv = _uniform_step(surface.vs, "v")
+    planes = [np.empty((surface.points.shape[-1], nu, nv)) for _ in range(3)]
+    grids = {field: np.empty((nu, nv)) for field in _GRID_FIELDS}
+    shape_op = np.empty((nu, nv, 2, 2))
+    for a, b in row_blocks(nu, nv):
+        _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids, shape_op)
+    xu, xv, normal = (np.moveaxis(p, 0, -1) for p in planes)
+    return FundamentalData(surface=surface, normal=normal, xu=xu, xv=xv, **grids,
+                           shape_op=shape_op, mask=~np.isfinite(grids["H"]), hu=hu, hv=hv)
+
+
+def _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids, shape_op):
+    """Write rows [a, b) of every measured field into the outputs.
+
+    planes are the (c, nu, nv) tangent and normal planes, which this
+    block fills on rows [a - 1, b + 1): a neighbouring block writes the
+    same bits to the rows they share, so n_u reads the normal rows next
+    to the block from the planes themselves.
+    """
+    nu, nv = surface.shape
     name, kbar = AMBIENTS[surface.points.shape[-1]]
     hyperbolic = name == "H31"
     sp = scalar_product4 if hyperbolic else scalar_product3
 
-    x = np.ascontiguousarray(np.moveaxis(surface.points, -1, 0))
-    xu = central_difference(x, hu, 1)
-    xv = central_difference(x, hv, 2)
-    xuu = _cd2(x, hu, 1)
-    xvv = _cd2(x, hv, 2)
-    xuv = _cdm(x, hu, hv)
+    # the points of rows [a - 2, b + 2), component first, framed by one
+    # column of NaN on each side and NaN rows wherever the block leaves
+    # the grid: a stencil reaching the frame is NaN, as off the grid
+    x = np.full((surface.points.shape[-1], b - a + 4, nv + 2), np.nan)
+    lo, hi = max(a - 2, 0), min(b + 2, nu)
+    x[:, lo - a + 2:hi - a + 2, 1:-1] = np.moveaxis(surface.points[lo:hi], -1, 0)
 
-    metric = 2.0 * sp(xu, xv)
-    with np.errstate(invalid="ignore"):
-        degenerate = np.isfinite(metric) & (metric <= 0.0)
-    metric = np.where(degenerate | surface.mask, np.nan, metric)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        omega = np.log(metric)
-
+    # tangents and unit normal on rows [s0, s1), local rows [k0, k1) of x
+    s0, s1 = max(a - 1, 0), min(b + 1, nu)
+    k0, k1 = s0 - a + 2, s1 - a + 2
+    xu, xv, normal = (p[:, s0:s1] for p in planes)
+    np.subtract(x[:, k0 + 1:k1 + 1, 1:-1], x[:, k0 - 1:k1 - 1, 1:-1], out=xu)
+    xu /= 2.0 * hu
+    np.subtract(x[:, k0:k1, 2:], x[:, k0:k1, :-2], out=xv)
+    xv /= 2.0 * hv
     # raw = METRIC4 cross4 (METRIC3 cross3): negate the metric's negative planes
-    normal = cross4(x, xu, xv) if hyperbolic else cross3(xu, xv)
+    if hyperbolic:
+        cross4(x[:, k0:k1, 1:-1], xu, xv, out=normal)
+    else:
+        cross3(xu, xv, out=normal)
     normal[:2 if hyperbolic else 1] *= -1.0
     nn = sp(normal, normal)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -233,17 +267,32 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
         sign = -sign
     normal *= sign
 
+    # everything else on rows [a, b), local rows [2, b - a + 2) of x
+    n_u = central_difference(planes[2][:, s0:s1], hu, 1)[:, a - s0:b - s0]
+    xu, xv, normal = xu[:, a - s0:b - s0], xv[:, a - s0:b - s0], normal[:, a - s0:b - s0]
+    metric, omega, H, Q, R, K, K_shape, conf_u, conf_v, gauss_eq, sff = (
+        grids[field][a:b] for field in _GRID_FIELDS)
+    np.multiply(2.0, sp(xu, xv), out=metric)
+    with np.errstate(invalid="ignore"):
+        degenerate = np.isfinite(metric) & (metric <= 0.0)
+    metric[degenerate | surface.mask[a:b]] = np.nan
     with np.errstate(invalid="ignore", divide="ignore"):
-        H = 2.0 * sp(xuv, normal) / metric
-        Q = sp(xuu, normal)
-        R = sp(xvv, normal)
-        K = kbar + H ** 2 - 4.0 * Q * R / metric ** 2
-    del x, xuu, xvv, xuv
+        np.log(metric, out=omega)
 
-    conf_u = sp(xu, xu)
-    conf_v = sp(xv, xv)
+    xm = x[:, 2:-2, 1:-1]
+    xuu = (x[:, 3:-1, 1:-1] - 2.0 * xm + x[:, 1:-3, 1:-1]) / hu ** 2
+    xvv = (x[:, 2:-2, 2:] - 2.0 * xm + x[:, 2:-2, :-2]) / hv ** 2
+    xuv = (x[:, 3:-1, 2:] - x[:, 3:-1, :-2] - x[:, 1:-3, 2:] + x[:, 1:-3, :-2]) / (4.0 * hu * hv)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(2.0 * sp(xuv, normal), metric, out=H)
+        sp(xuu, normal, out=Q)
+        sp(xvv, normal, out=R)
+        np.subtract(kbar + H ** 2, 4.0 * Q * R / metric ** 2, out=K)
+    del x, xm, xuu, xvv, xuv
 
-    n_u = central_difference(normal, hu, 1)
+    sp(xu, xu, out=conf_u)
+    sp(xv, xv, out=conf_v)
+
     n_v = central_difference(normal, hv, 2)
     n_x, n_y = n_u - n_v, n_u + n_v
     del n_u, n_v
@@ -257,25 +306,16 @@ def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
         model_xx = Q + R - H * metric
         model_yy = Q + R + H * metric
         model_xy = Q - R
-        sff = np.fmax(np.abs(ii_xx - model_xx),
-                      np.fmax(np.abs(ii_yy - model_yy), np.abs(ii_xy - model_xy)))
+        np.fmax(np.abs(ii_xx - model_xx),
+                np.fmax(np.abs(ii_yy - model_yy), np.abs(ii_xy - model_xy)), out=sff)
         det_ii = ii_xx * ii_yy - ii_xy ** 2
-        K_shape = kbar - det_ii / metric ** 2
-        gauss_eq = K - K_shape
-        # filled entry by entry: packing four finished entry grids would
-        # hold them all at once, which raised peak memory on long grids
-        shape_op = np.empty(ii_xx.shape + (2, 2))
-        shape_op[..., 0, 0] = -ii_xx / metric
-        shape_op[..., 0, 1] = -ii_xy / metric
-        shape_op[..., 1, 0] = ii_xy / metric
-        shape_op[..., 1, 1] = ii_yy / metric
-
-    return FundamentalData(
-        surface=surface, metric=metric, omega=omega, normal=np.moveaxis(normal, 0, -1),
-        xu=np.moveaxis(xu, 0, -1), xv=np.moveaxis(xv, 0, -1),
-        H=H, Q=Q, R=R, K=K, K_shape=K_shape, conf_u=conf_u, conf_v=conf_v,
-        gauss_eq=gauss_eq, sff=sff, shape_op=shape_op, mask=~np.isfinite(H),
-        hu=hu, hv=hv)
+        np.subtract(kbar, det_ii / metric ** 2, out=K_shape)
+        np.subtract(K, K_shape, out=gauss_eq)
+        s = shape_op[a:b]
+        np.divide(-ii_xx, metric, out=s[..., 0, 0])
+        np.divide(-ii_xy, metric, out=s[..., 0, 1])
+        np.divide(ii_xy, metric, out=s[..., 1, 0])
+        np.divide(ii_yy, metric, out=s[..., 1, 1])
 
 
 def second_form_residual(surface, fd):

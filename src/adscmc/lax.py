@@ -40,6 +40,7 @@ import numpy as np
 from .algebra import adjugate, check_unimodular, pack2
 from .config import DEFAULT_TOL
 from .fields import ScalarField1D, as_field1d, as_field2d, fd_derivative
+from .geometry import row_blocks
 from .nullcurves import (check_drift, check_leg_pair, magnus_increments, magnus_march,
                          product_surface, stage_times)
 from .weierstrass import WeierstrassData
@@ -65,21 +66,26 @@ class GmcData:
 
 
 def gmc_residual(data, us, vs):
-    """Signed residual of the integrability condition on a grid,
+    """Signed residual of the integrability condition on the grid of nodes us x vs,
 
         omega_uv + (H^2 - 1)/2 * e^omega - 2 Q R e^-omega.
 
     The two mean-curvature flux conditions, H_u = 2 e^-omega Q_v and
     H_v = 2 e^-omega R_u, hold identically for split data with constant
-    H, so this is the only residual there is to measure.
+    H, so this is the only residual there is to measure.  The grid is
+    evaluated in the row blocks of geometry.fundamental_data, so the
+    omega_u and omega_v it does not read never span the whole grid.
     """
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    w, _, _, wuv = data.omega.with_derivatives(us[:, None], vs[None, :])
+    us = np.ravel(np.asarray(us, dtype=float))
+    vs = np.ravel(np.asarray(vs, dtype=float))
     q = np.asarray(data.Q(us), dtype=float)[:, None]
     r = np.asarray(data.R(vs), dtype=float)[None, :]
-    e = np.exp(w)
-    return wuv + 0.5 * (data.H ** 2 - 1.0) * e - 2.0 * q * r / e
+    out = np.empty((len(us), len(vs)))
+    for a, b in row_blocks(len(us), len(vs)):
+        w, _, _, wuv = data.omega.with_derivatives(us[a:b, None], vs[None, :])
+        e = np.exp(w)
+        np.subtract(wuv + 0.5 * (data.H ** 2 - 1.0) * e, 2.0 * q[a:b] * r / e, out=out[a:b])
+    return out
 
 
 def lax_terms(data, w, u=None, v=None):

@@ -261,6 +261,15 @@ def test_missing_args_file_is_a_usage_error(tmp_path, capsys):
     assert out == "" and str(missing) in err
 
 
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_blank_line_in_an_args_file_is_a_usage_error(tmp_path, capsys, blank):
+    run = _args_file(tmp_path, "horosphere", blank, "--nu", "11")
+    assert _exit_code(["gallery", run]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "a blank line in an @FILE is not an argument" in err
+
+
 def test_args_file_may_carry_the_subcommand(tmp_path, capsys):
     assert main(["gallery", "horosphere", *SMALL]) == 0
     direct = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Curvature measurement, residual gates, and the parallel-shift identities."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -7,8 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from adscmc import geometry
+from adscmc.gallery import DEFAULT_DOMAIN
+from adscmc.gaussmaps import gauss_conformality_check
 from adscmc.geometry import (
     DEFAULT_TOL,
+    FundamentalData,
     SurfaceGrid,
     central_difference,
     fundamental_data,
@@ -18,6 +23,7 @@ from adscmc.geometry import (
     second_form_residual,
     umbilic_detect,
 )
+from adscmc.lax import GmcData, gmc_residual
 
 from conftest import E31_NAMES, H31_NAMES, STD_DOMAIN
 
@@ -329,17 +335,19 @@ def test_fundamental_data_is_pinned_point_by_point(name, flip, std_surfaces):
     assert got == FD_DIGESTS[(name, flip)]
 
 
-# tracemalloc peak of fundamental_data over points.nbytes on a 401 x 41
-# strip, as measured by this test with the products summed on component
-# planes (11.103 and 12.135) plus a 2% margin: the geometry peak must not
+# tracemalloc peak of fundamental_data over points.nbytes on 401 x 41 and
+# 1601 x 41 strips, as measured by these tests with the grid measured in
+# row blocks written straight into the outputs (10.049 and 7.576 in H31,
+# 11.390 and 8.850 in E31) plus a 2% margin: the geometry peak must not
 # rise above it.  One more (nu, nv) plane is 1/4 (H31) or 1/3 (E31) of
-# points.nbytes, more than the margin, so it shows.
-PEAK_RATIO_BOUND = {"enneper-isothermic": 11.33, "minimal-enneper": 12.38}
+# points.nbytes, more than the margin, so it shows.  The outputs alone
+# are 6.78 (H31) and 8.04 (E31) of points.nbytes.
+PEAK_RATIO_BOUND = {"enneper-isothermic": 10.25, "minimal-enneper": 11.62}
+LONG_PEAK_RATIO_BOUND = {"enneper-isothermic": 7.73, "minimal-enneper": 9.03}
 
 
-@pytest.mark.parametrize("name", sorted(PEAK_RATIO_BOUND))
-def test_fundamental_data_peak_memory_stays_flat(name, gallery_module):
-    surface = gallery_module.oracle_surface(gallery_module.gallery(name), STD_DOMAIN, 401, 41)
+def _peak_ratio(gallery_module, name, nu):
+    surface = gallery_module.oracle_surface(gallery_module.gallery(name), STD_DOMAIN, nu, 41)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -347,7 +355,71 @@ def test_fundamental_data_peak_memory_stays_flat(name, gallery_module):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / surface.points.nbytes <= PEAK_RATIO_BOUND[name]
+    return peak / surface.points.nbytes
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_RATIO_BOUND))
+def test_fundamental_data_peak_memory_stays_flat(name, gallery_module):
+    assert _peak_ratio(gallery_module, name, 401) <= PEAK_RATIO_BOUND[name]
+
+
+@pytest.mark.parametrize("name", sorted(LONG_PEAK_RATIO_BOUND))
+def test_fundamental_data_peak_does_not_grow_with_the_grid(name, gallery_module):
+    # a full-grid intermediate would hold the ratio level as the strip
+    # grows four times longer; block intermediates make it fall
+    long_ratio = _peak_ratio(gallery_module, name, 1601)
+    assert long_ratio <= LONG_PEAK_RATIO_BOUND[name]
+    assert long_ratio <= _peak_ratio(gallery_module, name, 401)
+
+
+# blocks of 1, 2, 3 and 7 rows, and one block covering the grid (None);
+# 25 rows leave a part block at the end for 2, 3 and 7 rows, and on the
+# default domain the node (u, v) = (1, -1) lies on the Enneper pair's
+# degenerate line 1 + uv = 0, so that grid carries masked points
+SEAM_ROWS = (1, 2, 3, 7, None)
+SEAM_NU, SEAM_NV = 25, 13
+FD_ARRAYS = tuple(f.name for f in dataclasses.fields(FundamentalData)
+                  if f.name not in ("surface", "hu", "hv"))
+
+
+def _each_row_block(monkeypatch, nu, nv):
+    """Patch the block size to each of SEAM_ROWS in turn, yielding the rows."""
+    for rows in SEAM_ROWS:
+        monkeypatch.setattr(geometry, "BLOCK_POINTS", (rows or nu) * nv)
+        yield rows
+
+
+@pytest.mark.parametrize("name, domain", [("enneper-isothermic", DEFAULT_DOMAIN),
+                                          ("minimal-enneper", STD_DOMAIN)])
+@pytest.mark.parametrize("flip", [False, True])
+def test_row_blocks_leave_no_seam(name, domain, flip, gallery_module, monkeypatch):
+    surface = gallery_module.oracle_surface(name, domain, SEAM_NU, SEAM_NV)
+    assert surface.mask.any() == (domain == DEFAULT_DOMAIN)
+    want = fundamental_data(surface, flip_normal=flip)
+    for rows in _each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
+        got = fundamental_data(surface, flip_normal=flip)
+        for field in FD_ARRAYS:
+            assert np.array_equal(getattr(got, field), getattr(want, field),
+                                  equal_nan=True), (rows, field)
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_gauss_conformality_blocks_leave_no_seam(sign, gallery_module, monkeypatch):
+    surface = gallery_module.oracle_surface("enneper-isothermic", DEFAULT_DOMAIN,
+                                            SEAM_NU, SEAM_NV)
+    fd = fundamental_data(surface)
+    want = gauss_conformality_check(fd, sign)
+    for rows in _each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
+        got = gauss_conformality_check(fd, sign)
+        assert np.array_equal(got, want, equal_nan=True), rows
+
+
+def test_gmc_residual_blocks_leave_no_seam(monkeypatch):
+    data = GmcData.build("u*sin(v) + exp(u - v)", -1.0, "u^2", "cos(v)")
+    us, vs = np.linspace(0.1, 0.9, SEAM_NU), np.linspace(0.05, 0.8, SEAM_NV)
+    want = gmc_residual(data, us, vs)
+    for rows in _each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
+        assert np.array_equal(gmc_residual(data, us, vs), want), rows
 
 
 def test_residuals_shrink_quadratically_under_grid_halving(gallery_module):

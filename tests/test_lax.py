@@ -8,11 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from adscmc import lax
+from adscmc import geometry, lax
 from adscmc.algebra import mat_of_vec
 from adscmc.config import DEFAULT_TOL
 from adscmc.fields import as_field1d
-from adscmc.geometry import fundamental_data
+from adscmc.geometry import fundamental_data, row_blocks
 from adscmc.lax import (CompatibilityError, GmcData, extract_weierstrass_data,
                         gmc_residual, integrate_lax, lax_matrices)
 from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, FrameCurve, IntegrationError,
@@ -306,17 +306,23 @@ def test_sweep_evaluates_omega_once_per_block(monkeypatch):
     data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
     calls = _count_omega_calls(monkeypatch, data)
     integrate_lax(data, DIGEST_DOMAIN, 201, 201)
-    # 3 + ceil(200 / 24): 24 nodes of 402 points fit a block
-    assert len(calls) <= 3 + _block_calls(201, 201, 1) == 12
-    # no call covers more than a block of column nodes
-    assert max(math.prod(shape) for shape in calls[1:]) <= lax._BLOCK_POINTS
+    # one call per row block of the gate (6, of 40 rows but the last), one
+    # per edge march and ceil(200 / 24) for the columns: 24 nodes of 402
+    # points fit a block
+    gate = len(row_blocks(201, 201))
+    assert len(calls) <= gate + 2 + _block_calls(201, 201, 1) == 17
+    # no call covers more than a block of gate rows or of column nodes
+    assert max(math.prod(shape) for shape in calls[:gate]) <= geometry.BLOCK_POINTS
+    assert max(math.prod(shape) for shape in calls[gate:]) <= lax._BLOCK_POINTS
 
 
 # tracemalloc peak of integrate_lax at 401 x 401 over the bytes of both
-# frames, as measured by this test with the block sweep and the drift
-# gate reduced in row blocks (1.251) plus a 2% margin: a full-size
-# determinant temporary (0.25 of the frame bytes) shows.
-LAX_PEAK_RATIO_BOUND = 1.276
+# frames, as measured by this test with the block sweep, the drift gate
+# reduced in row blocks and the compatibility residual evaluated in row
+# blocks (1.189, the sweep's own peak; full-grid omega jets in the gate
+# read 1.251) plus a 2% margin: a full-size determinant temporary (0.25
+# of the frame bytes) shows.
+LAX_PEAK_RATIO_BOUND = 1.213
 
 
 def test_sweep_peak_memory_stays_flat():
