@@ -43,26 +43,26 @@ every difference is a plain slice expression and is NaN exactly where
 its stencil leaves the grid.  Every Lorentz product is then a sum over
 whole planes (algebra.scalar_product4/3), with no metric-scaled operand
 copy.  The tangents and the normal are written on rows [a - 1, b + 1)
-straight into (c, nu, nv) planes allocated once; the rows two blocks
-share get the same bits from either, so the normal difference n_u reads
-its neighbour rows from those planes.  The metric signs of raw are
-applied by negating its negative planes in place, and the normal is raw
-divided in place.  fd.normal is the (nu, nv, c) moveaxis view of its
-planes, not a copy; fd.xu and fd.xv are such views of the tangent
-planes, so the Gauss maps read the same differences.  The products sum
-in a fixed order, component 0 paired with 2, then 1 (and 3), then
-+ 0.0, which is how np.einsum("...i,...i->...", METRIC * x, y) sums
-contiguous components from a +0.0 accumulator.  The pinned field
-digests, stdout and golden files hold einsum's values: another order
-changes the last bit at roughly a third of random points, and without
-the + 0.0 a sum of -0.0 terms stays -0.0 where einsum gives +0.0.
-The steps hu and hv come from the whole grid's nodes, once: a block's
-own nodes differ in the last bits.  Every field is the same elementwise
-arithmetic at every point whatever the block size, so the blocks leave
-no seam, and the last operation of each field writes its rows in place.
-The only full-size arrays are the outputs: every intermediate spans one
-block, so the peak memory of a measurement is the outputs plus a block's
-intermediates, and stays flat as the grid grows.
+straight into (c, nu, nv) planes allocated once, and the normal
+difference n_u reads them there; the rows two blocks share get the same
+bits from either.  The metric signs of raw are applied by negating its
+negative planes in place, and the normal is raw divided in place.
+fd.normal is the (nu, nv, c) moveaxis view of its planes, not a copy;
+fd.xu and fd.xv are such views of the tangent planes, so the Gauss maps
+read the same differences.  The products sum in a fixed order,
+component 0 paired with 2, then 1 (and 3), then + 0.0, which is how
+np.einsum("...i,...i->...", METRIC * x, y) sums contiguous components
+from a +0.0 accumulator.  The pinned field digests, stdout and golden
+files hold einsum's values: another order changes the last bit at
+roughly a third of random points, and without the + 0.0 a sum of -0.0
+terms stays -0.0 where einsum gives +0.0.  The steps hu and hv come
+from the whole grid's nodes, once: a block's own nodes differ in the
+last bits.  Every field is the same elementwise arithmetic at every
+point whatever the block size, so the blocks leave no seam, and the last
+operation of each field writes its rows in place.  The only full-size
+arrays are the outputs: every intermediate spans one block, so the peak
+memory of a measurement is the outputs plus a block's intermediates,
+and stays flat as the grid grows.
 """
 
 from dataclasses import dataclass
@@ -226,9 +226,8 @@ def _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids, shape_op):
     """Write rows [a, b) of every measured field into the outputs.
 
     planes are the (c, nu, nv) tangent and normal planes, which this
-    block fills on rows [a - 1, b + 1): a neighbouring block writes the
-    same bits to the rows they share, so n_u reads the normal rows next
-    to the block from the planes themselves.
+    block fills on rows [a - 1, b + 1), the reach of n_u on [a, b); a
+    neighbouring block writes the same bits to the rows they share.
     """
     nu, nv = surface.shape
     name, kbar = AMBIENTS[surface.points.shape[-1]]
@@ -268,7 +267,7 @@ def _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids, shape_op):
     normal *= sign
 
     # everything else on rows [a, b), local rows [2, b - a + 2) of x
-    n_u = central_difference(planes[2][:, s0:s1], hu, 1)[:, a - s0:b - s0]
+    n_u = central_difference(normal, hu, 1)[:, a - s0:b - s0]
     xu, xv, normal = xu[:, a - s0:b - s0], xv[:, a - s0:b - s0], normal[:, a - s0:b - s0]
     metric, omega, H, Q, R, K, K_shape, conf_u, conf_v, gauss_eq, sff = (
         grids[field][a:b] for field in _GRID_FIELDS)
