@@ -3,12 +3,19 @@
 Every subcommand builds or loads one surface grid, measures it, prints
 the measurement statistics, and exits 0 exactly when every gated
 residual is within tolerance.  The gate is GeometryReport.worst, so the
-failure line always names the worst offender.  A run is reproducible
-from a checked-in argument file: `adscmc cmc1 @run.args --nu 11` reads
-run.args, one argument per line, in place of `@run.args`, and later
-arguments win; a blank line is a usage error, not an empty argument.
-Any argument that starts with "@", a path included, is read as an
-argument file.
+failure line always names the worst offender.
+
+The parsed namespace is the run configuration.  Each subcommand is
+declared once, in its parser block in build_parser: its flags with
+their defaults, the suffixes its --out takes, and with set_defaults the
+handler that runs it and, for a measuring command, the builder of its
+surface.
+
+A run is reproducible from a checked-in argument file: `adscmc cmc1
+@run.args --nu 11` reads run.args, one argument per line, in place of
+`@run.args`, and later arguments win; a blank line is a usage error,
+not an empty argument.  Any argument that starts with "@", a path
+included, is read as an argument file.
 """
 
 import argparse
@@ -18,7 +25,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,57 +44,6 @@ from .weierstrass import QuadratureError, WeierstrassData, integrate_minimal
 
 class UsageError(Exception):
     """Bad flag value; the message names the offender."""
-
-
-# the --out suffixes a command writes; the suffix picks the format
-_OUT_FORMATS = {"gauss": ("json",), "project": ("obj", "json")}
-
-
-@dataclass
-class RunConfig:
-    """Settings for one subcommand invocation: its parsed flags over these defaults."""
-
-    command: str
-    q: str = None
-    f: str = None
-    r: str = None
-    g: str = None
-    omega: str = None
-    H: str = None
-    Q: str = None
-    R: str = None
-    name: str = None
-    path: str = None
-    domain: tuple = DEFAULT_DOMAIN
-    nu: int = 101
-    nv: int = 101
-    action: str = "mu"
-    sign: str = "plus"
-    pole: str = "plus"
-    out: str = None
-    substeps: int = 1
-    target_h: float = None
-    flip_normal: bool = False
-    tol: Tolerances = DEFAULT_TOL
-
-    def validate(self):
-        if self.nu < 5 or self.nv < 5:
-            raise UsageError("--nu and --nv must be at least 5")
-        u0, u1, v0, v1 = self.domain
-        if not (all(map(math.isfinite, self.domain)) and u1 > u0 and v1 > v0):
-            raise UsageError("--domain needs four finite bounds with u1 > u0 and v1 > v0")
-        if self.substeps < 1:
-            raise UsageError("--substeps must be at least 1")
-        formats = _OUT_FORMATS.get(self.command, ("obj", "json", "csv"))
-        if self.out is not None and self.out_format not in formats:
-            *rest, last = (f".{x}" for x in formats)
-            names = f"{', '.join(rest)} or {last}" if rest else last
-            raise UsageError(f"{self.command} --out {self.out!r} must end in {names}")
-
-    @property
-    def out_format(self):
-        """The --out suffix without its dot, lower case."""
-        return os.path.splitext(self.out)[1][1:].lower()
 
 
 _TOL_KEYS = {f.name for f in dataclasses.fields(Tolerances)}
@@ -113,16 +68,26 @@ def _tolerances(pairs):
         raise UsageError(str(exc)) from None
 
 
-def _merge_config(ns):
-    """The validated RunConfig of the parsed flags; a flag left unset
-    keeps its RunConfig default."""
-    merged = {key: value for key, value in vars(ns).items() if value is not None}
-    merged["tol"] = _tolerances(ns.tol or [])
-    if "domain" in merged:
-        merged["domain"] = tuple(merged["domain"])
-    cfg = RunConfig(**merged)
-    cfg.validate()
-    return cfg
+def _check(args):
+    """Raise UsageError for a grid or step count out of range, or an --out
+    suffix the command does not write."""
+    if "nu" in args:
+        if args.nu < 5 or args.nv < 5:
+            raise UsageError("--nu and --nv must be at least 5")
+        u0, u1, v0, v1 = args.domain
+        if not (all(map(math.isfinite, args.domain)) and u1 > u0 and v1 > v0):
+            raise UsageError("--domain needs four finite bounds with u1 > u0 and v1 > v0")
+    if "substeps" in args and args.substeps < 1:
+        raise UsageError("--substeps must be at least 1")
+    if args.out is not None and _suffix(args.out) not in args.formats:
+        *rest, last = (f".{x}" for x in args.formats)
+        names = f"{', '.join(rest)} or {last}" if rest else last
+        raise UsageError(f"{args.command} --out {args.out!r} must end in {names}")
+
+
+def _suffix(path):
+    """The suffix of path without its dot, lower case: the format it is written in."""
+    return os.path.splitext(path)[1][1:].lower()
 
 
 def _print_stats(stats):
@@ -136,95 +101,81 @@ def _print_gate(ok, name, value, bound):
     return 0 if ok else 1
 
 
-def _build_minimal(cfg):
-    data = WeierstrassData.build(cfg.q, cfg.f, cfg.r, cfg.g)
-    return integrate_minimal(data, cfg.domain, cfg.nu, cfg.nv, tol=cfg.tol), 0.0
+def _build_minimal(args):
+    data = WeierstrassData.build(args.q, args.f, args.r, args.g)
+    return integrate_minimal(data, args.domain, args.nu, args.nv, tol=args.tol), 0.0
 
 
-def _build_cmc1(cfg):
-    u0, u1, v0, v1 = cfg.domain
-    f1 = integrate_frame(KIND_F1, cfg.q, cfg.f, (u0, u1), cfg.nu,
-                         substeps=cfg.substeps, tol=cfg.tol)
-    f2 = integrate_frame(KIND_F2_MU, cfg.r, cfg.g, (v0, v1), cfg.nv,
-                         substeps=cfg.substeps, tol=cfg.tol)
+def _build_cmc1(args):
+    u0, u1, v0, v1 = args.domain
+    f1 = integrate_frame(KIND_F1, args.q, args.f, (u0, u1), args.nu,
+                         substeps=args.substeps, tol=args.tol)
+    f2 = integrate_frame(KIND_F2_MU, args.r, args.g, (v0, v1), args.nv,
+                         substeps=args.substeps, tol=args.tol)
     # both assemblies build F1 F2^T; the action only sets the label
-    assemble = assemble_nu if cfg.action == "nu" else assemble_mu
-    return assemble(f1, f2, tol=cfg.tol), -1.0 if cfg.flip_normal else 1.0
+    assemble = assemble_nu if args.action == "nu" else assemble_mu
+    return assemble(f1, f2, tol=args.tol), -1.0 if args.flip_normal else 1.0
 
 
-def _lax_surface(cfg):
-    """The Lax frames of cfg's (omega, H, Q, R) and their product surface."""
-    data = GmcData.build(cfg.omega, cfg.H, cfg.Q, cfg.R)
-    frames = integrate_lax(data, cfg.domain, cfg.nu, cfg.nv,
-                           substeps=cfg.substeps, tol=cfg.tol)
-    return frames, frames.assemble(cfg.tol)
+def _lax_surface(args):
+    """The Lax frames of the (omega, H, Q, R) of args and their product surface."""
+    data = GmcData.build(args.omega, args.H, args.Q, args.R)
+    frames = integrate_lax(data, args.domain, args.nu, args.nv,
+                           substeps=args.substeps, tol=args.tol)
+    return frames, frames.assemble(args.tol)
 
 
-def _build_lax(cfg):
-    frames, surface = _lax_surface(cfg)
+def _build_lax(args):
+    frames, surface = _lax_surface(args)
     print(f"path_defect = {frames.path_defect!r}")
-    return surface, -frames.data.H if cfg.flip_normal else frames.data.H
+    return surface, -frames.data.H if args.flip_normal else frames.data.H
 
 
-def _build_verify(cfg):
-    surface, _, _ = read_surface_json(cfg.path)
+def _build_verify(args):
+    surface, _, _ = read_surface_json(args.path)
     nu, nv = surface.shape
-    print(f"loaded {cfg.path}: ambient {surface.ambient.lower()}, {nu}x{nv}")
-    return surface, cfg.target_h
+    print(f"loaded {args.path}: ambient {surface.ambient.lower()}, {nu}x{nv}")
+    return surface, args.target_h
 
 
-def _build_gallery(cfg):
-    entry = gallery(cfg.name)
-    surface = oracle_surface(entry, cfg.domain, cfg.nu, cfg.nv, tol=cfg.tol)
+def _build_gallery(args):
+    entry = gallery(args.name)
+    surface = oracle_surface(entry, args.domain, args.nu, args.nv, tol=args.tol)
     target = float(entry.expected["H"])
-    return surface, -target if cfg.flip_normal else target
+    return surface, -target if args.flip_normal else target
 
 
-# the subcommands that build or load one surface and measure it; each
-# builder returns the surface and its target mean curvature (None: no
-# mean curvature gate)
-_BUILDERS = {
-    "minimal": _build_minimal,
-    "cmc1": _build_cmc1,
-    "lax": _build_lax,
-    "verify": _build_verify,
-    "gallery": _build_gallery,
-}
-
-
-def _cmd_measure(cfg):
-    """Build cfg's surface, print its statistics, export it and gate it.
+def _cmd_measure(args):
+    """Build or load the surface of args, print its statistics, export it and gate it.
 
     The gate is GeometryReport.worst, with the mean curvature error
     against the builder's target measured once.
     """
-    surface, target_h = _BUILDERS[cfg.command](cfg)
-    report = geometry_report(surface, tol=cfg.tol, flip_normal=cfg.flip_normal)
+    surface, target_h = args.build(args)
+    report = geometry_report(surface, tol=args.tol, flip_normal=args.flip_normal)
     _print_stats(report.stats)
-    if cfg.out is not None:
-        projection = None
-        if cfg.out_format == "obj" and surface.ambient == "H31":
-            projection = cfg.pole
-        export_surface(surface, projection, cfg.out_format, cfg.out,
-                       report=report, tol=cfg.tol)
-        print(f"wrote {cfg.out}")
+    if args.out is not None:
+        fmt = _suffix(args.out)
+        projection = args.pole if fmt == "obj" and surface.ambient == "H31" else None
+        export_surface(surface, projection, fmt, args.out, report=report, tol=args.tol)
+        print(f"wrote {args.out}")
     h_error = None
     if target_h is not None:
         h_error = report.stats_h_error(target_h)
         print(f"max_h_error = {h_error!r}")
-    return _print_gate(*report.worst(cfg.tol, target_h=target_h, h_error=h_error))
+    return _print_gate(*report.worst(args.tol, h_error=h_error))
 
 
-def _cmd_gauss(cfg):
-    frames, surface = _lax_surface(cfg)
-    fd = fundamental_data(surface, tol=cfg.tol)
-    core = fd.core(cfg.tol)
+def _cmd_gauss(args):
+    frames, surface = _lax_surface(args)
+    fd = fundamental_data(surface)
+    core = fd.core(args.tol)
 
-    hol = holomorphicity_check(frames, sign=cfg.sign, tol=cfg.tol)
-    hyp = hyperbolic_gauss(fd, sign=cfg.sign, tol=cfg.tol)
-    frm = frame_gauss_coordinates(frames, sign=cfg.sign, tol=cfg.tol)
-    gen = generalized_gauss(fd, sign=cfg.sign, tol=cfg.tol)
-    conf = gauss_conformality_check(fd, sign=cfg.sign, tol=cfg.tol)
+    hol = holomorphicity_check(frames, sign=args.sign, tol=args.tol)
+    hyp = hyperbolic_gauss(fd, sign=args.sign, tol=args.tol)
+    frm = frame_gauss_coordinates(frames, sign=args.sign, tol=args.tol)
+    gen = generalized_gauss(fd, sign=args.sign, tol=args.tol)
+    conf = gauss_conformality_check(fd, sign=args.sign)
 
     def chart_gap(a, b):
         sel = a.valid() & b.valid()
@@ -233,7 +184,7 @@ def _cmd_gauss(cfg):
     findings = {
         "schema": 1,
         "command": "gauss",
-        "sign": cfg.sign,
+        "sign": args.sign,
         "classification": hol.label,
         "max_identity_residual": hol.max_residual(),
         "chart_frame_vs_surface": chart_gap(frm, hyp),
@@ -244,28 +195,28 @@ def _cmd_gauss(cfg):
     }
     text = dumps(findings)
     print(text)
-    if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
 
     value = findings["max_identity_residual"]
-    return _print_gate(np.isfinite(value) and value <= cfg.tol.hol,
-                       "holomorphicity_identity", value, cfg.tol.hol)
+    return _print_gate(np.isfinite(value) and value <= args.tol.hol,
+                       "holomorphicity_identity", value, args.tol.hol)
 
 
-def _cmd_project(cfg):
-    surface, _, _ = read_surface_json(cfg.path)
+def _cmd_project(args):
+    surface, _, _ = read_surface_json(args.path)
     if surface.ambient != "H31":
         raise UsageError("project needs a raw quadric surface (4-component vertices)")
 
     x = surface.points
-    y = project_h31(x, cfg.pole, tol=cfg.tol)
+    y = project_h31(x, args.pole, tol=args.tol)
     good = ~surface.mask & np.isfinite(y).all(axis=-1)
     # Each pole maps its own half {±x0 > 0} into the open unit indefinite
     # ball; points from the other half land outside by construction, so
     # the interior gate only ranges over the matching half.
-    half = x[..., 0] > 0.0 if cfg.pole == "plus" else x[..., 0] < 0.0
+    half = x[..., 0] > 0.0 if args.pole == "plus" else x[..., 0] < 0.0
     gated = good & half
     inside = -y[..., 0] ** 2 + y[..., 1] ** 2 + y[..., 2] ** 2
     print(f"n_matching_half = {int(np.sum(gated))}")
@@ -273,26 +224,24 @@ def _cmd_project(cfg):
     worst = float(np.max(inside[gated])) if np.any(gated) else float("nan")
     print(f"max_indefinite_radius = {worst!r}")
 
-    export_surface(surface, cfg.pole, cfg.out_format, cfg.out, tol=cfg.tol, chart=y)
-    print(f"wrote {cfg.out}")
+    export_surface(surface, args.pole, _suffix(args.out), args.out, tol=args.tol, chart=y)
+    print(f"wrote {args.out}")
     return _print_gate(not np.any(gated) or (np.isfinite(worst) and worst < 1.0),
                        "projection_interior", worst, 1.0)
 
 
-_DISPATCH = {**dict.fromkeys(_BUILDERS, _cmd_measure),
-             "gauss": _cmd_gauss, "project": _cmd_project}
-
-
-def _add_common(sp, grid=True, out_required=False):
+def _add_common(sp, formats=("obj", "json", "csv"), grid=True, out_required=False):
+    # every default is immutable: one parser serves every main() call
     sp.add_argument("--tol", action="append", metavar="KEY=VALUE",
                     help="tolerance override, repeatable")
     if grid:
-        sp.add_argument("--domain", nargs=4, type=float,
+        sp.add_argument("--domain", nargs=4, type=float, default=DEFAULT_DOMAIN,
                         metavar=("U0", "U1", "V0", "V1"))
-        sp.add_argument("--nu", type=int, help="grid points in u")
-        sp.add_argument("--nv", type=int, help="grid points in v")
+        sp.add_argument("--nu", type=int, default=101, help="grid points in u")
+        sp.add_argument("--nv", type=int, default=101, help="grid points in v")
     sp.add_argument("--out", required=out_required,
                     help="output file path; its suffix picks the format")
+    sp.set_defaults(formats=formats)
 
 
 def _add_weierstrass(sp):
@@ -305,10 +254,12 @@ def _add_gmc(sp):
     sp.add_argument("--H", type=float, required=True, help="constant mean curvature of the data")
     sp.add_argument("--Q", required=True, help="expression for the uu Hopf coefficient, in u")
     sp.add_argument("--R", required=True, help="expression for the vv Hopf coefficient, in v")
-    sp.add_argument("--substeps", type=int, help="Magnus substeps per grid cell")
+    sp.add_argument("--substeps", type=int, default=1, help="Magnus substeps per grid cell")
 
 
-def _add_flip(sp):
+def _add_pole_flip(sp):
+    sp.add_argument("--pole", choices=("plus", "minus"), default="plus",
+                    help="projection pole for OBJ")
     sp.add_argument("--flip-normal", action="store_true", help="reverse the normal orientation")
 
 
@@ -338,45 +289,49 @@ def build_parser():
     sp = sub.add_parser("minimal", help="build and verify a minimal surface from (q,f,r,g)")
     _add_weierstrass(sp)
     _add_common(sp)
+    sp.set_defaults(handler=_cmd_measure, build=_build_minimal, flip_normal=False)
 
     sp = sub.add_parser("cmc1", help="build a cousin surface from null-curve data")
     _add_weierstrass(sp)
-    sp.add_argument("--action", choices=("mu", "nu"),
+    sp.add_argument("--action", choices=("mu", "nu"), default="mu",
                     help="assembly label (default mu); both build the same surface F1 F2^T")
-    sp.add_argument("--substeps", type=int, help="Magnus substeps per grid cell")
-    sp.add_argument("--pole", choices=("plus", "minus"), help="projection pole for OBJ")
-    _add_flip(sp)
+    sp.add_argument("--substeps", type=int, default=1, help="Magnus substeps per grid cell")
+    _add_pole_flip(sp)
     _add_common(sp)
+    sp.set_defaults(handler=_cmd_measure, build=_build_cmc1)
 
     sp = sub.add_parser("lax", help="build a surface from (omega,H,Q,R) frame data")
     _add_gmc(sp)
-    sp.add_argument("--pole", choices=("plus", "minus"), help="projection pole for OBJ")
-    _add_flip(sp)
+    _add_pole_flip(sp)
     _add_common(sp)
+    sp.set_defaults(handler=_cmd_measure, build=_build_lax)
 
     sp = sub.add_parser("verify", help="measure a surface stored as JSON")
     sp.add_argument("path", help="JSON surface file")
     sp.add_argument("--H", dest="target_h", type=float,
                     help="expected mean curvature (omitting it skips that gate)")
-    sp.add_argument("--pole", choices=("plus", "minus"))
-    _add_flip(sp)
+    _add_pole_flip(sp)
     _add_common(sp, grid=False)
+    sp.set_defaults(handler=_cmd_measure, build=_build_verify)
 
     sp = sub.add_parser("gauss", help="Gauss-map grids and holomorphicity classification")
     _add_gmc(sp)
-    sp.add_argument("--sign", choices=("plus", "minus"), help="which Gauss map (default plus)")
-    _add_common(sp)
+    sp.add_argument("--sign", choices=("plus", "minus"), default="plus",
+                    help="which Gauss map (default plus)")
+    _add_common(sp, formats=("json",))
+    sp.set_defaults(handler=_cmd_gauss)
 
     sp = sub.add_parser("project", help="stereographic re-projection of a stored surface")
     sp.add_argument("path", help="JSON surface file")
-    sp.add_argument("--pole", choices=("plus", "minus"), help="projection pole")
-    _add_common(sp, grid=False, out_required=True)
+    sp.add_argument("--pole", choices=("plus", "minus"), default="plus", help="projection pole")
+    _add_common(sp, formats=("obj", "json"), grid=False, out_required=True)
+    sp.set_defaults(handler=_cmd_project)
 
     sp = sub.add_parser("gallery", help="build a named closed-form surface and verify it")
     sp.add_argument("name", help="gallery entry name")
-    sp.add_argument("--pole", choices=("plus", "minus"), help="projection pole for OBJ")
-    _add_flip(sp)
+    _add_pole_flip(sp)
     _add_common(sp)
+    sp.set_defaults(handler=_cmd_measure, build=_build_gallery)
 
     # read -1e-3 as a value, not a flag: argparse's own rule (Python 3.11)
     # takes only -12 and -1.5, and each parser keeps its own copy of it
@@ -393,11 +348,11 @@ def _parser():
 
 
 def main(argv=None):
-    parser = _parser()
-    ns = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        cfg = _merge_config(ns)
-        return _DISPATCH[cfg.command](cfg)
+        args.tol = _tolerances(args.tol or ())
+        _check(args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

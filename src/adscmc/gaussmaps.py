@@ -224,7 +224,7 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
         label=str(labels.flat[0]) if (labels == labels.flat[0]).all() else "mixed")
 
 
-def gauss_conformality_check(fd, sign="plus", tol=DEFAULT_TOL):
+def gauss_conformality_check(fd, sign="plus"):
     """Residual of the chart-metric identity for near-unit |H|.
 
     The du dv coefficient of <d(phi +- N), d(phi +- N)> equals

@@ -198,7 +198,7 @@ _GRID_FIELDS = ("metric", "omega", "H", "Q", "R", "K", "K_shape", "conf_u", "con
                 "gauss_eq", "sff")
 
 
-def fundamental_data(surface, tol=DEFAULT_TOL, flip_normal=False):
+def fundamental_data(surface, flip_normal=False):
     """Measure fundamental forms of a sampled surface grid.
 
     Degenerate points (2 <phi_u, phi_v> <= 0) and points where the
@@ -317,7 +317,7 @@ def _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids, shape_op):
         np.divide(ii_yy, metric, out=s[..., 1, 1])
 
 
-def second_form_residual(surface, fd):
+def second_form_residual(fd):
     """The entrywise second-form gap fd.sff, kept while perfbench/spans.py times it."""
     return fd.sff
 
@@ -368,10 +368,11 @@ class GeometryReport:
     stats: dict
     core: np.ndarray    # the points the statistics range over
 
-    def worst(self, tol=DEFAULT_TOL, target_h=None, h_error=None):
+    def worst(self, tol=DEFAULT_TOL, h_error=None):
         """The residual gate: (ok, offender name, value, threshold).
 
-        h_error, when given, is stats_h_error(target_h) already measured.
+        h_error, when given, is the mean curvature error stats_h_error
+        measured against the target, gated by tol.cmc.
         """
         checks = [
             ("conf_u", self.stats["max_conf_u"], tol.conf),
@@ -379,9 +380,7 @@ class GeometryReport:
             ("gauss_eq", self.stats["max_gauss_eq"], tol.gauss),
             ("sff", self.stats["max_sff"], tol.sff),
         ]
-        if target_h is not None:
-            if h_error is None:
-                h_error = self.stats_h_error(target_h)
+        if h_error is not None:
             checks.append(("mean_curvature", h_error, tol.cmc))
         worst = None
         for name, value, bound in checks:
@@ -402,7 +401,7 @@ def geometry_report(surface, tol=DEFAULT_TOL, flip_normal=False):
     conformal factor clears the floor in the tolerance context, since
     curvature carries no meaning against a collapsing metric.
     """
-    fd = fundamental_data(surface, tol=tol, flip_normal=flip_normal)
+    fd = fundamental_data(surface, flip_normal=flip_normal)
     core = fd.core(tol)
     h_vals = fd.H[core]
     h_median = float(np.median(h_vals)) if h_vals.size else float("nan")

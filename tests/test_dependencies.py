@@ -1,5 +1,6 @@
 """The package imports nothing beyond the standard library and numpy,
 no module of the package or of the tests imports a name it never reads,
+no function of the package takes a parameter it never reads,
 no module of the package imports another's private name,
 and no numerical threshold of the package is a bare literal."""
 
@@ -55,6 +56,28 @@ def test_every_imported_name_is_read(path):
     unused = [f"{path.name}:{line} imports {name}" for line, name in _bound_names(tree)
               if name not in read]
     assert not unused, unused
+
+
+def _unread_parameters(path):
+    """(line, function, parameter) of each parameter, self and cls aside,
+    that its function's body never reads."""
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+                if arg is not None and arg.arg not in read | {"self", "cls"}:
+                    yield node.lineno, node.name, arg.arg
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a parameter no code reads invites callers to pass a value that
+    # changes nothing, such as a tol that governs no threshold
+    unread = [f"{path.name}:{line} {name}() never reads {arg}"
+              for line, name, arg in _unread_parameters(path)]
+    assert not unread, unread
 
 
 def _private_imports(path):

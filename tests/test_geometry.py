@@ -78,14 +78,14 @@ def test_scroll_rulings_are_null_while_the_base_carries_the_floor(name, std_surf
 
 @pytest.mark.parametrize("name", ["horosphere", "minimal-b-scroll"])
 def test_flat_second_form_reconstruction_is_exact(name, std_surfaces):
-    _, surface, fd = std_surfaces[name]
-    resid = second_form_residual(surface, fd)
+    _, _, fd = std_surfaces[name]
+    resid = second_form_residual(fd)
     assert np.nanmax(np.abs(resid)) < 1e-11
 
 
 def test_second_form_residual_carries_the_differencing_floor(std_surfaces):
-    _, surface, fd = std_surfaces["b-scroll"]
-    resid = second_form_residual(surface, fd)
+    _, _, fd = std_surfaces["b-scroll"]
+    resid = second_form_residual(fd)
     assert np.nanmax(np.abs(resid)) < 1e-3
 
 
@@ -480,7 +480,7 @@ def test_umbilic_detection_separates_orbit_from_scroll(std_surfaces):
 def test_report_gate_passes_on_exact_orbit(std_surfaces):
     _, surface, _ = std_surfaces["horosphere"]
     report = geometry_report(surface)
-    ok, name, value, bound = report.worst(target_h=1.0)
+    ok, name, value, bound = report.worst(h_error=report.stats_h_error(1.0))
     assert ok
     assert value <= bound
     assert report.stats["umbilic_fraction"] == 1.0
@@ -492,7 +492,7 @@ def test_report_gate_passes_on_exact_orbit(std_surfaces):
 def test_report_gate_flags_wrong_target_curvature(std_surfaces):
     _, surface, _ = std_surfaces["horosphere"]
     report = geometry_report(surface)
-    ok, name, value, bound = report.worst(target_h=2.0)
+    ok, name, value, bound = report.worst(h_error=report.stats_h_error(2.0))
     assert not ok
     assert name == "mean_curvature"
     assert value == pytest.approx(1.0, abs=1e-10)
@@ -529,6 +529,6 @@ def test_report_gate_names_broken_conformality():
 
 def test_unsheared_control_passes_the_same_gate():
     report = geometry_report(_cousin_grid(shear=0.0))
-    ok, _, _, _ = report.worst(target_h=0.0)
+    ok, _, _, _ = report.worst(h_error=report.stats_h_error(0.0))
     assert ok
     assert report.stats["ambient"] == "E31"

@@ -85,7 +85,7 @@ def test_report_core_is_the_measured_core(tol):
     # excludes masked and low-metric points alike
     surface = oracle_surface("enneper-isothermic", (-1.5, -0.5, 0.5, 1.5), 21, 21)
     report = geometry_report(surface, tol=tol)
-    want = fundamental_data(surface, tol=tol).core(tol)
+    want = fundamental_data(surface).core(tol)
     assert report.core.dtype == bool
     assert np.array_equal(report.core, want)
     assert 0 < int(want.sum()) == report.stats["n_core"] < want.size
