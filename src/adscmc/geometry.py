@@ -62,7 +62,8 @@ point whatever the block size, so the blocks leave no seam, and the last
 operation of each field writes its rows in place.  The only full-size
 arrays are the outputs: every intermediate spans one block, so the peak
 memory of a measurement is the outputs plus a block's intermediates,
-and stays flat as the grid grows.
+and stays flat as the grid grows.  Every blocked layer of the package
+takes its blocks from row_blocks.
 """
 
 from dataclasses import dataclass
@@ -121,12 +122,13 @@ def central_difference(a, h, axis):
     return out
 
 
-# points per block of u rows that fundamental_data, lax.gmc_residual and
-# gaussmaps.gauss_conformality_check take at a time.  Of 1024 to 16384,
-# 8192 was the fastest fundamental_data at 4001 x 41 (E31), 201^2 and
-# 301^2 (H31) on a 2-core x86 container: best of 30 calls 49.8, 12.8 and
-# 34.6 ms, against 56.5, 14.8, 40.5 at 4096 and 52.8, 17.7, 37.9 at 16384,
-# and 77.9, 20.8, 53.5 ms for one pass holding full-grid intermediates.
+# points per block of every blocked layer, through row_blocks: u rows in
+# fundamental_data, lax.gmc_residual and gaussmaps.gauss_conformality_check,
+# v nodes in lax._sweep, frames in nullcurves.check_drift.  Of 1024 to
+# 16384, 8192 was the fastest fundamental_data at 4001 x 41 (E31), 201^2
+# and 301^2 (H31) on a 2-core x86 container: best of 30 calls 49.8, 12.8,
+# 34.6 ms, against 56.5, 14.8, 40.5 at 4096, 52.8, 17.7, 37.9 at 16384 and
+# 77.9, 20.8, 53.5 ms for one pass holding full-grid intermediates.
 BLOCK_POINTS = 8192
 
 
@@ -156,7 +158,7 @@ class FundamentalData:
     the measurement.  All arrays have the full grid shape; entries are
     NaN wherever the finite-difference stencil or the degeneracy mask
     leaves them undefined.  mask is True at points with no valid
-    first-order data.
+    first-order data.  No shape operator S is stored: det S = K_shape - kbar.
     """
 
     surface: SurfaceGrid
@@ -174,7 +176,6 @@ class FundamentalData:
     conf_v: np.ndarray
     gauss_eq: np.ndarray      # K - K_shape
     sff: np.ndarray           # entrywise second-form residual
-    shape_op: np.ndarray      # (nu, nv, 2, 2) in coordinates (x, y)
     mask: np.ndarray
     hu: float
     hv: float
@@ -214,15 +215,14 @@ def fundamental_data(surface, flip_normal=False):
     hv = _uniform_step(surface.vs, "v")
     planes = [np.empty((surface.points.shape[-1], nu, nv)) for _ in range(3)]
     grids = {field: np.empty((nu, nv)) for field in _GRID_FIELDS}
-    shape_op = np.empty((nu, nv, 2, 2))
     for a, b in row_blocks(nu, nv):
-        _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids, shape_op)
+        _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids)
     xu, xv, normal = (np.moveaxis(p, 0, -1) for p in planes)
     return FundamentalData(surface=surface, normal=normal, xu=xu, xv=xv, **grids,
-                           shape_op=shape_op, mask=~np.isfinite(grids["H"]), hu=hu, hv=hv)
+                           mask=~np.isfinite(grids["H"]), hu=hu, hv=hv)
 
 
-def _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids, shape_op):
+def _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids):
     """Write rows [a, b) of every measured field into the outputs.
 
     planes are the (c, nu, nv) tangent and normal planes, which this
@@ -310,11 +310,6 @@ def _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids, shape_op):
         det_ii = ii_xx * ii_yy - ii_xy ** 2
         np.subtract(kbar, det_ii / metric ** 2, out=K_shape)
         np.subtract(K, K_shape, out=gauss_eq)
-        s = shape_op[a:b]
-        np.divide(-ii_xx, metric, out=s[..., 0, 0])
-        np.divide(-ii_xy, metric, out=s[..., 0, 1])
-        np.divide(ii_xy, metric, out=s[..., 1, 0])
-        np.divide(ii_yy, metric, out=s[..., 1, 1])
 
 
 def second_form_residual(fd):
@@ -340,18 +335,16 @@ def lawson_shift(h, kbar, c):
 
 
 def lawson_shift_residual(fd, c):
-    """Curvature relation residual after shifting the shape operator.
+    """Curvature relation residual after the parallel shift by c.
 
-    Shifts S -> S + c I and the ambient curvature to
-    ktilde = kbar - c tr S - c^2, then returns |K - ktilde - det(S + cI)|,
-    which vanishes wherever the unshifted relation K = kbar + det S holds.
+    lawson_shift gives (H + c, ktilde); with det S = K_shape - kbar and
+    tr S = 2H, det(S + c I) = det S + c (H + (H + c)).  The result
+    |K - ktilde - det(S + c I)| equals |gauss_eq| to rounding for every c;
+    the function stays while perfbench/spans.py times it.
     """
-    s = fd.shape_op
-    tr = s[..., 0, 0] + s[..., 1, 1]
+    h_shift, ktilde = lawson_shift(fd.H, fd.kbar, c)
     with np.errstate(invalid="ignore"):
-        ktilde = fd.kbar - c * tr - c * c
-        det_shift = (s[..., 0, 0] + c) * (s[..., 1, 1] + c) - s[..., 0, 1] * s[..., 1, 0]
-        return np.abs(fd.K - ktilde - det_shift)
+        return np.abs(fd.K - ktilde - (fd.K_shape - fd.kbar + c * (fd.H + h_shift)))
 
 
 def stat_max(a, where):

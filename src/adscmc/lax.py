@@ -156,14 +156,6 @@ def _planes(m):
     return np.moveaxis(m, (-2, -1), (0, 1))
 
 
-# points per column coefficient call: 10^4 is 24 v nodes at 201 x 201
-# with one substep, 9 calls per sweep instead of 200; the block's Magnus
-# increments come from one call too.  The integrate_lax tracemalloc peak
-# there reads 3.8 MiB with one node per call, 4.3 MiB with 24, 7.2 MiB
-# with 64 and 14.8 MiB with the whole grid in one call.
-_BLOCK_POINTS = 10_000
-
-
 def _edge(data, y, us, v, substeps):
     """Both frames as planes (2, 2, 2, nu) at the nodes us of the grid row at v.
 
@@ -180,17 +172,17 @@ def _sweep(data, us, vs, init, substeps):
     """Both frames (2, nu, nv, 2, 2): bottom edge in u, then all columns in v.
 
     The columns advance together.  One coefficient call and one
-    increment call cover every stage time of a block of v nodes, about
-    _BLOCK_POINTS points, and the march reads the block node by node,
-    writing each node straight into the output.
+    increment call cover every stage time of a block of v nodes from
+    row_blocks, a node's stage times at every u making a row, and the
+    march reads the block node by node, writing each node straight into
+    the output.
     """
     out = np.empty((2, len(us), len(vs), 2, 2))
     bottom = _edge(data, init, us, vs[0], substeps)
     h = (vs[-1] - vs[0]) / ((len(vs) - 1) * substeps)
     times = stage_times(vs[:-1], h, substeps)
-    k = max(1, _BLOCK_POINTS // (times[:, 0].size * len(us)))
-    blocks = (magnus_increments(_coefs(data, us, times[:, i:i + k, ..., None], False), h)
-              for i in range(0, times.shape[1], k))
+    blocks = (magnus_increments(_coefs(data, us, times[:, a:b, ..., None], False), h)
+              for a, b in row_blocks(times.shape[1], times[:, 0].size * len(us)))
     columns = (node for block in blocks for node in block)
     planes = _planes(out)
     for j, y in enumerate(magnus_march(bottom, columns)):

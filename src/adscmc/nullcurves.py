@@ -40,7 +40,7 @@ import numpy as np
 from .algebra import act, check_unimodular, det2, pack2, vec_of_mat
 from .config import DEFAULT_TOL
 from .fields import as_field1d
-from .geometry import SurfaceGrid
+from .geometry import SurfaceGrid, row_blocks
 from .weierstrass import WeierstrassData, minimal_metric_factor
 
 KIND_F1 = "F1-holomorphic"
@@ -180,12 +180,12 @@ def magnus_march(y, steps):
 def check_drift(frames, tol, where):
     """max |det - 1| of frames (..., 2, 2), gated by tol.drift.
 
-    Raises IntegrationError, its message ending in where.  Blocks of k
-    frames hold no full-size determinant, and np.max keeps a NaN block
-    maximum, so a NaN frame fails.
+    Raises IntegrationError, its message ending in where.  Blocks of
+    row_blocks, a frame to a row, hold no full-size determinant, and
+    np.max keeps a NaN block maximum, so a NaN frame fails.
     """
-    m, k = frames.reshape(-1, 2, 2), 10_000
-    drift = float(np.max([np.max(np.abs(det2(m[i:i + k]) - 1.0)) for i in range(0, len(m), k)]))
+    m = frames.reshape(-1, 2, 2)
+    drift = float(np.max([np.max(np.abs(det2(m[a:b]) - 1.0)) for a, b in row_blocks(len(m), 1)]))
     if not drift <= tol.drift:
         raise IntegrationError(f"determinant drift {drift:.3e} exceeds {tol.drift:g} {where}")
     return drift

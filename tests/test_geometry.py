@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adscmc import geometry
 from adscmc.gallery import DEFAULT_DOMAIN
 from adscmc.gaussmaps import gauss_conformality_check
 from adscmc.geometry import (
@@ -25,7 +24,7 @@ from adscmc.geometry import (
 )
 from adscmc.lax import GmcData, gmc_residual
 
-from conftest import E31_NAMES, H31_NAMES, STD_DOMAIN
+from conftest import E31_NAMES, H31_NAMES, STD_DOMAIN, each_row_block
 
 
 def _core(fd):
@@ -141,14 +140,14 @@ def test_tangents_are_views_of_the_differenced_planes(name, std_surfaces):
         assert planes.flags.c_contiguous and np.shares_memory(got, planes)
 
 
-# sha256 of each field, NaN made canonical.  The first nine fields of the
+# sha256 of each field, NaN made canonical.  The first eight fields of the
 # two Enneper entries were measured with the normal oriented by a
 # per-point frame determinant, everything else with the einsum products
 # that the component-plane sums replaced: the closed-form sign and the
 # plane layout must reproduce every bit.  The stdout digests pin only the
 # maxima.
-FD_FIELDS = ("normal", "H", "Q", "R", "K", "K_shape", "gauss_eq", "sff", "shape_op",
-             "metric", "conf_u", "conf_v")
+FD_FIELDS = ("normal", "H", "Q", "R", "K", "K_shape", "gauss_eq", "sff", "metric", "conf_u",
+             "conf_v")
 FD_DIGESTS = {
     ('enneper-isothermic', False): {
         'normal': '052e3487c6de02abab3ae61d9870ae79b6bc12a9f4fc245e0995156bc29405f5',
@@ -159,7 +158,6 @@ FD_DIGESTS = {
         'K_shape': '5c86c965c27ff152becc37cad4b0e14e347725fff9a1913eb9a06982d697ec37',
         'gauss_eq': 'b0c98452752b73155ee8367e07e89451be9065c70d92f937c4939bc99dbcec85',
         'sff': 'bc67f99ea1c0d6b34a4b61af3fd19fdd96456b11acaa6ff2fa9d1db108d2fe2b',
-        'shape_op': 'a942bcbebe173f9d19c91787fea8ee37b4b44e4b127dbd9b9d69a477229c0778',
         'metric': 'b66ebe74f1c76c8b500fb9cda841362383532198ac9c224a952c00cfff5e5434',
         'conf_u': '2926a498309dde6bcedf5c2992ff41d556ca271ad2b1e3d7f58f1b7e07339f0c',
         'conf_v': '128bc4db924ac19bef6c129b214299ac092d804f5c4733df5e01c6e342548a02',
@@ -173,7 +171,6 @@ FD_DIGESTS = {
         'K_shape': '5c86c965c27ff152becc37cad4b0e14e347725fff9a1913eb9a06982d697ec37',
         'gauss_eq': 'b0c98452752b73155ee8367e07e89451be9065c70d92f937c4939bc99dbcec85',
         'sff': 'bc67f99ea1c0d6b34a4b61af3fd19fdd96456b11acaa6ff2fa9d1db108d2fe2b',
-        'shape_op': '6de6186c92c49dacb36a982e5b0ee9a75ebc99342d384766c2d01598e2d88bf5',
         'metric': 'b66ebe74f1c76c8b500fb9cda841362383532198ac9c224a952c00cfff5e5434',
         'conf_u': '2926a498309dde6bcedf5c2992ff41d556ca271ad2b1e3d7f58f1b7e07339f0c',
         'conf_v': '128bc4db924ac19bef6c129b214299ac092d804f5c4733df5e01c6e342548a02',
@@ -187,7 +184,6 @@ FD_DIGESTS = {
         'K_shape': 'f6621a7345e74b4da42884e3d624efdbddcb81d377ebd0cd35dcd3f865df7d1a',
         'gauss_eq': '3e9b4da7799f06f6311e35eb0c58a94fda24fba87d88ac867ece3c2495fba068',
         'sff': 'cfbdfd1a24ba3e971cac6974709801122c5f88151b1bdb611003d8a41c8869cc',
-        'shape_op': '43f1697838feee1f1dd82bdc48a95178341e81995c9251ec18696a3ad880fbe5',
         'metric': 'ffebe80d4c666cf8053f3155d13bdd3d6b0371b61e97d15c93b37f2575c90a24',
         'conf_u': '612a6eb850915ebc1c8877750c87a203513bdeb160389806b374aa1398c6815d',
         'conf_v': 'ddc459e620fe814efb94a737e1167f82198d3006e902ade53e279e6b8b42acfb',
@@ -201,7 +197,6 @@ FD_DIGESTS = {
         'K_shape': 'f6621a7345e74b4da42884e3d624efdbddcb81d377ebd0cd35dcd3f865df7d1a',
         'gauss_eq': '3e9b4da7799f06f6311e35eb0c58a94fda24fba87d88ac867ece3c2495fba068',
         'sff': 'cfbdfd1a24ba3e971cac6974709801122c5f88151b1bdb611003d8a41c8869cc',
-        'shape_op': 'db5076e339c95ef86bdf8d775122c74ce6d08ccaf504800c1e9e93e8e3a554df',
         'metric': 'ffebe80d4c666cf8053f3155d13bdd3d6b0371b61e97d15c93b37f2575c90a24',
         'conf_u': '612a6eb850915ebc1c8877750c87a203513bdeb160389806b374aa1398c6815d',
         'conf_v': 'ddc459e620fe814efb94a737e1167f82198d3006e902ade53e279e6b8b42acfb',
@@ -215,7 +210,6 @@ FD_DIGESTS = {
         'K_shape': 'f5645f48e8f6b1a01629612e79263f8fb2ff4cccf50bbaf95b61ab8890f5f350',
         'gauss_eq': 'caf51507aff45a9e86fecb7fcf0d0a171510375f62e874912e52ec025959daa3',
         'sff': 'ce0833c51cda223281c983adcb2e67e84c1e8e4d4bd5f626f1dc1fe79a5bcae0',
-        'shape_op': '8594f7d551d212306b9d7dc0e424a96d6a6f0544e3744df720fe8d8607bc60c4',
         'metric': 'e87db16aa77311e8e160aa096232ac9a98c3e58f1adb6abd5da898f1b61db0af',
         'conf_u': 'ff6565166d2bcf79e490c3d765ef736274e9b9439da65da5a15f0218b1f3ad4d',
         'conf_v': 'edea48acb55e7ce1baae5eb81a159e9fdd407aa43e186a901b79a7f1031b6507',
@@ -229,7 +223,6 @@ FD_DIGESTS = {
         'K_shape': 'f5645f48e8f6b1a01629612e79263f8fb2ff4cccf50bbaf95b61ab8890f5f350',
         'gauss_eq': 'caf51507aff45a9e86fecb7fcf0d0a171510375f62e874912e52ec025959daa3',
         'sff': 'ce0833c51cda223281c983adcb2e67e84c1e8e4d4bd5f626f1dc1fe79a5bcae0',
-        'shape_op': '52915089327f07bdf021e3d877f87582543d39a8fef58dfa76371546d177ae92',
         'metric': 'e87db16aa77311e8e160aa096232ac9a98c3e58f1adb6abd5da898f1b61db0af',
         'conf_u': 'ff6565166d2bcf79e490c3d765ef736274e9b9439da65da5a15f0218b1f3ad4d',
         'conf_v': 'edea48acb55e7ce1baae5eb81a159e9fdd407aa43e186a901b79a7f1031b6507',
@@ -243,7 +236,6 @@ FD_DIGESTS = {
         'K_shape': '1264b203addb1695ce6a98454c887fbf375bb7dd9587f051f5f862571bec6d58',
         'gauss_eq': 'f637de5489e791012502b19e5ba3de0d94f6de4190a7c2da9e6184dab0b16e8a',
         'sff': '65a83216924a7e30581ae5aced574e78fde38577413718b9b5daf76e7e654272',
-        'shape_op': '8a01b727c38c1217f4ac9d0fae86b42105e089955d116420f32b0624d1439906',
         'metric': 'b04fb5d98995d5ecbc63a5c16346ce23f7f8cd3da70d6566ee4cd9c7e9b90431',
         'conf_u': 'd26597b7554cc5f1f7a24c0d5cfb3d6ae75ff2dc6e4572c90c5a1959752a79a7',
         'conf_v': '2cddc2dfeddbb83069b2fcaffcb8a4c299eaca8ec8337dfc7ad5017bdecb78d7',
@@ -257,7 +249,6 @@ FD_DIGESTS = {
         'K_shape': '1264b203addb1695ce6a98454c887fbf375bb7dd9587f051f5f862571bec6d58',
         'gauss_eq': 'f637de5489e791012502b19e5ba3de0d94f6de4190a7c2da9e6184dab0b16e8a',
         'sff': '65a83216924a7e30581ae5aced574e78fde38577413718b9b5daf76e7e654272',
-        'shape_op': '8f14efa5dcfad56ab26c5c215c75f2b9b6a39ac691cf15c9c2f598a91364f8c4',
         'metric': 'b04fb5d98995d5ecbc63a5c16346ce23f7f8cd3da70d6566ee4cd9c7e9b90431',
         'conf_u': 'd26597b7554cc5f1f7a24c0d5cfb3d6ae75ff2dc6e4572c90c5a1959752a79a7',
         'conf_v': '2cddc2dfeddbb83069b2fcaffcb8a4c299eaca8ec8337dfc7ad5017bdecb78d7',
@@ -271,7 +262,6 @@ FD_DIGESTS = {
         'K_shape': '76dd2430672fb712d0e01b7b56a1e8e03d5c21278798b6a229c04573922ae439',
         'gauss_eq': '22c097c4caa9753178d957fce6a85f28cd5528b37fced3ad26000fcf513294d6',
         'sff': '179a2abe32fa8adad3109552479a92f1ea4277d4dcb1fe9ec7412b466d75cc09',
-        'shape_op': 'b3426979aab542dd346ad4b0fe80144d06cf58e8fc5a17fadb2846d0b8a313de',
         'metric': '77515303ed1dd43a29eee2520f7f21d458bc11b80497c5fc794697d85a8b9bf6',
         'conf_u': 'aef2088e28e7410f2295b76164f69ec628df5233c4cf8136f0cfa83984890ed3',
         'conf_v': '4335ccd0977eb08dd32ff908833b3874bd27f15cd2033ded37ec5d44c217f711',
@@ -285,7 +275,6 @@ FD_DIGESTS = {
         'K_shape': '76dd2430672fb712d0e01b7b56a1e8e03d5c21278798b6a229c04573922ae439',
         'gauss_eq': '22c097c4caa9753178d957fce6a85f28cd5528b37fced3ad26000fcf513294d6',
         'sff': '179a2abe32fa8adad3109552479a92f1ea4277d4dcb1fe9ec7412b466d75cc09',
-        'shape_op': '8ab0e907088a1fc413ab96f001b811922057950641090d33b4ae39c991d83365',
         'metric': '77515303ed1dd43a29eee2520f7f21d458bc11b80497c5fc794697d85a8b9bf6',
         'conf_u': 'aef2088e28e7410f2295b76164f69ec628df5233c4cf8136f0cfa83984890ed3',
         'conf_v': '4335ccd0977eb08dd32ff908833b3874bd27f15cd2033ded37ec5d44c217f711',
@@ -299,7 +288,6 @@ FD_DIGESTS = {
         'K_shape': 'd3b340f6e79d97e87cbbebe04a3f9863bb913a5fab5fe6b979f6e1778ff6a45a',
         'gauss_eq': '8cead7daff271754c673431d4f1c076d59a652532a4060190c92f713384048d1',
         'sff': '0b2c7f2a136a5968a1ac3c62d7c6ce2d79dc1d8e7e8d5883c9fefb05dad6a889',
-        'shape_op': '40babf70826c2aba0663ea3b5f3323e636cb142a955631446a5da58ac13182a6',
         'metric': '874ea79ba69297af23b783fbca1f9594505f733ecad69057877547a368ce5cfb',
         'conf_u': '132f0cc0a4d5945f4e843e8399a7a06cbf34ac338cc0ae7bd36e8b670eb06497',
         'conf_v': 'e54629d5832b02ee91b35e3a2871282b6d80e6433e0476de0b81c0052011f109',
@@ -313,7 +301,6 @@ FD_DIGESTS = {
         'K_shape': 'd3b340f6e79d97e87cbbebe04a3f9863bb913a5fab5fe6b979f6e1778ff6a45a',
         'gauss_eq': '8cead7daff271754c673431d4f1c076d59a652532a4060190c92f713384048d1',
         'sff': '0b2c7f2a136a5968a1ac3c62d7c6ce2d79dc1d8e7e8d5883c9fefb05dad6a889',
-        'shape_op': '696722700ecefb7440b1af88f646f39b7f50ddc5bf24dc405096d5b9a9529760',
         'metric': '874ea79ba69297af23b783fbca1f9594505f733ecad69057877547a368ce5cfb',
         'conf_u': '132f0cc0a4d5945f4e843e8399a7a06cbf34ac338cc0ae7bd36e8b670eb06497',
         'conf_v': 'e54629d5832b02ee91b35e3a2871282b6d80e6433e0476de0b81c0052011f109',
@@ -337,13 +324,13 @@ def test_fundamental_data_is_pinned_point_by_point(name, flip, std_surfaces):
 
 # tracemalloc peak of fundamental_data over points.nbytes on 401 x 41 and
 # 1601 x 41 strips, as measured by these tests with the grid measured in
-# row blocks written straight into the outputs (10.049 and 7.576 in H31,
-# 11.390 and 8.850 in E31) plus a 2% margin: the geometry peak must not
+# row blocks written straight into the outputs (9.049 and 6.577 in H31,
+# 10.056 and 7.516 in E31) plus a 2% margin: the geometry peak must not
 # rise above it.  One more (nu, nv) plane is 1/4 (H31) or 1/3 (E31) of
 # points.nbytes, more than the margin, so it shows.  The outputs alone
-# are 6.78 (H31) and 8.04 (E31) of points.nbytes.
-PEAK_RATIO_BOUND = {"enneper-isothermic": 10.25, "minimal-enneper": 11.62}
-LONG_PEAK_RATIO_BOUND = {"enneper-isothermic": 7.73, "minimal-enneper": 9.03}
+# are 5.78 (H31) and 6.71 (E31) of points.nbytes.
+PEAK_RATIO_BOUND = {"enneper-isothermic": 9.23, "minimal-enneper": 10.26}
+LONG_PEAK_RATIO_BOUND = {"enneper-isothermic": 6.71, "minimal-enneper": 7.67}
 
 
 def _peak_ratio(gallery_module, name, nu):
@@ -372,21 +359,13 @@ def test_fundamental_data_peak_does_not_grow_with_the_grid(name, gallery_module)
     assert long_ratio <= _peak_ratio(gallery_module, name, 401)
 
 
-# blocks of 1, 2, 3 and 7 rows, and one block covering the grid (None);
-# 25 rows leave a part block at the end for 2, 3 and 7 rows, and on the
-# default domain the node (u, v) = (1, -1) lies on the Enneper pair's
-# degenerate line 1 + uv = 0, so that grid carries masked points
-SEAM_ROWS = (1, 2, 3, 7, None)
+# 25 rows leave a part block at the end for blocks of 2, 3 and 7 rows
+# (SEAM_ROWS), and on the default domain the node (u, v) = (1, -1) lies on
+# the Enneper pair's degenerate line 1 + uv = 0, so that grid carries
+# masked points
 SEAM_NU, SEAM_NV = 25, 13
 FD_ARRAYS = tuple(f.name for f in dataclasses.fields(FundamentalData)
                   if f.name not in ("surface", "hu", "hv"))
-
-
-def _each_row_block(monkeypatch, nu, nv):
-    """Patch the block size to each of SEAM_ROWS in turn, yielding the rows."""
-    for rows in SEAM_ROWS:
-        monkeypatch.setattr(geometry, "BLOCK_POINTS", (rows or nu) * nv)
-        yield rows
 
 
 @pytest.mark.parametrize("name, domain", [("enneper-isothermic", DEFAULT_DOMAIN),
@@ -396,7 +375,7 @@ def test_row_blocks_leave_no_seam(name, domain, flip, gallery_module, monkeypatc
     surface = gallery_module.oracle_surface(name, domain, SEAM_NU, SEAM_NV)
     assert surface.mask.any() == (domain == DEFAULT_DOMAIN)
     want = fundamental_data(surface, flip_normal=flip)
-    for rows in _each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
+    for rows in each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
         got = fundamental_data(surface, flip_normal=flip)
         for field in FD_ARRAYS:
             assert np.array_equal(getattr(got, field), getattr(want, field),
@@ -409,7 +388,7 @@ def test_gauss_conformality_blocks_leave_no_seam(sign, gallery_module, monkeypat
                                             SEAM_NU, SEAM_NV)
     fd = fundamental_data(surface)
     want = gauss_conformality_check(fd, sign)
-    for rows in _each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
+    for rows in each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
         got = gauss_conformality_check(fd, sign)
         assert np.array_equal(got, want, equal_nan=True), rows
 
@@ -418,7 +397,7 @@ def test_gmc_residual_blocks_leave_no_seam(monkeypatch):
     data = GmcData.build("u*sin(v) + exp(u - v)", -1.0, "u^2", "cos(v)")
     us, vs = np.linspace(0.1, 0.9, SEAM_NU), np.linspace(0.05, 0.8, SEAM_NV)
     want = gmc_residual(data, us, vs)
-    for rows in _each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
+    for rows in each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
         assert np.array_equal(gmc_residual(data, us, vs), want), rows
 
 
@@ -466,6 +445,22 @@ def test_shifted_shape_operator_keeps_the_curvature_relation(name, c, std_surfac
     _, _, fd = std_surfaces[name]
     resid = lawson_shift_residual(fd, c)
     assert np.nanmax(np.abs(resid)) < 1e-10
+
+
+@pytest.mark.parametrize("name", H31_NAMES + E31_NAMES)
+@pytest.mark.parametrize("c", [-1.0, 0.5, 1.0])
+def test_shift_residual_is_the_gauss_residual(name, c, std_surfaces):
+    # det(S + c I) = det S + c tr S + c^2 with det S = K_shape - kbar and
+    # tr S = 2H, so the shifted relation leaves |K - K_shape| up to the
+    # rounding of its terms: the gap reads at most 1.33 eps of the scale
+    # below (7.1e-15 where |K| reaches 74), bounded at 2 eps
+    _, _, fd = std_surfaces[name]
+    resid = lawson_shift_residual(fd, c)
+    gauss = np.abs(fd.gauss_eq)
+    assert np.array_equal(np.isnan(resid), np.isnan(gauss)) and np.isfinite(gauss).any()
+    scale = 1.0 + np.abs(fd.K) + np.abs(fd.K_shape) + abs(c) * (2.0 * np.abs(fd.H) + abs(c))
+    with np.errstate(invalid="ignore"):
+        assert not np.any(np.abs(resid - gauss) > 2.0 * np.finfo(float).eps * scale)
 
 
 def test_umbilic_detection_separates_orbit_from_scroll(std_surfaces):

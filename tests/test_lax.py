@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from adscmc import geometry, lax
+from adscmc import geometry
 from adscmc.algebra import mat_of_vec
 from adscmc.config import DEFAULT_TOL
 from adscmc.fields import as_field1d
@@ -17,6 +17,8 @@ from adscmc.lax import (CompatibilityError, GmcData, extract_weierstrass_data,
                         gmc_residual, integrate_lax, lax_matrices)
 from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, FrameCurve, IntegrationError,
                                assemble_mu, integrate_frame)
+
+from conftest import each_row_block
 
 LIOUVILLE = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
 FLAT_UMBILIC = GmcData.build("0", 1.0, "0", "0")
@@ -288,7 +290,7 @@ def _count_omega_calls(monkeypatch, data):
 
 def _block_calls(nu, nv, substeps):
     """Column coefficient calls of one sweep: one per block of v nodes."""
-    k = max(1, lax._BLOCK_POINTS // (2 * substeps * nu))
+    k = max(1, geometry.BLOCK_POINTS // (2 * substeps * nu))
     return math.ceil((nv - 1) / k)
 
 
@@ -307,22 +309,21 @@ def test_sweep_evaluates_omega_once_per_block(monkeypatch):
     calls = _count_omega_calls(monkeypatch, data)
     integrate_lax(data, DIGEST_DOMAIN, 201, 201)
     # one call per row block of the gate (6, of 40 rows but the last), one
-    # per edge march and ceil(200 / 24) for the columns: 24 nodes of 402
+    # per edge march and ceil(200 / 20) for the columns: 20 nodes of 402
     # points fit a block
     gate = len(row_blocks(201, 201))
-    assert len(calls) <= gate + 2 + _block_calls(201, 201, 1) == 17
+    assert len(calls) <= gate + 2 + _block_calls(201, 201, 1) == 18
     # no call covers more than a block of gate rows or of column nodes
     assert max(math.prod(shape) for shape in calls[:gate]) <= geometry.BLOCK_POINTS
-    assert max(math.prod(shape) for shape in calls[gate:]) <= lax._BLOCK_POINTS
+    assert max(math.prod(shape) for shape in calls[gate:]) <= geometry.BLOCK_POINTS
 
 
 # tracemalloc peak of integrate_lax at 401 x 401 over the bytes of both
-# frames, as measured by this test with the block sweep, the drift gate
-# reduced in row blocks and the compatibility residual evaluated in row
-# blocks (1.189, the sweep's own peak; full-grid omega jets in the gate
-# read 1.251) plus a 2% margin: a full-size determinant temporary (0.25
-# of the frame bytes) shows.
-LAX_PEAK_RATIO_BOUND = 1.213
+# frames, as measured by this test with the sweep, the drift gate and the
+# compatibility residual all in blocks of geometry.row_blocks (1.160, the
+# sweep's own peak; full-grid omega jets in the gate read 1.251) plus a 2%
+# margin: a full-size determinant temporary (0.25 of the frame bytes) shows.
+LAX_PEAK_RATIO_BOUND = 1.183
 
 
 def test_sweep_peak_memory_stays_flat():
@@ -368,10 +369,20 @@ def test_frames_keep_their_bits(key):
 @pytest.mark.parametrize("points", [1, 555, 10 ** 6])
 def test_block_size_moves_no_bit(monkeypatch, points):
     # one node per block, blocks of 7 nodes of 2 * 37 points (17 = 2 * 7 + 3),
-    # the whole sweep at once
-    monkeypatch.setattr(lax, "_BLOCK_POINTS", points)
+    # the whole sweep at once; the gate and the drift gate take these blocks too
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", points)
     key = (37, 18, 1)
     assert _frame_digest(*key) == FRAME_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(FRAME_DIGESTS))
+def test_sweep_blocks_leave_no_seam(monkeypatch, key):
+    # a row is one v node's stage times at every u, so a block holds 1, 2,
+    # 3 or 7 column nodes or the whole sweep; the 17 nodes of (37, 18)
+    # leave a part block for 2, 3 and 7, the 200 of (201, 201) for 3 and 7
+    nu, nv, substeps = key
+    for rows in each_row_block(monkeypatch, nv - 1, 2 * substeps * nu):
+        assert _frame_digest(*key) == FRAME_DIGESTS[key], rows
 
 
 def test_substeps_must_be_positive():

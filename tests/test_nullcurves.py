@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adscmc.algebra import act, adjugate, det2, mat_of_vec, pack2
+from adscmc.config import DEFAULT_TOL
 from adscmc.gaussmaps import frame_gauss_coordinates
 from adscmc.lax import extract_weierstrass_data
 from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, IntegrationError, assemble_mu,
-                               assemble_nu, frame_metric_grid, integrate_frame,
+                               assemble_nu, check_drift, frame_metric_grid, integrate_frame,
                                null_coefficient)
 from adscmc.weierstrass import WeierstrassData, integrate_minimal, minimal_metric_factor
+
+from conftest import each_row_block
 
 LEGS = [
     ("enneper-isothermic", 1, KIND_F1),
@@ -193,6 +196,20 @@ def test_nan_drift_fails_the_drift_gate():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError, match="drift nan"):
             integrate_frame(KIND_F1, "u", "1e200", (0.0, 1.0), 11)
+
+
+def test_drift_gate_blocks_leave_no_seam(monkeypatch):
+    # 25 frames whose determinants miss 1 by growing amounts, so the
+    # largest drift sits in the last frame, a part block for 2, 3 and 7
+    # frames a block; one NaN frame fails the gate at every block size
+    frames = np.sqrt(1.0 + np.linspace(1e-14, 1e-12, 25))[:, None, None] * np.eye(2)
+    want = float(np.max(np.abs(det2(frames) - 1.0)))
+    bad = frames.copy()
+    bad[10, 1, 0] = np.nan
+    for rows in each_row_block(monkeypatch, len(frames), 1):
+        assert check_drift(frames, DEFAULT_TOL, "here") == want, rows
+        with pytest.raises(IntegrationError, match="drift nan"):
+            check_drift(bad, DEFAULT_TOL, "here")
 
 
 FLAT_DOMAIN = (-0.5, 0.5, -0.5, 0.5)
