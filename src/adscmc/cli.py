@@ -69,16 +69,14 @@ def _tolerances(pairs):
 
 
 def _check(args):
-    """Raise UsageError for a grid or step count out of range, or an --out
-    suffix the command does not write."""
+    """Raise UsageError for a grid out of range, or an --out suffix the
+    command does not write."""
     if "nu" in args:
         if args.nu < 5 or args.nv < 5:
             raise UsageError("--nu and --nv must be at least 5")
         u0, u1, v0, v1 = args.domain
         if not (all(map(math.isfinite, args.domain)) and u1 > u0 and v1 > v0):
             raise UsageError("--domain needs four finite bounds with u1 > u0 and v1 > v0")
-    if "substeps" in args and args.substeps < 1:
-        raise UsageError("--substeps must be at least 1")
     if args.out is not None and _suffix(args.out) not in args.formats:
         *rest, last = (f".{x}" for x in args.formats)
         names = f"{', '.join(rest)} or {last}" if rest else last
@@ -108,10 +106,8 @@ def _build_minimal(args):
 
 def _build_cmc1(args):
     u0, u1, v0, v1 = args.domain
-    f1 = integrate_frame(KIND_F1, args.q, args.f, (u0, u1), args.nu,
-                         substeps=args.substeps, tol=args.tol)
-    f2 = integrate_frame(KIND_F2_MU, args.r, args.g, (v0, v1), args.nv,
-                         substeps=args.substeps, tol=args.tol)
+    f1 = integrate_frame(KIND_F1, args.q, args.f, (u0, u1), args.nu, tol=args.tol)
+    f2 = integrate_frame(KIND_F2_MU, args.r, args.g, (v0, v1), args.nv, tol=args.tol)
     # both assemblies build F1 F2^T; the action only sets the label
     assemble = assemble_nu if args.action == "nu" else assemble_mu
     return assemble(f1, f2, tol=args.tol), -1.0 if args.flip_normal else 1.0
@@ -120,8 +116,7 @@ def _build_cmc1(args):
 def _lax_surface(args):
     """The Lax frames of the (omega, H, Q, R) of args and their product surface."""
     data = GmcData.build(args.omega, args.H, args.Q, args.R)
-    frames = integrate_lax(data, args.domain, args.nu, args.nv,
-                           substeps=args.substeps, tol=args.tol)
+    frames = integrate_lax(data, args.domain, args.nu, args.nv, tol=args.tol)
     return frames, frames.assemble(args.tol)
 
 
@@ -254,7 +249,6 @@ def _add_gmc(sp):
     sp.add_argument("--H", type=float, required=True, help="constant mean curvature of the data")
     sp.add_argument("--Q", required=True, help="expression for the uu Hopf coefficient, in u")
     sp.add_argument("--R", required=True, help="expression for the vv Hopf coefficient, in v")
-    sp.add_argument("--substeps", type=int, default=1, help="Magnus substeps per grid cell")
 
 
 def _add_pole_flip(sp):
@@ -295,7 +289,6 @@ def build_parser():
     _add_weierstrass(sp)
     sp.add_argument("--action", choices=("mu", "nu"), default="mu",
                     help="assembly label (default mu); both build the same surface F1 F2^T")
-    sp.add_argument("--substeps", type=int, default=1, help="Magnus substeps per grid cell")
     _add_pole_flip(sp)
     _add_common(sp)
     sp.set_defaults(handler=_cmd_measure, build=_build_cmc1)

@@ -142,10 +142,10 @@ class LaxFrames:
 def _coefs(data, u, v, along_u):
     """Entries of (U1, U2) or (V1, V2) at points (u, v), laid out for Magnus.
 
-    The points carry the stage times' [stage, node, substep] axes first
-    and a batch axis last; the entries come out indexed [(x, y, z),
-    stage, node, substep, frame, batch], the frame axis going right
-    before the batch axis, as in the state.
+    The points carry the stage times' [stage, node] axes first and a
+    batch axis last; the entries come out indexed [(x, y, z), stage,
+    node, frame, batch], the frame axis going right before the batch
+    axis, as in the state.
     """
     f1, f2 = _lax_entries(data, u, v, along_u)
     return np.stack([np.stack(pair, axis=-2) for pair in zip(f1, f2)])
@@ -156,33 +156,33 @@ def _planes(m):
     return np.moveaxis(m, (-2, -1), (0, 1))
 
 
-def _edge(data, y, us, v, substeps):
+def _edge(data, y, us, v):
     """Both frames as planes (2, 2, 2, nu) at the nodes us of the grid row at v.
 
     y holds both frames at us[0] as planes (2, 2, 2, 1); the
     coefficients and increments of the whole row come from one call.
     """
-    h = (us[-1] - us[0]) / ((len(us) - 1) * substeps)
-    times = stage_times(us[:-1], h, substeps)[..., None]
+    h = (us[-1] - us[0]) / (len(us) - 1)
+    times = stage_times(us[:-1], h)[..., None]
     steps = magnus_increments(_coefs(data, times, v, True), h)
     return np.concatenate(list(magnus_march(y, steps)), axis=-1)
 
 
-def _sweep(data, us, vs, init, substeps):
+def _sweep(data, us, vs, init):
     """Both frames (2, nu, nv, 2, 2): bottom edge in u, then all columns in v.
 
     The columns advance together.  One coefficient call and one
-    increment call cover every stage time of a block of v nodes from
-    row_blocks, a node's stage times at every u making a row, and the
-    march reads the block node by node, writing each node straight into
-    the output.
+    increment call cover both stage times of a block of v nodes from
+    row_blocks, a node's two stage times at every u making a row of
+    2 nu points, and the march reads the block node by node, writing
+    each node straight into the output.
     """
     out = np.empty((2, len(us), len(vs), 2, 2))
-    bottom = _edge(data, init, us, vs[0], substeps)
-    h = (vs[-1] - vs[0]) / ((len(vs) - 1) * substeps)
-    times = stage_times(vs[:-1], h, substeps)
-    blocks = (magnus_increments(_coefs(data, us, times[:, a:b, ..., None], False), h)
-              for a, b in row_blocks(times.shape[1], times[:, 0].size * len(us)))
+    bottom = _edge(data, init, us, vs[0])
+    h = (vs[-1] - vs[0]) / (len(vs) - 1)
+    times = stage_times(vs[:-1], h)
+    blocks = (magnus_increments(_coefs(data, us, times[:, a:b, None], False), h)
+              for a, b in row_blocks(len(vs) - 1, 2 * len(us)))
     columns = (node for block in blocks for node in block)
     planes = _planes(out)
     for j, y in enumerate(magnus_march(bottom, columns)):
@@ -190,7 +190,7 @@ def _sweep(data, us, vs, init, substeps):
     return out
 
 
-def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL):
+def integrate_lax(data, domain, nu, nv, init=None, tol=DEFAULT_TOL):
     """Integrate both frames over a rectangle after gating the data.
 
     One set of matrices moves both frames; an inverse-action set would
@@ -208,8 +208,6 @@ def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL):
     """
     if nu < 2 or nv < 2:
         raise ValueError("need at least a 2x2 frame grid")
-    if substeps < 1:
-        raise ValueError(f"substeps must be at least 1, got {substeps}")
     u0, u1, v0, v1 = domain
     us = np.linspace(u0, u1, nu)
     vs = np.linspace(v0, v1, nv)
@@ -223,8 +221,8 @@ def integrate_lax(data, domain, nu, nv, init=None, substeps=1, tol=DEFAULT_TOL):
         check_unimodular(np.asarray(m, dtype=float), tol, what="initial frame")
 
     init = _planes(np.stack(init).astype(float)[:, None])
-    frames = _sweep(data, us, vs, init, substeps)
-    corner = _edge(data, _planes(frames[:, :1, -1]), us, vs[-1], substeps)[..., -1]
+    frames = _sweep(data, us, vs, init)
+    corner = _edge(data, _planes(frames[:, :1, -1]), us, vs[-1])[..., -1]
     defect = float(np.max(np.abs(_planes(frames[:, -1, -1]) - corner)))
     if not defect <= tol.path:
         warnings.warn(f"far-corner path defect {defect:.3e} exceeds {tol.path:g}",

@@ -32,6 +32,7 @@ product_surface forms and masks every product grid, and check_drift is
 the determinant-drift gate of every integrated frame.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,13 +98,13 @@ _SINHC = tuple(1.0 / math.factorial(2 * k + 1) for k in range(6, -1, -1))
 _SERIES_MAX = 0.1
 
 
-def stage_times(starts, h, substeps):
-    """Magnus stage times after each node start, shape (2, len(starts), substeps).
+def stage_times(starts, h):
+    """Magnus stage times of the steps from each start, shape (2, len(starts)).
 
-    Substep k after node t runs from t + k h; its two stage times are the
-    Gauss points t + k h + (1/2 -+ sqrt(3)/6) h.
+    The step from t runs to t + h; its two stage times are the Gauss
+    points t + (1/2 -+ sqrt(3)/6) h.
     """
-    t = np.asarray(starts, dtype=float)[:, None] + np.arange(substeps) * h
+    t = np.asarray(starts, dtype=float)
     return np.stack([t + c * h for c in _GAUSS])
 
 
@@ -142,20 +143,20 @@ def magnus_increments(c, h):
     """exp(Omega) - I of every fourth-order Magnus step of dY = Y A.
 
     c holds the trace-free coefficients A = [[x, y], [z, -x]] as
-    c[(x, y, z), stage, node, substep, ...] at the stage_times of a run
-    of nodes.  With A1, A2 at the two Gauss points,
+    c[(x, y, z), stage, node, ...] at the stage_times of a run of
+    nodes.  With A1, A2 at the two Gauss points,
 
         Omega = h/2 (A1 + A2) + sqrt(3)/12 h^2 [A1, A2],
 
     the sign of the commutator being the one for right multiplication.
-    Returns increments indexed [node, substep, row, column, ...].
+    Returns increments indexed [node, row, column, ...].
     """
     (x1, x2), (y1, y2), (z1, z2) = c
     k = _MAGNUS_C * h * h
     ox = 0.5 * h * (x1 + x2) + k * (y1 * z2 - y2 * z1)
     oy = 0.5 * h * (y1 + y2) + 2.0 * k * (x1 * y2 - y1 * x2)
     oz = 0.5 * h * (z1 + z2) + 2.0 * k * (z1 * x2 - x1 * z2)
-    return np.moveaxis(sl2_expm1(ox, oy, oz), (2, 3), (0, 1))
+    return np.moveaxis(sl2_expm1(ox, oy, oz), 2, 0)
 
 
 def _step(y, d):
@@ -164,17 +165,13 @@ def _step(y, d):
 
 
 def magnus_march(y, steps):
-    """Yield the state at every node of a Magnus march, starting with y.
+    """An iterator over the state at every node of a Magnus march, from y.
 
     y is laid out as planes (row, column, ...); steps yields, node after
-    node, the increments of that node's substeps as magnus_increments
+    node, the increment of the step from that node, as magnus_increments
     lays them out.
     """
-    yield y
-    for node in steps:
-        for d in node:
-            y = _step(y, d)
-        yield y
+    return itertools.accumulate(steps, _step, initial=y)
 
 
 def check_drift(frames, tol, where):
@@ -191,20 +188,17 @@ def check_drift(frames, tol, where):
     return drift
 
 
-def integrate_frame(kind, s, w, t_range, n, init=None, substeps=1, tol=DEFAULT_TOL):
-    """Magnus integration of one leg, sampled at n uniform nodes.
+def integrate_frame(kind, s, w, t_range, n, init=None, tol=DEFAULT_TOL):
+    """Magnus integration of one leg, one step per cell of n uniform nodes.
 
     s and w may be field objects, expression strings, or constants.
-    substeps > 1 refines the integrator without changing the stored
-    nodes.  Fails if the determinant drifts by more than the step
-    failure tolerance.
+    Fails if the determinant drifts by more than the step failure
+    tolerance.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown leg kind {kind!r}; expected one of {_KINDS}")
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    if substeps < 1:
-        raise ValueError(f"substeps must be at least 1, got {substeps}")
     var = "u" if kind == KIND_F1 else "v"
     s = as_field1d(s, var=var)
     w = as_field1d(w, var=var)
@@ -212,8 +206,8 @@ def integrate_frame(kind, s, w, t_range, n, init=None, substeps=1, tol=DEFAULT_T
     init = np.eye(2) if init is None else np.asarray(init, dtype=float)
     check_unimodular(init, tol, what="initial frame")
 
-    h = (t1 - t0) / ((n - 1) * substeps)
-    ts = stage_times(t0 + np.arange(n - 1) * (t1 - t0) / (n - 1), h, substeps)
+    h = (t1 - t0) / (n - 1)
+    ts = stage_times(t0 + np.arange(n - 1) * (t1 - t0) / (n - 1), h)
     steps = magnus_increments(_null_entries(s(ts), w(ts)), h)
     out = np.stack(list(magnus_march(init, steps)))
     drift = check_drift(out, tol, f"on the {kind} leg")

@@ -54,8 +54,9 @@ K15_WEIGHTS = _mirror(_WGK, 1.0)
 G7_WEIGHTS = _mirror(_WG, 1.0)
 _RULES = np.stack([K15_WEIGHTS, G7_WEIGHTS], axis=-1)
 
-# integrand points one adaptive_quadrature call may spend on refinement,
-# beyond the 15 per cell of its first pass
+# the halvings of a cell, and the integrand points beyond the 15 per cell
+# of its first pass, that one adaptive_quadrature call may spend on refinement
+MAX_DEPTH = 40
 MAX_EVALUATIONS = 1 << 20
 
 
@@ -119,7 +120,7 @@ def minimal_metric_factor(data, u, v):
     return (1.0 + q * r) ** 2 * np.asarray(data.f(u), dtype=float) * np.asarray(data.g(v), dtype=float)
 
 
-def adaptive_quadrature(fun, a, b, tol=DEFAULT_TOL.quad, max_depth=40):
+def adaptive_quadrature(fun, a, b, tol=DEFAULT_TOL.quad):
     """Adaptive Gauss-Kronrod integrals of a vector-valued integrand.
 
     a and b are scalars or equal-shape arrays of cell endpoints; the
@@ -133,9 +134,9 @@ def adaptive_quadrature(fun, a, b, tol=DEFAULT_TOL.quad, max_depth=40):
     relative one above; the others are halved for the next level.
 
     Raises QuadratureError naming the unconverged panel with the largest
-    error estimate when a panel still fails at max_depth, or when the
-    next level would spend more than MAX_EVALUATIONS integrand points
-    beyond the first pass.
+    error estimate when a panel still fails after MAX_DEPTH halvings, or
+    when the next level would spend more than MAX_EVALUATIONS integrand
+    points beyond the first pass.
     """
     lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = lo.shape
@@ -144,7 +145,7 @@ def adaptive_quadrature(fun, a, b, tol=DEFAULT_TOL.quad, max_depth=40):
     budget = lo.size * K15_NODES.size + MAX_EVALUATIONS
     spent = 0
     total = None
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         half = 0.5 * (hi - lo)
         nodes = 0.5 * (lo + hi)[:, None] + half[:, None] * K15_NODES
         vals = np.asarray(fun(nodes.ravel()), dtype=float)
@@ -164,7 +165,7 @@ def adaptive_quadrature(fun, a, b, tol=DEFAULT_TOL.quad, max_depth=40):
             # [()] turns the 0-d result of scalar endpoints into a scalar
             return total.reshape(shape + trail)[()]
         lo, hi, cell, err = lo[~ok], hi[~ok], cell[~ok], err[~ok]
-        if depth == max_depth or spent + 2 * K15_NODES.size * lo.size > budget:
+        if depth == MAX_DEPTH or spent + 2 * K15_NODES.size * lo.size > budget:
             worst = int(np.argmax(np.where(np.isnan(err), np.inf, err)))
             raise QuadratureError(int(cell[worst]), float(lo[worst]), float(hi[worst]),
                                   float(err[worst]), depth, spent)

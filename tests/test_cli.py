@@ -551,12 +551,12 @@ GRID_DEFAULTS = {"domain": DEFAULT_DOMAIN, "nu": 101, "nv": 101, "out": None}
 
 @pytest.mark.parametrize("argv, want", [
     (["minimal", *WEIERSTRASS], {**GRID_DEFAULTS, "flip_normal": False}),
-    (["cmc1", *WEIERSTRASS], {**GRID_DEFAULTS, "substeps": 1, "action": "mu",
-                              "pole": "plus", "flip_normal": False}),
-    (["lax", *GMC], {**GRID_DEFAULTS, "substeps": 1, "pole": "plus", "flip_normal": False}),
+    (["cmc1", *WEIERSTRASS], {**GRID_DEFAULTS, "action": "mu", "pole": "plus",
+                              "flip_normal": False}),
+    (["lax", *GMC], {**GRID_DEFAULTS, "pole": "plus", "flip_normal": False}),
     (["verify", "s.json"], {"target_h": None, "pole": "plus", "flip_normal": False,
                             "out": None}),
-    (["gauss", *GMC], {**GRID_DEFAULTS, "substeps": 1, "sign": "plus"}),
+    (["gauss", *GMC], {**GRID_DEFAULTS, "sign": "plus"}),
     (["project", "s.json", "--out", "p.obj"], {"pole": "plus"}),
     (["gallery", "horosphere"], {**GRID_DEFAULTS, "pole": "plus", "flip_normal": False}),
 ])
@@ -566,6 +566,16 @@ def test_each_subcommand_defaults_every_flag_it_is_not_given(argv, want):
     from adscmc.cli import build_parser
     ns = vars(build_parser().parse_args(argv))
     assert {key: ns[key] for key in want} == want
+
+
+@pytest.mark.parametrize("argv", [["cmc1", *WEIERSTRASS], ["lax", *GMC], ["gauss", *GMC]])
+def test_frame_commands_take_no_substeps(argv, capsys):
+    # one Magnus step per grid cell: its O(h^4) error sits far below the
+    # O(h^2) stencil floor of every gate, so nothing refines it
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--substeps", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --substeps 2" in capsys.readouterr().err
 
 
 def _h_median(out):

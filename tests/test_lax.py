@@ -259,21 +259,13 @@ def _far_corner(frames):
     return np.stack([frames.phi1[-1, -1], frames.phi2[-1, -1]])
 
 
-def test_substep_halving_shows_fourth_order():
+def test_grid_halving_shows_fourth_order():
     dom = (0.0, 1.2, 0.0, 1.2)
-    ref = _far_corner(integrate_lax(LIOUVILLE, dom, 21, 21, substeps=16))
-    err = [np.max(np.abs(_far_corner(integrate_lax(LIOUVILLE, dom, 21, 21,
-                                                   substeps=k)) - ref))
-           for k in (1, 2, 4)]
+    ref = _far_corner(integrate_lax(LIOUVILLE, dom, 321, 321))
+    err = [np.max(np.abs(_far_corner(integrate_lax(LIOUVILLE, dom, n, n)) - ref))
+           for n in (21, 41, 81)]
     assert 14.0 <= err[0] / err[1] <= 18.0
     assert 14.0 <= err[1] / err[2] <= 18.0
-
-
-def test_substeps_keep_shape_and_path_defect():
-    frames = integrate_lax(LIOUVILLE, (0.1, 0.9, 0.05, 0.8), 31, 23, substeps=3)
-    assert frames.phi1.shape == (31, 23, 2, 2)
-    assert frames.phi2.shape == (31, 23, 2, 2)
-    assert frames.path_defect < DEFAULT_TOL.path
 
 
 def _count_omega_calls(monkeypatch, data):
@@ -288,20 +280,19 @@ def _count_omega_calls(monkeypatch, data):
     return calls
 
 
-def _block_calls(nu, nv, substeps):
+def _block_calls(nu, nv):
     """Column coefficient calls of one sweep: one per block of v nodes."""
-    k = max(1, geometry.BLOCK_POINTS // (2 * substeps * nu))
+    k = max(1, geometry.BLOCK_POINTS // (2 * nu))
     return math.ceil((nv - 1) / k)
 
 
-@pytest.mark.parametrize("substeps", [1, 3])
-def test_omega_evaluations_are_batched(monkeypatch, substeps):
+def test_omega_evaluations_are_batched(monkeypatch):
     # one call for the gate, one per edge march, one per block of column nodes
     data = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
     calls = _count_omega_calls(monkeypatch, data)
     nv = 17
-    integrate_lax(data, (0.0, 1.0, 0.0, 1.0), 13, nv, substeps=substeps)
-    assert 0 < len(calls) <= 3 + _block_calls(13, nv, substeps)
+    integrate_lax(data, (0.0, 1.0, 0.0, 1.0), 13, nv)
+    assert 0 < len(calls) <= 3 + _block_calls(13, nv)
 
 
 def test_sweep_evaluates_omega_once_per_block(monkeypatch):
@@ -312,7 +303,7 @@ def test_sweep_evaluates_omega_once_per_block(monkeypatch):
     # per edge march and ceil(200 / 20) for the columns: 20 nodes of 402
     # points fit a block
     gate = len(row_blocks(201, 201))
-    assert len(calls) <= gate + 2 + _block_calls(201, 201, 1) == 18
+    assert len(calls) <= gate + 2 + _block_calls(201, 201) == 18
     # no call covers more than a block of gate rows or of column nodes
     assert max(math.prod(shape) for shape in calls[:gate]) <= geometry.BLOCK_POINTS
     assert max(math.prod(shape) for shape in calls[gate:]) <= geometry.BLOCK_POINTS
@@ -338,25 +329,26 @@ def test_sweep_peak_memory_stays_flat():
 
 
 # sha256 of phi1.tobytes() + phi2.tobytes() and repr(path_defect) for the
-# Liouville frames, keyed by (nu, nv, substeps), as computed by the
-# Magnus march with one coefficient call per column node.  201 x 201
-# ends in a part block, and (201, 51) with two substeps in another;
-# every bit must survive the blocks and the reused column.
+# Liouville frames, keyed by (nu, nv), as computed by the Magnus march
+# with one coefficient call per column node.  A block holds 8192 // (2 nu)
+# column nodes: 20 at nu = 201, so the 200 nodes of 201 x 201 run as 10
+# full blocks and the 50 of (201, 51) as 20 + 20 + 10, ending in a part
+# block; every bit must survive the blocks and the reused column.
 FRAME_DIGESTS = {
-    (201, 201, 1): ("923dc28f238f5f3a1b6696a5e85ed5e5aeee49f704a88398af8ed7e4f06cddfd",
-                    "2.2906676555578542e-12"),
-    (37, 18, 1): ("3b41e7e379149ed2a1e84fa198792919c29b8e87e357d72192f7b164f596cd06",
-                  "3.82617548200237e-08"),
-    (5, 2, 1): ("ec31d11fe45f6f454028584cf26dd1e2a7c67ec84cfaa4568c364ec1eab9e3c1",
-                "7.215081865297179e-10"),
-    (201, 51, 2): ("ed5fd9d153cfa5f44b48b54c5ed595ce5515439f7d64c8540435d125fe050f0c",
-                   "3.1986635562475385e-11"),
+    (201, 201): ("923dc28f238f5f3a1b6696a5e85ed5e5aeee49f704a88398af8ed7e4f06cddfd",
+                 "2.2906676555578542e-12"),
+    (37, 18): ("3b41e7e379149ed2a1e84fa198792919c29b8e87e357d72192f7b164f596cd06",
+               "3.82617548200237e-08"),
+    (5, 2): ("ec31d11fe45f6f454028584cf26dd1e2a7c67ec84cfaa4568c364ec1eab9e3c1",
+             "7.215081865297179e-10"),
+    (201, 51): ("ecd2f60e71e37f77bbd1e896206f6240cd29d29dcc82db863a7f3db8e313fdd0",
+                "5.117870571780259e-10"),
 }
 
 
-def _frame_digest(nu, nv, substeps):
+def _frame_digest(nu, nv):
     dom = TINY_DOMAIN if nv == 2 else DIGEST_DOMAIN
-    frames = integrate_lax(LIOUVILLE, dom, nu, nv, substeps=substeps)
+    frames = integrate_lax(LIOUVILLE, dom, nu, nv)
     digest = hashlib.sha256(frames.phi1.tobytes() + frames.phi2.tobytes()).hexdigest()
     return digest, repr(frames.path_defect)
 
@@ -371,22 +363,17 @@ def test_block_size_moves_no_bit(monkeypatch, points):
     # one node per block, blocks of 7 nodes of 2 * 37 points (17 = 2 * 7 + 3),
     # the whole sweep at once; the gate and the drift gate take these blocks too
     monkeypatch.setattr(geometry, "BLOCK_POINTS", points)
-    key = (37, 18, 1)
+    key = (37, 18)
     assert _frame_digest(*key) == FRAME_DIGESTS[key]
 
 
 @pytest.mark.parametrize("key", sorted(FRAME_DIGESTS))
 def test_sweep_blocks_leave_no_seam(monkeypatch, key):
-    # a row is one v node's stage times at every u, so a block holds 1, 2,
-    # 3 or 7 column nodes or the whole sweep; the 17 nodes of (37, 18)
-    # leave a part block for 2, 3 and 7, the 200 of (201, 201) for 3 and 7
-    nu, nv, substeps = key
-    for rows in each_row_block(monkeypatch, nv - 1, 2 * substeps * nu):
+    # a row is one v node's two stage times at every u, so a block holds
+    # 1, 2, 3 or 7 column nodes or the whole sweep; the 17 nodes of
+    # (37, 18) leave a part block for 2, 3 and 7, the 50 of (201, 51) and
+    # the 200 of (201, 201) for 3 and 7
+    nu, nv = key
+    for rows in each_row_block(monkeypatch, nv - 1, 2 * nu):
         assert _frame_digest(*key) == FRAME_DIGESTS[key], rows
 
-
-def test_substeps_must_be_positive():
-    with pytest.raises(ValueError, match="substeps"):
-        integrate_lax(LIOUVILLE, (0.0, 1.0, 0.0, 1.0), 5, 5, substeps=0)
-    with pytest.raises(ValueError, match="substeps"):
-        integrate_frame(KIND_F1, "u", "1", (0.0, 1.0), 5, substeps=0)

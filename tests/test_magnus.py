@@ -116,20 +116,20 @@ def _count_steps(monkeypatch):
 
 def test_legs_march_through_the_one_step(monkeypatch):
     shapes = _count_steps(monkeypatch)
-    integrate_frame(KIND_F1, "u", "1", (0.0, 1.0), 11, substeps=2)
-    integrate_frame(KIND_F2_MU, "v", "1", (0.0, 1.0), 7, substeps=3)
-    assert shapes == [(2, 2)] * (10 * 2 + 6 * 3)
+    integrate_frame(KIND_F1, "u", "1", (0.0, 1.0), 11)
+    integrate_frame(KIND_F2_MU, "v", "1", (0.0, 1.0), 7)
+    assert shapes == [(2, 2)] * (10 + 6)
 
 
 def test_lax_edges_columns_and_corner_march_through_the_one_step(monkeypatch):
     # bottom edge and corner path step both frames, (2, 2, 2, 1); the
     # columns step all of them at once, (2, 2, 2, nu)
     shapes = _count_steps(monkeypatch)
-    nu, nv, substeps = 7, 5, 2
+    nu, nv = 7, 5
     integrate_lax(GmcData.build("2*ln(1+u*v)", 1.0, "1", "1"),
-                  (0.1, 0.5, 0.1, 0.4), nu, nv, substeps=substeps)
-    edge = (nu - 1) * substeps
-    assert shapes == ([(2, 2, 2, 1)] * edge + [(2, 2, 2, nu)] * (nv - 1) * substeps
+                  (0.1, 0.5, 0.1, 0.4), nu, nv)
+    edge = nu - 1
+    assert shapes == ([(2, 2, 2, 1)] * edge + [(2, 2, 2, nu)] * (nv - 1)
                       + [(2, 2, 2, 1)] * edge)
 
 

@@ -40,26 +40,19 @@ def test_integrator_tracks_closed_forms(gallery_module, name, leg, kind):
     assert np.max(np.abs(curve.samples - want)) < 1e-8
 
 
-def test_halving_shows_fourth_order():
-    entry_err = []
-    for n in (400, 800):
-        curve = integrate_frame(KIND_F1, "u", "1", (0.0, 1.5), n)
-        # compare the endpoint against a much finer run
-        ref = integrate_frame(KIND_F1, "u", "1", (0.0, 1.5), 6400)
-        entry_err.append(np.max(np.abs(curve.samples[-1] - ref.samples[-1])))
-    ratio = entry_err[0] / entry_err[1]
-    assert 14.0 <= ratio <= 18.0
-
-
-def test_nu_leg_substeps_refine_at_fourth_order():
-    def end(substeps):
-        curve = integrate_frame(KIND_F2_MU, "sin(3*v)", "cosh(v)", (-0.5, 1.0), 41,
-                                substeps=substeps)
+@pytest.mark.parametrize("kind, s, w, t_range, nodes", [
+    (KIND_F1, "u", "1", (0.0, 1.5), (400, 800, 6400)),
+    (KIND_F2_MU, "sin(3*v)", "cosh(v)", (-0.5, 1.0), (41, 81, 641)),
+], ids=["u-leg", "v-leg"])
+def test_halving_shows_fourth_order(kind, s, w, t_range, nodes):
+    def end(n):
+        curve = integrate_frame(kind, s, w, t_range, n)
         assert np.allclose(curve.samples @ adjugate(curve.samples), np.eye(2), atol=1e-12)
         return curve.samples[-1]
 
-    ref = end(16)
-    ratio = np.max(np.abs(end(1) - ref)) / np.max(np.abs(end(2) - ref))
+    # compare the endpoints of a grid and its halving against a much finer run
+    coarse, fine, ref = map(end, nodes)
+    ratio = np.max(np.abs(coarse - ref)) / np.max(np.abs(fine - ref))
     assert 14.0 <= ratio <= 18.0
 
 

@@ -132,13 +132,14 @@ def test_quadrature_is_exact_on_polynomials(a, b):
     assert abs(val - want) < 1e-11 * (1.0 + abs(want))
 
 
-def test_quadrature_failure_names_the_interval():
+def test_quadrature_failure_names_the_interval(monkeypatch):
     def pole(t):
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / t
 
+    monkeypatch.setattr(weierstrass, "MAX_DEPTH", 12)
     with pytest.raises(QuadratureError, match=r"\["):
-        adaptive_quadrature(pole, -1.0, 1.0, max_depth=12)
+        adaptive_quadrature(pole, -1.0, 1.0)
 
 
 def test_build_coerces_strings_and_numbers():
@@ -234,7 +235,7 @@ def test_failure_names_the_largest_error_panel():
         adaptive_quadrature(fun, edges[:-1], edges[1:])
     assert info.value.cell == 2
     assert info.value.lo <= 0.23 <= info.value.hi
-    assert info.value.depth == 40
+    assert info.value.depth == weierstrass.MAX_DEPTH
 
 
 def test_evaluations_are_bounded():
