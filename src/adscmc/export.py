@@ -21,8 +21,9 @@ vertices as written, so a grid read back holds bit for bit the
 components of the surface that was exported.
 
 The bulk arrays (OBJ vertices and faces, JSON vertices, CSV rows) are
-formatted in blocks of _BLOCK_ROWS rows, one C-level ``%`` call per
-block, so that memory stays bounded by the block rather than the file.
+written in blocks of _BLOCK_ROWS rows by one vectorized formatter
+(printf.write_rows), so that memory stays bounded by the block rather
+than the file.  Its bytes are those of ``"%.17g" % x`` and ``"%d" % i``.
 Every array formatted this way is finite: vertices are zero-filled and
 CSV rows are filtered to finite values, so no ``nan`` or ``inf`` can
 appear.  ``"%.17g" % x`` is the same conversion as ``f"{x:.17g}"``, so
@@ -32,6 +33,7 @@ writes non-finite floats as null.
 """
 
 import gc
+import itertools
 import json
 import sys
 
@@ -41,18 +43,23 @@ from .algebra import project_h31
 from .config import DEFAULT_TOL
 from .geometry import SurfaceGrid
 
-# rows per % call: one call over a whole 301 x 301 CSV raised peak memory
-# by 15% at no gain in speed
-_BLOCK_ROWS = 2048
+# rows per block: the formatter holds about 360 bytes per value of a
+# block, 2 MB for 512 eleven-column CSV rows.  Per value, 512 rows run
+# within 10% of 1024 and 2048 rows; 128 rows run 15-90% slower, the most
+# on the narrow OBJ face rows
+_BLOCK_ROWS = 512
 
 
-def _write_rows(fh, rowfmt, rows, sep=""):
-    """Write each row of a 2-D array through rowfmt, the rows joined by sep."""
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        if start:
-            fh.write(sep)
-        fh.write(sep.join([rowfmt] * len(block)) % tuple(block.ravel().tolist()))
+def _blocks(rows):
+    """rows in consecutive slices of _BLOCK_ROWS."""
+    return (rows[start:start + _BLOCK_ROWS] for start in range(0, len(rows), _BLOCK_ROWS))
+
+
+def _write_rows(fh, rowfmt, blocks, sep=""):
+    """printf.write_rows, imported on first use, so that a command that
+    writes no file does not load the formatter."""
+    from .printf import write_rows
+    write_rows(fh, rowfmt, blocks, sep)
 
 
 def _emit(value, out):
@@ -93,9 +100,11 @@ def dumps(value):
 
 
 def _grid_vertices(surface, projection, tol, chart=None):
-    """Zero-filled (nu*nv, k) vertex rows and the effective (nu, nv) mask.
+    """The (nu*nv, k) vertex rows as zero-filled blocks, k, and the
+    effective (nu, nv) mask.
 
-    chart, when given, is the caller's own
+    Each block zero-fills its own non-finite components, so no second
+    grid is held.  chart, when given, is the caller's own
     project_h31(surface.points, projection, tol=tol), so that a grid is
     projected once.
     """
@@ -104,25 +113,27 @@ def _grid_vertices(surface, projection, tol, chart=None):
         if surface.ambient != "H31":
             raise ValueError("projection applies only to quadric surfaces")
         comps = chart if chart is not None else project_h31(comps, projection, tol=tol)
-    finite = np.isfinite(comps)
-    mask = np.asarray(surface.mask, dtype=bool) | ~finite.all(axis=-1)
-    return np.where(finite, comps, 0.0).reshape(-1, comps.shape[-1]), mask
+    mask = np.asarray(surface.mask, dtype=bool) | ~np.isfinite(comps).all(axis=-1)
+    rows = comps.reshape(-1, comps.shape[-1])
+    return (np.where(np.isfinite(b), b, 0.0) for b in _blocks(rows)), rows.shape[1], mask
 
 
 def export_obj(surface, projection, path, tol=DEFAULT_TOL, chart=None):
-    vertices, mask = _grid_vertices(surface, projection, tol, chart)
-    if vertices.shape[1] != 3:
+    vertices, k, mask = _grid_vertices(surface, projection, tol, chart)
+    if k != 3:
         raise ValueError("OBJ output needs 3 coordinates; project the surface first")
     nv = mask.shape[1]
     # a quad (i, j) keeps its two triangles when none of its corners is masked
     keep = ~(mask[:-1, :-1] | mask[1:, :-1] | mask[1:, 1:] | mask[:-1, 1:])
-    i, j = np.nonzero(keep)
-    a = i * nv + j + 1
-    b = a + nv
-    faces = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).reshape(-1, 3)
-    with open(path, "w", newline="\n") as fh:
+
+    def faces(quads):
+        a = quads + quads // (nv - 1) + 1        # vertex i * nv + j + 1 of quad (i, j)
+        b = a + nv
+        return np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).reshape(-1, 3)
+
+    with open(path, "wb") as fh:
         _write_rows(fh, "v %.17g %.17g %.17g\n", vertices)
-        _write_rows(fh, "f %d %d %d\n", faces)
+        _write_rows(fh, "f %d %d %d\n", map(faces, _blocks(np.flatnonzero(keep))))
     return path
 
 
@@ -134,35 +145,54 @@ def _meta(surface):
 
 
 def export_json(surface, projection, path, stats=None, tol=DEFAULT_TOL, chart=None):
-    vertices, mask = _grid_vertices(surface, projection, tol, chart)
+    vertices, k, mask = _grid_vertices(surface, projection, tol, chart)
     meta = _meta(surface)
     if projection is not None:
         meta["projected"] = str(projection)
-    with open(path, "w", newline="\n") as fh:
-        fh.write('{"schema":1,"meta":' + dumps(meta) + ',"vertices":[')
-        rowfmt = "[" + ",".join(["%.17g"] * vertices.shape[1]) + "]"
-        _write_rows(fh, rowfmt, vertices, sep=",")
-        fh.write("]")
+    with open(path, "wb") as fh:
+        fh.write(('{"schema":1,"meta":' + dumps(meta) + ',"vertices":[').encode())
+        _write_rows(fh, "[" + ",".join(["%.17g"] * k) + "]", vertices, sep=",")
+        tail = "]"
         if mask.any():
-            fh.write(',"mask":[' + ",".join(
-                np.where(mask.reshape(-1), "true", "false").tolist()) + "]")
+            tail += ',"mask":[' + ",".join(
+                np.where(mask.reshape(-1), "true", "false").tolist()) + "]"
         if stats is not None:
-            fh.write(',"report":' + dumps(stats))
-        fh.write("}\n")
+            tail += ',"report":' + dumps(stats)
+        fh.write((tail + "}\n").encode())
     return path
 
 
-def _grid_field(path, doc, key, shape, dtype):
-    """doc[key] as an array of the given shape, else a ValueError naming
-    the file, the field, and the expected and found shapes."""
+def _grid_field(path, doc, key, shape, numeric):
+    """doc[key] as an array of the given shape, of finite float64 numbers
+    when numeric and of bools otherwise, else a ValueError naming the
+    file and the field, with the expected and found shapes or the first
+    offending flat index.
+
+    The dtype is numpy's inference over the parsed lists, with no loop
+    over the entries; a JSON true mixed into numeric rows is therefore
+    still read as 1.0, while a string, a null, an all-bool grid or a
+    non-finite number is rejected.
+    """
+    if key not in doc:
+        raise ValueError(f"{path}: field {key!r} is missing")
     try:
-        arr = np.asarray(doc[key], dtype=dtype)
-    except (TypeError, ValueError):
-        found = "a ragged or non-numeric list"
+        arr = np.asarray(doc[key])
+    except ValueError:
+        found = "a ragged list"
     else:
-        if arr.shape == shape:
+        if arr.shape != shape:
+            found = f"shape {arr.shape}"
+        elif numeric and arr.dtype.kind in "iuf" and np.isfinite(arr).all():
+            return arr.astype(float, copy=False)
+        elif not numeric and arr.dtype == bool:
             return arr
-        found = f"shape {arr.shape}"
+        else:
+            entries = itertools.chain.from_iterable(doc[key]) if numeric else doc[key]
+            is_entry = _is_grid_number if numeric else (lambda x: type(x) is bool)
+            i, value = next((i, x) for i, x in enumerate(entries) if not is_entry(x))
+            raise ValueError(f"{path}: field {key!r} should hold "
+                             f"{'finite numbers' if numeric else 'true or false'}, "
+                             f"found {value!r} at flat index {i}")
     raise ValueError(f"{path}: field {key!r} should have shape {shape} "
                      f"(nu*nv = {shape[0]} entries), found {found}")
 
@@ -173,11 +203,21 @@ def _is_number(x):
         and abs(x) <= sys.float_info.max
 
 
+def _is_grid_number(x):
+    """A JSON number numpy infers as int64 or float64 and that is finite:
+    grids whose entries all are read by _grid_field's inference alone."""
+    return _is_number(x) and (isinstance(x, float) or -2 ** 63 <= x < 2 ** 63)
+
+
 def read_json(path):
     """Rebuild (surface, meta, report) from an exported JSON grid.
 
     The vertices are kept as written, so the grid holds exactly the
-    values of the surface that was exported.
+    values of the surface that was exported.  Vertices that are not all
+    finite numbers, or a mask that is not all true and false, raise a
+    ValueError naming the first offending flat index.  The check is
+    numpy's dtype inference over the parsed rows, so a true mixed into
+    numeric rows is still read as 1.0.
     """
     # a parsed document holds no reference cycles, yet the collector would
     # rescan its growing row lists about a quarter of the parse time
@@ -211,9 +251,9 @@ def read_json(path):
                          f"with u0 < u1 and v0 < v1, found {domain!r}")
     quadric = meta["ambient"] == "h31" and "projected" not in meta
     assembly, k = ("mu", 4) if quadric else ("minimal", 3)
-    verts = _grid_field(path, doc, "vertices", (nu * nv, k), float)
+    verts = _grid_field(path, doc, "vertices", (nu * nv, k), numeric=True)
     if "mask" in doc:
-        mask = _grid_field(path, doc, "mask", (nu * nv,), bool).reshape(nu, nv)
+        mask = _grid_field(path, doc, "mask", (nu * nv,), numeric=False).reshape(nu, nv)
     else:
         mask = np.zeros((nu, nv), dtype=bool)
     u0, u1, v0, v1 = domain
@@ -227,14 +267,18 @@ CSV_HEADER = "u,v,omega,H,Q,R,K,conf_u,conf_v,gauss_eq,sff"
 
 def export_csv(fd, path):
     """One row per interior grid point of measured fundamental data."""
-    cols = (fd.omega, fd.H, fd.Q, fd.R, fd.K,
-            fd.conf_u, fd.conf_v, fd.gauss_eq, fd.sff)
-    finite = np.isfinite(np.stack(cols)).all(axis=0) & fd.valid()
-    i, j = np.nonzero(finite)
-    rows = np.column_stack([fd.surface.us[i], fd.surface.vs[j]] + [c[finite] for c in cols])
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        _write_rows(fh, ",".join(["%.17g"] * rows.shape[1]) + "\n", rows)
+    cols = [np.ravel(c) for c in (fd.omega, fd.H, fd.Q, fd.R, fd.K,
+                                  fd.conf_u, fd.conf_v, fd.gauss_eq, fd.sff)]
+    finite = fd.valid().ravel()
+    for c in cols:
+        finite &= np.isfinite(c)
+    us, vs = np.asarray(fd.surface.us), np.asarray(fd.surface.vs)
+    # each block's rows are gathered from the grids, not from one table
+    rows = (np.column_stack([us[k // len(vs)], vs[k % len(vs)]] + [c[k] for c in cols])
+            for k in _blocks(np.flatnonzero(finite)))
+    with open(path, "wb") as fh:
+        fh.write((CSV_HEADER + "\n").encode())
+        _write_rows(fh, ",".join(["%.17g"] * (2 + len(cols))) + "\n", rows)
     return path
 
 

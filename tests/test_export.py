@@ -3,16 +3,22 @@
 import dataclasses
 import gc
 import hashlib
+import io
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adscmc import export
+from adscmc import export, printf
 from adscmc.cli import main
 from adscmc.export import CSV_HEADER, dumps, export_csv, export_obj, read_json
 from adscmc.gallery import oracle_surface
 from adscmc.geometry import fundamental_data
+from adscmc.nullcurves import KIND_F1, KIND_F2_MU, assemble_mu, integrate_frame
 
 SMALL = ["--domain", "-0.5", "0.5", "-0.5", "0.5", "--nu", "11", "--nv", "11"]
 # one masked interior vertex (see test_cli.test_masked_points_drop_their_faces)
@@ -210,3 +216,204 @@ def test_malformed_json_raises_and_leaves_the_collector_enabled(tmp_path, gc_sta
     with pytest.raises(json.JSONDecodeError):
         read_json(str(path))
     assert gc.isenabled()
+
+
+def _raw_doctored(tmp_path, edit, raw):
+    """_doctored, with the JSON string "RAW" in the edited document
+    replaced by the literal text raw."""
+    path = _doctored(tmp_path, edit)
+    path.write_text(path.read_text().replace('"RAW"', raw))
+    return path
+
+
+def _set(field, index, value):
+    def edit(doc):
+        if field == "mask":
+            doc["mask"] = [False] * 49
+            doc["mask"][index] = value
+        elif index is None:
+            doc["vertices"] = [[value] * 4 for _ in doc["vertices"]]
+        else:
+            doc["vertices"][index // 4][index % 4] = value
+    return edit
+
+
+@pytest.mark.parametrize("field, index, value, raw, shown", [
+    ("vertices", 13, "1.5", None, "'1.5'"),
+    ("vertices", None, True, None, "True"),
+    ("vertices", 22, "RAW", "1e400", "inf"),
+    ("mask", 4, 2.5, None, "2.5"),
+    ("mask", 6, "no", None, "'no'"),
+])
+def test_malformed_grid_names_the_file_field_and_flat_index(tmp_path, field, index,
+                                                            value, raw, shown):
+    # a string or a bool grid is no numeric dtype, 1e400 parses as inf, and
+    # a mask holding anything but true and false is no bool dtype
+    edit = _set(field, index, value)
+    path = _doctored(tmp_path, edit) if raw is None else _raw_doctored(tmp_path, edit, raw)
+    with pytest.raises(ValueError) as err:
+        read_json(str(path))
+    msg = str(err.value)
+    assert str(path) in msg and f"'{field}'" in msg
+    assert f"found {shown} at flat index {index or 0}" in msg
+
+
+def test_missing_vertices_name_the_file_and_field(tmp_path):
+    path = _doctored(tmp_path, lambda doc: doc.pop("vertices"))
+    with pytest.raises(ValueError) as err:
+        read_json(str(path))
+    assert str(path) in str(err.value) and "'vertices' is missing" in str(err.value)
+
+
+def test_integer_vertices_read_as_floats(tmp_path):
+    # "%.17g" writes an integral component without a point, so a grid of
+    # zeros parses as ints
+    path = _doctored(tmp_path, lambda doc: doc.update(vertices=[[0, 1, 0, 0]] * 49))
+    surface, _, _ = read_json(str(path))
+    assert surface.points.dtype == float and (surface.points[..., 1] == 1.0).all()
+
+
+def _written(rowfmt, rows, sep=""):
+    fh = io.BytesIO()
+    export._write_rows(fh, rowfmt, export._blocks(np.asarray(rows)), sep=sep)
+    return fh.getvalue()
+
+
+def _spelled(rowfmt, rows, sep=""):
+    return sep.join(rowfmt % tuple(row) for row in np.asarray(rows).tolist()).encode()
+
+
+@pytest.fixture(params=[None, 1, 7])
+def block_rows(request, monkeypatch):
+    """The writer's default blocks, then blocks of 1 and 7 rows."""
+    if request.param is not None:
+        monkeypatch.setattr(export, "_BLOCK_ROWS", request.param)
+    return request.param
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The number of values the writer spells with "%.17g" % x itself."""
+    count = [0]
+    real = printf._spell
+
+    def spy(x, rows, *args):
+        count[0] += len(rows)
+        return real(x, rows, *args)
+
+    monkeypatch.setattr(printf, "_spell", spy)
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
+def test_floats_are_spelled_as_printf_17g(values):
+    rows = np.reshape(values, (-1, 1))
+    assert _written("%.17g\n", rows) == _spelled("%.17g\n", rows)
+
+
+def _hard_floats():
+    tiny, big = 5e-324, sys.float_info.max
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    # odd multiples of 2**-17 in [1, 10) end in a 5 at their 18th digit
+    ties = (2 * np.arange(2 ** 16, 5 * 2 ** 16, 997) + 1) / 2.0 ** 17
+    ends = np.array([0.0, -0.0, tiny, -tiny, big, -big, np.nextafter(big, 0.0)])
+    # the smallest normal float, and where "%.17g" turns to exponent notation
+    near = np.concatenate([powers, [sys.float_info.min, 1e-5, 1e-4, 1e16, 1e17]])
+    return np.concatenate([ends, near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf),
+                           -powers, ties, -ties])
+
+
+def test_hard_floats_are_spelled_as_printf_17g(block_rows, fallbacks):
+    values = _hard_floats()
+    for rowfmt, sep in (("%.17g\n", ""), ("[%.17g,%.17g]", ","), ("v %.17g %.17g %.17g\n", "")):
+        c = rowfmt.count("%")
+        rows = values[:len(values) // c * c].reshape(-1, c)
+        assert _written(rowfmt, rows, sep) == _spelled(rowfmt, rows, sep)
+    # subnormals, the largest floats and the exact ties take the fallback
+    assert fallbacks[0] > 0
+
+
+def test_zeros_are_spelled_without_fallback(fallbacks):
+    # zero-filled masked vertices are common, so zeros take the fast path
+    assert _written("%.17g,%.17g\n", [[0.0, -0.0], [-0.0, 0.0]]) == b"0,-0\n-0,0\n"
+    assert fallbacks[0] == 0
+
+
+def test_exact_ties_fall_back_and_round_to_even(fallbacks):
+    ties = (2 * np.arange(2 ** 16, 5 * 2 ** 16, 61) + 1) / 2.0 ** 17
+    rows = ties.reshape(-1, 1)
+    assert _written("%.17g\n", rows) == _spelled("%.17g\n", rows)
+    assert fallbacks[0] == len(ties)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 63 - 1), min_size=3, max_size=60))
+def test_integers_are_spelled_as_printf_d(values):
+    rows = np.array(values[:len(values) // 3 * 3], dtype=np.int64).reshape(-1, 3)
+    assert _written("f %d %d %d\n", rows) == _spelled("f %d %d %d\n", rows)
+
+
+def test_integer_edges_are_spelled_as_printf_d(block_rows):
+    edges = [0, 1, 9, 10, 9999, 10 ** 4, 10 ** 8 - 1, 10 ** 8, 10 ** 18, 2 ** 63 - 1]
+    rows = np.array(edges + edges[::-1], dtype=np.int64).reshape(-1, 4)
+    assert _written("%d,%d,%d,%d\n", rows) == _spelled("%d,%d,%d,%d\n", rows)
+
+
+def test_negative_integer_rows_are_refused():
+    with pytest.raises(ValueError, match="non-negative"):
+        _written("f %d %d %d\n", [[1, 2, -3]])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_exported_values_take_no_fallback(tmp_path, capsys, fallbacks, name):
+    argv, _ = GOLDEN[name]
+    main([*argv, "--out", str(tmp_path / name)])
+    assert fallbacks[0] == 0
+
+
+def _writers(surface, fd, folder):
+    """Each format's writer of the surface (projected for OBJ) or its data."""
+    return {"json": lambda: export.export_json(surface, None, str(folder / "a.json")),
+            "obj": lambda: export_obj(surface, "plus", str(folder / "a.obj")),
+            "csv": lambda: export_csv(fd, str(folder / "a.csv"))}
+
+
+# (q, f, r, g) = (u, 1, v, 1) at 301 x 301, the surface the nullcurve-files
+# benchmark workload exports
+@pytest.fixture(scope="module")
+def cmc1_grid(tmp_path_factory):
+    f1 = integrate_frame(KIND_F1, "u", "1", (0.05, 0.95), 301)
+    f2 = integrate_frame(KIND_F2_MU, "v", "1", (0.05, 0.95), 301)
+    surface = assemble_mu(f1, f2)
+    fd = fundamental_data(surface)
+    # a first write builds the formatter's cached tables, so that the peaks
+    # do not depend on which tests ran before
+    for write in _writers(surface, fd, tmp_path_factory.mktemp("warm")).values():
+        write()
+    return surface, fd
+
+
+# tracemalloc peak of each writer over points.nbytes on cmc1_grid, as
+# measured by this test (EXPORT_PEAKS) plus a 5% margin.  One more (nu, nv)
+# plane is 1/4 of points.nbytes, more than the margin, so it shows.  OBJ's
+# peak is mostly its projection of the grid.  Writers that formatted each
+# value with "%" read 1.21 (json), 4.05 (obj) and 5.88 (csv): they held a
+# second zero-filled grid, a full face table and a stacked copy of every
+# CSV column.
+EXPORT_PEAKS = {"json": 0.285, "obj": 1.785, "csv": 0.967}
+EXPORT_PEAK_RATIO_BOUND = {fmt: round(1.05 * peak, 2) for fmt, peak in EXPORT_PEAKS.items()}
+
+
+@pytest.mark.parametrize("fmt", sorted(EXPORT_PEAK_RATIO_BOUND))
+def test_export_peak_memory_stays_flat(tmp_path, cmc1_grid, fmt):
+    surface, fd = cmc1_grid
+    write = _writers(surface, fd, tmp_path)[fmt]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / surface.points.nbytes <= EXPORT_PEAK_RATIO_BOUND[fmt]
