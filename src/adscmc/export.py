@@ -18,7 +18,16 @@ projected file keeps "ambient": "h31", adds "projected": <pole>, and
 reads back as a 3-space grid.  Projection masks the points whose chart
 denominator is within the run's tol.pole of zero.  read_json keeps the
 vertices as written, so a grid read back holds bit for bit the
-components of the surface that was exported.
+components of the surface that was exported.  That includes the sign
+of zero: the writer prints -0.0 as "-0", which json reads as the int 0,
+so the reader reads every "-0" of a file as -0.0.
+
+read_json reads the file once.  The vertices span of a file this module
+wrote is converted by printf.read_rows, the inverse of the formatter,
+and the rest of the file (schema, meta, mask, report) by json with the
+span replaced by [].  A file the converter declines (whitespace in the
+span, a value that is no number, ragged rows) is parsed by json as a
+whole, and its grid checked as before, with the same errors.
 
 The bulk arrays (OBJ vertices and faces, JSON vertices, CSV rows) are
 written in blocks of _BLOCK_ROWS rows by one vectorized formatter
@@ -33,8 +42,11 @@ writes non-finite floats as null.
 """
 
 import gc
+import io
 import itertools
 import json
+import os
+import re
 import sys
 
 import numpy as np
@@ -209,23 +221,103 @@ def _is_grid_number(x):
     return _is_number(x) and (isinstance(x, float) or -2 ** 63 <= x < 2 ** 63)
 
 
+# a "-0" that no more of a number follows, which json reads as the int
+# 0; the search is cheap, and only a file it finds is rewritten, with
+# strings matched whole so that no "-0" inside one is taken
+_NEGATIVE_ZERO = re.compile(rb"-0(?![0-9.eE])")
+_NEGATIVE_ZERO_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![eE])-0(?![0-9.eE])')
+_VERTICES = b'"vertices":'
+
+
+def _load(data):
+    """json.load of the bytes data, decoded as open() decodes a file,
+    with each -0 read as the float -0.0."""
+    if not _NEGATIVE_ZERO.search(data):
+        return json.load(io.TextIOWrapper(io.BytesIO(data)))
+    text = io.TextIOWrapper(io.BytesIO(data)).read()
+    signed = _NEGATIVE_ZERO_NUMBER.sub(lambda m: m[0] if m[0][0] == '"' else "-0.0", text)
+    try:
+        return json.load(io.StringIO(signed))
+    except json.JSONDecodeError:
+        if signed == text:
+            raise
+    return json.load(io.StringIO(text))     # raises the error at its place in the file
+
+
+def _whole_document(buf):
+    """The document of the file in buf parsed by json as a whole."""
+    from .printf import READ_PAD
+    return _load(memoryview(buf)[READ_PAD:]), None
+
+
+def _document(buf):
+    """The document of the file in buf and its vertex rows, or None for
+    them when they are only in the document.
+
+    A compact vertices span, "vertices":[[..],..,[..]] as export_json
+    writes it, is read by printf.read_rows, and the rest of the file is
+    parsed by json with the span replaced by []; the key must appear
+    once.  Any other file is parsed whole.
+    """
+    from .printf import READ_PAD, read_rows
+    key = buf.find(b'"vertices"', READ_PAD)
+    lo = key + len(_VERTICES)
+    if key < 0 or buf[key:lo + 2] != _VERTICES + b"[[":
+        return _whole_document(buf)
+    # the span ends at the last "]]" of the file: whatever follows the
+    # vertices in a file of this writer holds none, and a span that takes
+    # in more than the vertices holds a character no number does
+    hi = buf.rfind(b"]]", lo) + 2
+    if hi < 2 or buf.find(b'"vertices"', hi) >= 0:
+        return _whole_document(buf)
+    verts = read_rows(buf, lo, hi)
+    if verts is None:
+        return _whole_document(buf)
+    try:
+        doc = _load(bytes(buf[READ_PAD:lo]) + b"[]" + bytes(buf[hi:]))
+    except ValueError:      # a syntax or decoding error, raised again at its place
+        return _whole_document(buf)
+    if not isinstance(doc, dict) or doc.get("vertices") != []:
+        return _whole_document(buf)
+    return doc, verts
+
+
+def _read_padded(path):
+    """The bytes of the file, after printf.READ_PAD zero bytes."""
+    from .printf import READ_PAD
+    with open(path, "rb") as fh:
+        buf = bytearray(READ_PAD + os.fstat(fh.fileno()).st_size)
+        got = fh.readinto(memoryview(buf)[READ_PAD:])
+        del buf[READ_PAD + got:]
+        buf += fh.read()        # the rest of a file of no known size, a pipe
+    return buf
+
+
 def read_json(path):
     """Rebuild (surface, meta, report) from an exported JSON grid.
 
     The vertices are kept as written, so the grid holds exactly the
-    values of the surface that was exported.  Vertices that are not all
-    finite numbers, or a mask that is not all true and false, raise a
-    ValueError naming the first offending flat index.  The check is
-    numpy's dtype inference over the parsed rows, so a true mixed into
-    numeric rows is still read as 1.0.
+    values of the surface that was exported, the sign of each zero
+    included: json reads the "-0" that the writer prints for -0.0 as the
+    int 0, so every -0 in the file is read as -0.0.
+
+    A compact vertices span, as export_json writes it, is read by the
+    vectorized parser printf.read_rows, which gives every number the
+    value json gives it.  On anything else (whitespace, a value that is
+    no number, a ragged row) the whole file goes through json, with the
+    same errors: vertices that are not all finite numbers, or a mask
+    that is not all true and false, raise a ValueError naming the first
+    offending flat index.  That check is numpy's dtype inference over
+    the parsed rows, so a true mixed into numeric rows is still read as
+    1.0.  Vertices of the wrong shape raise the same error on both paths.
     """
+    buf = _read_padded(path)
     # a parsed document holds no reference cycles, yet the collector would
     # rescan its growing row lists about a quarter of the parse time
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc, verts = _document(buf)
     finally:
         if enabled:
             gc.enable()
@@ -251,7 +343,8 @@ def read_json(path):
                          f"with u0 < u1 and v0 < v1, found {domain!r}")
     quadric = meta["ambient"] == "h31" and "projected" not in meta
     assembly, k = ("mu", 4) if quadric else ("minimal", 3)
-    verts = _grid_field(path, doc, "vertices", (nu * nv, k), numeric=True)
+    verts = _grid_field(path, doc if verts is None else {"vertices": verts}, "vertices",
+                        (nu * nv, k), numeric=True)
     if "mask" in doc:
         mask = _grid_field(path, doc, "mask", (nu * nv,), numeric=False).reshape(nu, nv)
     else:

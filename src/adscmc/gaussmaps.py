@@ -8,24 +8,28 @@ is
 
     (G1, G2) = (m12 / m22, m21 / m22),
 
-masked where m22 is too small.  The same pair can be read without any
-differentiation straight from frame entries: with frames F1 = [[a1, b1],
-[c1, d1]], F2 likewise, the product assembly gives (a1/c1, a2/c2) for
-the plus line and (b1/d1, b2/d2) for the minus line.  Integrated Lax
-frames and null-leg pairs both assemble that way.  A third route needs
-neither the normal nor frames: mat(phi_u) has a common column direction
-and mat(phi_v) a common row direction, and the outer product of those
-directions represents the plus line (swap the two matrices for the
-minus line).  It reads the tangents fundamental_data already
-differenced, fd.xu and fd.xv, so the only differences taken here are
-those of phi +- N in gauss_conformality_check.  The surface routes take
-a measurement fd alone and read its grid fd.surface.  Every route
-builds the map of one sign per call.
+masked where m22 is too small.  For integrated Lax frames the same pair
+can be read without any differentiation straight from frame entries:
+with frames F1 = [[a1, b1], [c1, d1]], F2 likewise, the product assembly
+gives (a1/c1, a2/c2) for the plus line and (b1/d1, b2/d2) for the minus
+line.  A pair of null legs assembles the same product, but the first
+columns of its legs give a/c, the image of infinity under each leg, and
+not the surface's plus map (F1 q, F2 r), the Moebius images of the
+legs' data q and r; the two differ by order 100 on the workload data.
+A third route needs neither the normal nor frames: mat(phi_u) has a
+common column direction and mat(phi_v) a common row direction, and the
+outer product of those directions represents the plus line (swap the
+two matrices for the minus line).  It reads the tangents
+fundamental_data already differenced, fd.xu and fd.xv, so the only
+differences taken here are those of phi +- N in
+gauss_conformality_check.  The surface routes take a measurement fd
+alone and read its grid fd.surface.  Every route builds the map of one
+sign per call.
 
-All three routes land on the same chart values, which is the substance
-of the consistency checks in the test suite.  Wronskians of the
-entries of integrated Lax frames decide whether the map depends on u
-alone, on v alone, or on neither (holomorphicity_check); the chart
+For Lax frames all three routes land on the same chart values, which is
+the substance of the consistency checks in the test suite.  Wronskians
+of the entries of integrated Lax frames decide whether the map depends
+on u alone, on v alone, or on neither (holomorphicity_check); the chart
 metric pulled back by the plus map is -K times the surface metric when
 H = 1, which gauss_conformality_check verifies coefficientwise.
 """
@@ -121,7 +125,10 @@ def frame_gauss_coordinates(frames, sign="plus", tol=DEFAULT_TOL):
 
     frames is either the integrated Lax frames or a pair of null frame
     legs; both assemble the product F1 F2^T.  The plus line reads the
-    first columns, the minus line the second.
+    first columns, the minus line the second.  For Lax frames these are
+    the surface's chart values; for legs they are a/c, the image of
+    infinity under each leg, and not the plus map (F1 q, F2 r) of the
+    surface the legs assemble.
     """
     p1, p2 = _frame_grids(frames)
     k = _sign_index(sign)

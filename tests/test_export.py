@@ -5,7 +5,12 @@ import gc
 import hashlib
 import io
 import json
+import os
+import pathlib
+import re
+import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +20,7 @@ from hypothesis import strategies as st
 
 from adscmc import export, printf
 from adscmc.cli import main
-from adscmc.export import CSV_HEADER, dumps, export_csv, export_obj, read_json
+from adscmc.export import CSV_HEADER, dumps, export_csv, export_json, export_obj, read_json
 from adscmc.gallery import oracle_surface
 from adscmc.geometry import fundamental_data
 from adscmc.nullcurves import KIND_F1, KIND_F2_MU, assemble_mu, integrate_frame
@@ -417,3 +422,191 @@ def test_export_peak_memory_stays_flat(tmp_path, cmc1_grid, fmt):
     finally:
         tracemalloc.stop()
     assert peak / surface.points.nbytes <= EXPORT_PEAK_RATIO_BOUND[fmt]
+
+
+# tracemalloc peak of read_json over points.nbytes on the cmc1_grid file,
+# as measured by this test (READ_PEAK) plus a 5% margin.  The file's bytes
+# are 2.55 of points.nbytes and the grid read from them 1; json.load of
+# the whole file read 8.58.
+READ_PEAK = 3.95
+READ_PEAK_RATIO_BOUND = round(1.05 * READ_PEAK, 2)
+
+
+def test_read_peak_memory_stays_flat(tmp_path, cmc1_grid):
+    surface, _ = cmc1_grid
+    path = export_json(surface, None, str(tmp_path / "a.json"))
+    read_json(path)          # the reader's tables are built on first use
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        read_json(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / surface.points.nbytes <= READ_PEAK_RATIO_BOUND
+
+
+GRID_JSON = sorted(name for name, (argv, _) in GOLDEN.items()
+                   if name.endswith(".json") and argv[0] != "gauss")
+
+
+@pytest.fixture
+def read_fallbacks(monkeypatch):
+    """Files read by json as a whole, and numbers left to json by the
+    vectorized reader, while grids are read."""
+    count = {"files": 0, "numbers": 0}
+    whole, numbers = export._whole_document, printf._float_tokens
+
+    def whole_spy(buf):
+        count["files"] += 1
+        return whole(buf)
+
+    def numbers_spy(buf, start, end, rows, out):
+        count["numbers"] += len(rows)
+        return numbers(buf, start, end, rows, out)
+
+    monkeypatch.setattr(export, "_whole_document", whole_spy)
+    monkeypatch.setattr(printf, "_float_tokens", numbers_spy)
+    return count
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype == float and a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _assert_read_without_fallback(path, fallbacks, monkeypatch):
+    """read_json reads path's vertices without parsing the file by json,
+    leaves to json only the numbers in exponent notation, and they are
+    the grid json reads, "-0" read as -0.0."""
+    points = read_json(str(path))[0].points
+    text = pathlib.Path(path).read_text()
+    span = text[text.index('"vertices":') + len('"vertices":'):text.rindex("]]")]
+    exponents = sum(1 for token in re.split(r"[\[\],]", span) if "e" in token)
+    assert fallbacks == {"files": 0, "numbers": exponents}
+    monkeypatch.setattr(printf, "read_rows", lambda buf, lo, hi: None)
+    _assert_same_bits(points, read_json(str(path))[0].points)
+    assert fallbacks == {"files": 1, "numbers": exponents}
+    # json reads "-0" as 0, so the values, not the bits, are compared
+    ref = np.asarray(json.loads(text)["vertices"], dtype=float)
+    assert np.array_equal(points.reshape(ref.shape), ref)
+    return points
+
+
+@pytest.mark.parametrize("name", GRID_JSON)
+def test_exported_grids_are_read_without_fallback(tmp_path, capsys, monkeypatch,
+                                                  read_fallbacks, name):
+    argv, _ = GOLDEN[name]
+    main([*argv, "--out", str(tmp_path / name)])
+    _assert_read_without_fallback(tmp_path / name, read_fallbacks, monkeypatch)
+
+
+def test_workload_grid_is_read_without_fallback(tmp_path, monkeypatch, read_fallbacks,
+                                                cmc1_grid):
+    path = export_json(cmc1_grid[0], None, str(tmp_path / "a.json"))
+    points = _assert_read_without_fallback(path, read_fallbacks, monkeypatch)
+    _assert_same_bits(points, cmc1_grid[0].points)
+
+
+def test_spaced_grid_takes_the_fallback_and_reads_the_same(tmp_path, read_fallbacks):
+    path = _doctored(tmp_path, lambda doc: None)
+    compact = tmp_path / "compact.json"
+    export_json(read_json(str(path))[0], None, str(compact))
+    read_fallbacks.update(files=0, numbers=0)
+    _assert_same_bits(read_json(str(compact))[0].points, read_json(str(path))[0].points)
+    assert read_fallbacks["files"] == 1
+
+
+def test_negative_zero_reads_back_signed(tmp_path, read_fallbacks):
+    surface = oracle_surface("horosphere", (-0.5, 0.5, -0.5, 0.5), 2, 2)
+    points = surface.points.copy()
+    points[0, 0, 1:] = -0.0
+    points[1, 1, 2] = 0.0
+    path = tmp_path / "zeros.json"
+    export_json(dataclasses.replace(surface, points=points), None, str(path))
+    assert b",-0,-0,-0]" in path.read_bytes()
+    spaced = tmp_path / "spaced.json"
+    spaced.write_bytes(path.read_bytes().replace(b'"vertices":', b'"vertices": '))
+    for p in (path, spaced):
+        _assert_same_bits(read_json(str(p))[0].points, points)
+    assert read_fallbacks == {"files": 1, "numbers": 0}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_grid_is_read_from_a_pipe(tmp_path):
+    # a pipe has no size to allocate the buffer by
+    path = export_json(oracle_surface("horosphere", (-0.5, 0.5, -0.5, 0.5), 7, 7), None,
+                       str(tmp_path / "grid.json"))
+    fifo = tmp_path / "grid.fifo"
+    os.mkfifo(fifo)
+    data = pathlib.Path(path).read_bytes()
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        points = read_json(str(fifo))[0].points
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    _assert_same_bits(points, read_json(path)[0].points)
+
+
+def _json_spellings(x):
+    """Ways JSON can spell the float x, "%.17g" and repr among them."""
+    r = repr(x)
+    mantissa, _, exp = ("%.16e" % x).partition("e")
+    return [("%.17g" % x), r, "%.3E" % x, "%.6e" % x, "%.0e" % x, "%.2f" % x,
+            f"{mantissa}e{int(exp):+05d}", f"{mantissa}E{int(exp)}",
+            r if "e" in r or "." not in r else r + "e+00"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1e5, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-300,
+     1.9016352983759945, 9007199254740993.0, 123456789012345678.0]), min_size=1, max_size=20),
+       st.integers(1, 4))
+def test_spans_read_as_float_reads_them(values, k):
+    # a spelling rounded to fewer digits can overflow, which is declined
+    tokens = [t for x in values for t in _json_spellings(x) if np.isfinite(float(t))]
+    # exact ties between two floats round to even
+    tokens += ["9007199254740993", "9007199254740995", "4503599627370496.5",
+               "4503599627370497.5", "4.5035996273704965e15", "9007199254740993e0"]
+    tokens += ["-0", "0", "1E5", "1.0e+00", "1e-0005", "12e-3", "100", "-0.0", "0e10"]
+    tokens += ["1"] * (-len(tokens) % k)
+    rows = [tokens[i:i + k] for i in range(0, len(tokens), k)]
+    span = ("[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]").encode()
+    buf = bytearray(printf.READ_PAD) + span
+    got = printf.read_rows(buf, printf.READ_PAD, len(buf))
+    want = np.array([[float(t) for t in row] for row in rows])
+    _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("token", ["01", "1.", ".5", "+1", "1e", "--1", "1.2.3", "-", "1e+",
+                                   "true", " 1", "1 ", "1234567890123456789", "1e400", "0x1",
+                                   "NaN", "1ee5", "1e5e5", "1.5e-3.2", "\u00b01"])
+def test_spans_with_a_non_number_are_declined(token):
+    span = ("[[1," + token + "],[2,3]]").encode().decode("unicode_escape").encode("utf-8")
+    buf = bytearray(printf.READ_PAD) + span
+    assert printf.read_rows(buf, printf.READ_PAD, len(buf)) is None
+
+
+@pytest.mark.parametrize("span", ["[[1,2],[3]]", "[[1,2],[3,4,5]]", "[[1,2] ,[3,4]]",
+                                  "[[1,2],[3,4],5]", "[[]]", "[[1,2],,[3,4]]", "[[1,[2]]]"])
+def test_ragged_or_spaced_spans_are_declined(span):
+    buf = bytearray(printf.READ_PAD) + span.encode()
+    assert printf.read_rows(buf, printf.READ_PAD, len(buf)) is None
+
+
+def test_the_cli_loads_the_reader_only_to_read(tmp_path):
+    # setup_s compiles every module the CLI imports, so the codec is
+    # imported by the first export or read, not by the CLI
+    path = tmp_path / "grid.json"
+    export_json(oracle_surface("horosphere", (-0.5, 0.5, -0.5, 0.5), 7, 7), None, str(path))
+    script = ("import sys\nfrom adscmc.cli import main\n"
+              "print('adscmc.printf' in sys.modules)\n"
+              f"main(['verify', {str(path)!r}])\n"
+              "print('adscmc.printf' in sys.modules)\n")
+    src = str(pathlib.Path(export.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert (out[0], out[-1]) == ("False", "True")
