@@ -19,12 +19,11 @@ legs' data q and r; the two differ by order 100 on the workload data.
 A third route needs neither the normal nor frames: mat(phi_u) has a
 common column direction and mat(phi_v) a common row direction, and the
 outer product of those directions represents the plus line (swap the
-two matrices for the minus line).  It reads the tangents
-fundamental_data already differenced, fd.xu and fd.xv, so the only
-differences taken here are those of phi +- N in
-gauss_conformality_check.  The surface routes take a measurement fd
-alone and read its grid fd.surface.  Every route builds the map of one
-sign per call.
+two matrices for the minus line).  It differences the tangents again
+with fd.tangents(), the bits fundamental_data measured with, since a
+measurement stores no tangent planes.  The surface routes take a
+measurement fd alone and read its grid fd.surface.  Every route builds
+the map of one sign per call.
 
 For Lax frames all three routes land on the same chart values, which is
 the substance of the consistency checks in the test suite.  Wronskians
@@ -147,14 +146,17 @@ def _stable_column(m, tol):
 
 
 def generalized_gauss(fd, sign="plus", tol=DEFAULT_TOL):
-    """Chart coordinates of one null-line map from the tangents fd.xu, fd.xv.
+    """Chart coordinates of one null-line map from the tangents of fd.
 
     mat(phi_u) is rank one with the column direction of the plus line
     and the row direction of the minus line; mat(phi_v) carries the
-    other half of each.
+    other half of each.  The tangents come from fd.tangents(), and each
+    component grid is dropped once its matrix form is built.
     """
     _require_h31(fd.surface)
-    xu, xv = mat_of_vec(fd.xu), mat_of_vec(fd.xv)
+    xu, xv = fd.tangents()
+    xu = mat_of_vec(xu)
+    xv = mat_of_vec(xv)
     cm, rm = (xv, xu) if _sign_index(sign) else (xu, xv)
     with np.errstate(invalid="ignore"):
         col, bad_c = _stable_column(cm, tol)
@@ -167,13 +169,27 @@ def generalized_gauss(fd, sign="plus", tol=DEFAULT_TOL):
                         mask=bad_c | bad_r | ~np.isfinite(g1) | ~np.isfinite(g2))
 
 
+# the classification of a point, indexed by anti + 2 holo
+CLASS_LABELS = ("none", "antiholomorphic", "holomorphic", "constant")
+
+
 @dataclass
 class HolomorphicityReport:
     """Wronskian identity residuals and the dependence classification."""
 
     residual: np.ndarray        # pointwise largest finite gap of the four identities
-    classification: np.ndarray  # per-point labels
-    label: str                  # common label, or "mixed"
+    codes: np.ndarray           # per-point uint8 index into CLASS_LABELS
+
+    @property
+    def classification(self):
+        """Per-point labels, spelled out from the codes."""
+        return np.array(CLASS_LABELS)[self.codes]
+
+    @property
+    def label(self):
+        """The label every point shares, or "mixed"."""
+        first = self.codes.flat[0]
+        return CLASS_LABELS[first] if (self.codes == first).all() else "mixed"
 
     def max_residual(self):
         return float(np.nanmax(self.residual))
@@ -220,15 +236,9 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     residual = np.fmax(np.fmax(gaps[0], gaps[1]), np.fmax(gaps[2], gaps[3]))
     mag_u = np.maximum(np.abs(wu1), np.abs(wu2))
     mag_v = np.maximum(np.abs(wv1), np.abs(wv2))
-    anti = mag_u <= tol.hol
-    holo = mag_v <= tol.hol
-    labels = np.full(mag_u.shape, "none", dtype="<U16")
-    labels[anti] = "antiholomorphic"
-    labels[holo] = "holomorphic"
-    labels[anti & holo] = "constant"
-    return HolomorphicityReport(
-        residual=residual, classification=labels,
-        label=str(labels.flat[0]) if (labels == labels.flat[0]).all() else "mixed")
+    codes = (mag_u <= tol.hol).astype(np.uint8)
+    codes[mag_v <= tol.hol] += 2
+    return HolomorphicityReport(residual=residual, codes=codes)
 
 
 def gauss_conformality_check(fd, sign="plus"):

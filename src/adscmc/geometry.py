@@ -42,14 +42,16 @@ by NaN where the rows leave the grid and one NaN column on each side, so
 every difference is a plain slice expression and is NaN exactly where
 its stencil leaves the grid.  Every Lorentz product is then a sum over
 whole planes (algebra.scalar_product4/3), with no metric-scaled operand
-copy.  The tangents and the normal are written on rows [a - 1, b + 1)
-straight into (c, nu, nv) planes allocated once, and the normal
-difference n_u reads them there; the rows two blocks share get the same
-bits from either.  The metric signs of raw are applied by negating its
+copy.  The tangents are differenced on rows [a - 1, b + 1) into
+buffers of the block, and the normal built from them is written on those
+rows straight into (c, nu, nv) planes allocated once, where the normal
+difference n_u reads it; the rows two blocks share get the same bits
+from either.  The metric signs of raw are applied by negating its
 negative planes in place, and the normal is raw divided in place.
-fd.normal is the (nu, nv, c) moveaxis view of its planes, not a copy;
-fd.xu and fd.xv are such views of the tangent planes, so the Gauss maps
-read the same differences.  The products sum in a fixed order,
+fd.normal is the (nu, nv, c) moveaxis view of its planes, not a copy,
+and the one stored array with a component axis: fd.tangents()
+differences the points again, to the bits the blocks used, for their one
+reader, gaussmaps.generalized_gauss.  The products sum in a fixed order,
 component 0 paired with 2, then 1 (and 3), then + 0.0, which is how
 np.einsum("...i,...i->...", METRIC * x, y) sums contiguous components
 from a +0.0 accumulator.  The pinned field digests, stdout and golden
@@ -158,15 +160,16 @@ class FundamentalData:
     the measurement.  All arrays have the full grid shape; entries are
     NaN wherever the finite-difference stencil or the degeneracy mask
     leaves them undefined.  mask is True at points with no valid
-    first-order data.  No shape operator S is stored: det S = K_shape - kbar.
+    first-order data.  The normal is the only stored array with a
+    component axis; the tangents phi_u and phi_v are differenced again
+    on demand (tangents), and no shape operator S is stored:
+    det S = K_shape - kbar.
     """
 
     surface: SurfaceGrid
     metric: np.ndarray        # e^omega = 2 <phi_u, phi_v>
     omega: np.ndarray
     normal: np.ndarray        # (nu, nv, 4) or (nu, nv, 3), a view of component planes
-    xu: np.ndarray            # phi_u, a view of component planes like normal
-    xv: np.ndarray            # phi_v
     H: np.ndarray
     Q: np.ndarray
     R: np.ndarray
@@ -184,6 +187,12 @@ class FundamentalData:
     def kbar(self):
         """Ambient curvature, named by the normal's component count."""
         return AMBIENTS[self.normal.shape[-1]][1]
+
+    def tangents(self):
+        """(phi_u, phi_v), each (nu, nv, c): the central differences of the
+        points, bit for bit those fundamental_data measured with."""
+        points = self.surface.points
+        return central_difference(points, self.hu, 0), central_difference(points, self.hv, 1)
 
     def valid(self):
         return ~self.mask
@@ -213,20 +222,19 @@ def fundamental_data(surface, flip_normal=False):
         raise ValueError("fundamental data needs at least a 5x5 grid")
     hu = _uniform_step(surface.us, "u")
     hv = _uniform_step(surface.vs, "v")
-    planes = [np.empty((surface.points.shape[-1], nu, nv)) for _ in range(3)]
+    normal = np.empty((surface.points.shape[-1], nu, nv))
     grids = {field: np.empty((nu, nv)) for field in _GRID_FIELDS}
     for a, b in row_blocks(nu, nv):
-        _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids)
-    xu, xv, normal = (np.moveaxis(p, 0, -1) for p in planes)
-    return FundamentalData(surface=surface, normal=normal, xu=xu, xv=xv, **grids,
+        _measure_rows(surface, a, b, hu, hv, flip_normal, normal, grids)
+    return FundamentalData(surface=surface, normal=np.moveaxis(normal, 0, -1), **grids,
                            mask=~np.isfinite(grids["H"]), hu=hu, hv=hv)
 
 
-def _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids):
+def _measure_rows(surface, a, b, hu, hv, flip_normal, normal_planes, grids):
     """Write rows [a, b) of every measured field into the outputs.
 
-    planes are the (c, nu, nv) tangent and normal planes, which this
-    block fills on rows [a - 1, b + 1), the reach of n_u on [a, b); a
+    normal_planes are the (c, nu, nv) normal planes, which this block
+    fills on rows [a - 1, b + 1), the reach of n_u on [a, b); a
     neighbouring block writes the same bits to the rows they share.
     """
     nu, nv = surface.shape
@@ -244,11 +252,11 @@ def _measure_rows(surface, a, b, hu, hv, flip_normal, planes, grids):
     # tangents and unit normal on rows [s0, s1), local rows [k0, k1) of x
     s0, s1 = max(a - 1, 0), min(b + 1, nu)
     k0, k1 = s0 - a + 2, s1 - a + 2
-    xu, xv, normal = (p[:, s0:s1] for p in planes)
-    np.subtract(x[:, k0 + 1:k1 + 1, 1:-1], x[:, k0 - 1:k1 - 1, 1:-1], out=xu)
+    xu = np.subtract(x[:, k0 + 1:k1 + 1, 1:-1], x[:, k0 - 1:k1 - 1, 1:-1])
     xu /= 2.0 * hu
-    np.subtract(x[:, k0:k1, 2:], x[:, k0:k1, :-2], out=xv)
+    xv = np.subtract(x[:, k0:k1, 2:], x[:, k0:k1, :-2])
     xv /= 2.0 * hv
+    normal = normal_planes[:, s0:s1]
     # raw = METRIC4 cross4 (METRIC3 cross3): negate the metric's negative planes
     if hyperbolic:
         cross4(x[:, k0:k1, 1:-1], xu, xv, out=normal)
@@ -384,7 +392,8 @@ class GeometryReport:
         return ratio <= 1.0, name, value, bound
 
     def stats_h_error(self, target_h):
-        return stat_max(self.fd.H - target_h, self.core)
+        # H is finite on the core, so only the core values are differenced
+        return stat_max(self.fd.H[self.core] - target_h, True)
 
 
 def geometry_report(surface, tol=DEFAULT_TOL, flip_normal=False):
@@ -396,8 +405,12 @@ def geometry_report(surface, tol=DEFAULT_TOL, flip_normal=False):
     """
     fd = fundamental_data(surface, flip_normal=flip_normal)
     core = fd.core(tol)
+    # H is finite on the core, so only the core values are differenced; the
+    # median may reorder them, which leaves their largest distance from it as is
     h_vals = fd.H[core]
-    h_median = float(np.median(h_vals)) if h_vals.size else float("nan")
+    h_median = float(np.median(h_vals, overwrite_input=True)) if h_vals.size else float("nan")
+    h_spread = stat_max(h_vals - h_median, True)
+    del h_vals
     umb = umbilic_detect(fd, tol)
     n_valid = int(np.sum(fd.valid()))
     stats = {
@@ -412,7 +425,7 @@ def geometry_report(surface, tol=DEFAULT_TOL, flip_normal=False):
         "max_gauss_eq": stat_max(fd.gauss_eq, core),
         "max_sff": stat_max(fd.sff, core),
         "h_median": h_median,
-        "h_spread": stat_max(fd.H - h_median, core),
+        "h_spread": h_spread,
         "umbilic_fraction": float(np.sum(umb & core) / max(1, np.sum(core))),
     }
     return GeometryReport(fd=fd, stats=stats, core=core)

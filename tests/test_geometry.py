@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from adscmc import geometry
 from adscmc.gallery import DEFAULT_DOMAIN
 from adscmc.gaussmaps import gauss_conformality_check
 from adscmc.geometry import (
@@ -129,15 +130,61 @@ def test_normal_has_the_positive_frame_orientation(name, std_surfaces):
 
 @pytest.mark.parametrize("name", ["enneper-isothermic", "minimal-enneper"])
 def test_tangents_are_views_of_the_differenced_planes(name, std_surfaces):
-    # the Gauss maps read fd.xu and fd.xv instead of differencing again,
-    # so they must be exactly the central differences of the points
+    # the Gauss maps difference the tangents again through fd.tangents(),
+    # so they must be exactly the central differences of the points (the
+    # planes the block kernel differenced; they are no longer stored)
     _, surface, fd = std_surfaces[name]
-    for got, h, axis in ((fd.xu, fd.hu, 0), (fd.xv, fd.hv, 1)):
+    for got, h, axis in zip(fd.tangents(), (fd.hu, fd.hv), (0, 1)):
         want = central_difference(surface.points, h, axis)
         assert np.array_equal(got, want, equal_nan=True)
-        planes = got.base
-        assert planes.shape == (surface.points.shape[-1],) + surface.shape
-        assert planes.flags.c_contiguous and np.shares_memory(got, planes)
+
+
+# the (nu, nv) grids a measurement stores besides its mask and normal
+GRID_FIELDS = ("metric", "omega", "H", "Q", "R", "K", "K_shape", "conf_u", "conf_v",
+               "gauss_eq", "sff")
+
+
+@pytest.mark.parametrize("name", ["enneper-isothermic", "minimal-enneper"])
+def test_measurement_stores_one_component_plane(name, std_surfaces):
+    # the memory contract: the eleven grids, the mask and the normal,
+    # whose (c, nu, nv) planes are the only ones a measurement keeps
+    _, surface, fd = std_surfaces[name]
+    arrays = {key: a for key, a in vars(fd).items() if isinstance(a, np.ndarray)}
+    assert sorted(arrays) == sorted(GRID_FIELDS + ("mask", "normal"))
+    for key in GRID_FIELDS + ("mask",):
+        assert arrays[key].shape == surface.shape, key
+    planes = fd.normal.base
+    assert fd.normal.shape == surface.points.shape
+    assert planes.shape == (surface.points.shape[-1],) + surface.shape
+    assert planes.flags.c_contiguous and np.shares_memory(fd.normal, planes)
+
+
+@pytest.mark.parametrize("name, domain", [("enneper-isothermic", DEFAULT_DOMAIN),
+                                          ("minimal-enneper", STD_DOMAIN)])
+def test_tangents_are_the_block_kernel_differences(name, domain, gallery_module,
+                                                   monkeypatch):
+    # each block differences the tangents of its rows [a - 1, b + 1) for
+    # the normal (the last two operands of cross4 / cross3); fd.tangents()
+    # must give those bits at every block size
+    surface = gallery_module.oracle_surface(name, domain, SEAM_NU, SEAM_NV)
+    cross = "cross4" if surface.ambient == "H31" else "cross3"
+    kernel = getattr(geometry, cross)
+    seen = []
+
+    def spy(*operands, out):
+        seen.append([np.copy(t) for t in operands[-2:]])
+        return kernel(*operands, out=out)
+
+    monkeypatch.setattr(geometry, cross, spy)
+    for rows in each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
+        seen.clear()
+        tangents = [np.moveaxis(t, -1, 0) for t in fundamental_data(surface).tangents()]
+        blocks = geometry.row_blocks(SEAM_NU, SEAM_NV)
+        assert len(seen) == len(blocks), rows
+        for (a, b), block in zip(blocks, seen):
+            s0, s1 = max(a - 1, 0), min(b + 1, SEAM_NU)
+            for want, got in zip(tangents, block):
+                assert np.array_equal(got, want[:, s0:s1], equal_nan=True), (rows, a)
 
 
 # sha256 of each field, NaN made canonical.  The first eight fields of the
@@ -324,13 +371,14 @@ def test_fundamental_data_is_pinned_point_by_point(name, flip, std_surfaces):
 
 # tracemalloc peak of fundamental_data over points.nbytes on 401 x 41 and
 # 1601 x 41 strips, as measured by these tests with the grid measured in
-# row blocks written straight into the outputs (9.049 and 6.577 in H31,
-# 10.056 and 7.516 in E31) plus a 2% margin: the geometry peak must not
-# rise above it.  One more (nu, nv) plane is 1/4 (H31) or 1/3 (E31) of
-# points.nbytes, more than the margin, so it shows.  The outputs alone
-# are 5.78 (H31) and 6.71 (E31) of points.nbytes.
-PEAK_RATIO_BOUND = {"enneper-isothermic": 9.23, "minimal-enneper": 10.26}
-LONG_PEAK_RATIO_BOUND = {"enneper-isothermic": 6.71, "minimal-enneper": 7.67}
+# row blocks written straight into the outputs and the tangents kept in
+# block buffers (8.051 and 4.828 in H31, 9.058 and 5.767 in E31) plus a
+# 2% margin: the geometry peak must not rise above it.  One more (nu, nv)
+# plane is 1/4 (H31) or 1/3 (E31) of points.nbytes, more than the margin,
+# so it shows.  The outputs alone are 3.78 (H31) and 4.71 (E31) of
+# points.nbytes.
+PEAK_RATIO_BOUND = {"enneper-isothermic": 8.22, "minimal-enneper": 9.24}
+LONG_PEAK_RATIO_BOUND = {"enneper-isothermic": 4.93, "minimal-enneper": 5.89}
 
 
 def _peak_ratio(gallery_module, name, nu):
