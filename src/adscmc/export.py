@@ -46,7 +46,6 @@ import io
 import itertools
 import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -221,27 +220,14 @@ def _is_grid_number(x):
     return _is_number(x) and (isinstance(x, float) or -2 ** 63 <= x < 2 ** 63)
 
 
-# a "-0" that no more of a number follows, which json reads as the int
-# 0; the search is cheap, and only a file it finds is rewritten, with
-# strings matched whole so that no "-0" inside one is taken
-_NEGATIVE_ZERO = re.compile(rb"-0(?![0-9.eE])")
-_NEGATIVE_ZERO_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![eE])-0(?![0-9.eE])')
 _VERTICES = b'"vertices":'
 
 
 def _load(data):
     """json.load of the bytes data, decoded as open() decodes a file,
-    with each -0 read as the float -0.0."""
-    if not _NEGATIVE_ZERO.search(data):
-        return json.load(io.TextIOWrapper(io.BytesIO(data)))
-    text = io.TextIOWrapper(io.BytesIO(data)).read()
-    signed = _NEGATIVE_ZERO_NUMBER.sub(lambda m: m[0] if m[0][0] == '"' else "-0.0", text)
-    try:
-        return json.load(io.StringIO(signed))
-    except json.JSONDecodeError:
-        if signed == text:
-            raise
-    return json.load(io.StringIO(text))     # raises the error at its place in the file
+    with each -0 read as the float -0.0 (json reads it as the int 0)."""
+    return json.load(io.TextIOWrapper(io.BytesIO(data)),
+                     parse_int=lambda s: -0.0 if s == "-0" else int(s))
 
 
 def _whole_document(buf):

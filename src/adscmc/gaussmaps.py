@@ -12,18 +12,15 @@ masked where m22 is too small.  For integrated Lax frames the same pair
 can be read without any differentiation straight from frame entries:
 with frames F1 = [[a1, b1], [c1, d1]], F2 likewise, the product assembly
 gives (a1/c1, a2/c2) for the plus line and (b1/d1, b2/d2) for the minus
-line.  A pair of null legs assembles the same product, but the first
-columns of its legs give a/c, the image of infinity under each leg, and
-not the surface's plus map (F1 q, F2 r), the Moebius images of the
-legs' data q and r; the two differ by order 100 on the workload data.
-A third route needs neither the normal nor frames: mat(phi_u) has a
-common column direction and mat(phi_v) a common row direction, and the
-outer product of those directions represents the plus line (swap the
-two matrices for the minus line).  It differences the tangents again
-with fd.tangents(), the bits fundamental_data measured with, since a
-measurement stores no tangent planes.  The surface routes take a
-measurement fd alone and read its grid fd.surface.  Every route builds
-the map of one sign per call.
+line.  A third route needs neither the normal nor frames: mat(phi_u)
+has a common column direction and mat(phi_v) a common row direction,
+and the outer product of those directions represents the plus line
+(swap the two matrices for the minus line).  It differences the
+tangents again with fd.tangents(), the bits fundamental_data measured
+with, since a measurement stores no tangent planes.  The surface routes
+take a measurement fd alone and read its grid fd.surface; the frame
+routes take integrated Lax frames only.  Every route builds the map of
+one sign per call.
 
 For Lax frames all three routes land on the same chart values, which is
 the substance of the consistency checks in the test suite.  Wronskians
@@ -40,19 +37,22 @@ import numpy as np
 from .algebra import det2, mat_of_vec, scalar_product4
 from .config import DEFAULT_TOL
 from .fields import fd_derivative
-from .geometry import central_difference, row_blocks
-from .lax import lax_terms
-from .nullcurves import check_leg_pair
+from .geometry import central_difference, row_blocks, stat_max
+from .lax import LaxFrames, lax_terms
 
 
 @dataclass
 class GaussMapGrid:
-    """Chart coordinates of a null-line map over a parameter grid."""
+    """Chart coordinates of a null-line map over a parameter grid.
 
-    rep: np.ndarray    # (nu, nv, 2, 2) rank-<=1 representatives
+    The route's rank-<=1 representatives are not kept: max_rep_det is the
+    largest finite |det| among them, their distance from rank one.
+    """
+
     g1: np.ndarray
     g2: np.ndarray
     mask: np.ndarray   # True where a chart denominator vanished
+    max_rep_det: float
 
     def valid(self):
         return ~self.mask
@@ -64,21 +64,21 @@ class GaussMapGrid:
             return float("nan"), float("nan")
         return (float(np.ptp(self.g1[ok])), float(np.ptp(self.g2[ok])))
 
-    def max_rep_det(self):
-        d = det2(self.rep)
-        d = d[np.isfinite(d)]
-        return float(np.max(np.abs(d))) if d.size else float("nan")
+
+def _ratio(pair, tol):
+    """pair[..., 0] / pair[..., 1], NaN where |pair[..., 1]| is not above
+    tol.pole, and that mask."""
+    den = pair[..., 1]
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.abs(den) > tol.pole)
+        return np.where(bad, np.nan, pair[..., 0] / np.where(bad, 1.0, den)), bad
 
 
 def chart_coordinates(rep, tol=DEFAULT_TOL):
     """Read (G1, G2) = (m12/m22, m21/m22) off representatives."""
     rep = np.asarray(rep, dtype=float)
-    den = rep[..., 1, 1]
-    with np.errstate(invalid="ignore"):
-        bad = ~(np.abs(den) > tol.pole)
-    safe = np.where(bad, 1.0, den)
-    g1 = np.where(bad, np.nan, rep[..., 0, 1] / safe)
-    g2 = np.where(bad, np.nan, rep[..., 1, 0] / safe)
+    g1, bad = _ratio(rep[..., :, 1], tol)
+    g2, _ = _ratio(rep[..., 1, :], tol)
     return g1, g2, bad
 
 
@@ -100,49 +100,41 @@ def hyperbolic_gauss(fd, sign="plus", tol=DEFAULT_TOL):
     s = (1.0, -1.0)[_sign_index(sign)]
     rep = mat_of_vec(fd.surface.points + s * fd.normal)
     g1, g2, bad = chart_coordinates(rep, tol)
-    return GaussMapGrid(rep=rep, g1=g1, g2=g2,
-                        mask=bad | ~np.isfinite(g1) | ~np.isfinite(g2))
+    return GaussMapGrid(g1=g1, g2=g2, mask=bad | ~np.isfinite(g1) | ~np.isfinite(g2),
+                        max_rep_det=stat_max(det2(rep), True))
 
 
 def _outer(col, row):
     return col[..., :, None] * row[..., None, :]
 
 
-def _frame_grids(frames):
-    """Grids of both frames."""
-    if hasattr(frames, "phi1"):   # integrated Lax frames
-        return frames.phi1, frames.phi2
-    f1, f2 = frames
-    check_leg_pair(f1, f2)
-    shape = (f1.n, f2.n, 2, 2)
-    return (np.broadcast_to(f1.samples[:, None], shape),
-            np.broadcast_to(f2.samples[None, :], shape))
+def _require_frames(frames):
+    if not isinstance(frames, LaxFrames):
+        raise ValueError("Gauss map routes on frames need integrated coordinate frames")
 
 
 def frame_gauss_coordinates(frames, sign="plus", tol=DEFAULT_TOL):
     """Chart coordinates straight from frame entries, no differentiation.
 
-    frames is either the integrated Lax frames or a pair of null frame
-    legs; both assemble the product F1 F2^T.  The plus line reads the
-    first columns, the minus line the second.  For Lax frames these are
-    the surface's chart values; for legs they are a/c, the image of
-    infinity under each leg, and not the plus map (F1 q, F2 r) of the
-    surface the legs assemble.
+    frames are integrated Lax frames; anything else, a pair of null legs
+    included, raises ValueError.  The representative is the outer
+    product of one column of each frame, the first columns for the plus
+    line and the second for the minus line, and chart_coordinates reads
+    the surface's chart values off its entries (a1 c2 / c1 c2, not
+    a1 / c1, which would round differently).
     """
-    p1, p2 = _frame_grids(frames)
+    _require_frames(frames)
     k = _sign_index(sign)
-    rep = _outer(p1[..., :, k], p2[..., :, k])
+    rep = _outer(frames.phi1[..., :, k], frames.phi2[..., :, k])
     g1, g2, bad = chart_coordinates(rep, tol)
-    return GaussMapGrid(rep=rep, g1=g1, g2=g2, mask=bad)
+    return GaussMapGrid(g1=g1, g2=g2, mask=bad, max_rep_det=stat_max(det2(rep), True))
 
 
-def _stable_column(m, tol):
+def _stable_column(m):
     """Common column direction of a near-rank-one matrix grid."""
     pick = np.abs(m[..., 1, 1]) + np.abs(m[..., 0, 1]) \
         > np.abs(m[..., 1, 0]) + np.abs(m[..., 0, 0])
-    col = np.where(pick[..., None], m[..., :, 1], m[..., :, 0])
-    bad = ~(np.abs(col[..., 1]) > tol.pole)
-    return col, bad
+    return np.where(pick[..., None], m[..., :, 1], m[..., :, 0])
 
 
 def generalized_gauss(fd, sign="plus", tol=DEFAULT_TOL):
@@ -159,14 +151,14 @@ def generalized_gauss(fd, sign="plus", tol=DEFAULT_TOL):
     xv = mat_of_vec(xv)
     cm, rm = (xv, xu) if _sign_index(sign) else (xu, xv)
     with np.errstate(invalid="ignore"):
-        col, bad_c = _stable_column(cm, tol)
+        col = _stable_column(cm)
         # a common row direction is a common column of the transpose
-        row, bad_r = _stable_column(np.swapaxes(rm, -1, -2), tol)
-        rep = _outer(col, row)
-        g1 = np.where(bad_c, np.nan, col[..., 0] / np.where(bad_c, 1.0, col[..., 1]))
-        g2 = np.where(bad_r, np.nan, row[..., 0] / np.where(bad_r, 1.0, row[..., 1]))
-    return GaussMapGrid(rep=rep, g1=g1, g2=g2,
-                        mask=bad_c | bad_r | ~np.isfinite(g1) | ~np.isfinite(g2))
+        row = _stable_column(np.swapaxes(rm, -1, -2))
+        max_rep_det = stat_max(det2(_outer(col, row)), True)
+    g1, bad_c = _ratio(col, tol)
+    g2, bad_r = _ratio(row, tol)
+    return GaussMapGrid(g1=g1, g2=g2, mask=bad_c | bad_r | ~np.isfinite(g1) | ~np.isfinite(g2),
+                        max_rep_det=max_rep_det)
 
 
 # the classification of a point, indexed by anti + 2 holo
@@ -175,9 +167,9 @@ CLASS_LABELS = ("none", "antiholomorphic", "holomorphic", "constant")
 
 @dataclass
 class HolomorphicityReport:
-    """Wronskian identity residuals and the dependence classification."""
+    """The largest Wronskian identity residual and the dependence classification."""
 
-    residual: np.ndarray        # pointwise largest finite gap of the four identities
+    max_residual: float         # largest finite gap of the four identities
     codes: np.ndarray           # per-point uint8 index into CLASS_LABELS
 
     @property
@@ -191,9 +183,6 @@ class HolomorphicityReport:
         first = self.codes.flat[0]
         return CLASS_LABELS[first] if (self.codes == first).all() else "mixed"
 
-    def max_residual(self):
-        return float(np.nanmax(self.residual))
-
 
 def _wronskian(a, c, h, axis):
     return fd_derivative(a, h, axis) * c - a * fd_derivative(c, h, axis)
@@ -202,8 +191,8 @@ def _wronskian(a, c, h, axis):
 def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     """Test the frame-entry Wronskian identities and classify the map.
 
-    Works on integrated Lax frames, whose linear systems the identities
-    are read off (null frame legs answer a different question).  Each
+    Works on integrated Lax frames only, whose linear systems the
+    identities are read off; anything else raises ValueError.  Each
     predicted Wronskian is an off-diagonal entry of the Lax coefficient
     that moves the frame in that direction: minus the (1,0) entry for
     the plus line, which reads e^{-w/2} Q and e^{w/2}(H-1)/2 in u, and
@@ -215,8 +204,7 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     holomorphic where both v-Wronskians vanish, constant where all four
     do; the report's label is the one every point shares, or "mixed".
     """
-    if not hasattr(frames, "phi1"):
-        raise ValueError("holomorphicity check needs integrated coordinate frames")
+    _require_frames(frames)
     col = _sign_index(sign)
     us, vs = frames.us, frames.vs
     hu = float(us[1] - us[0])
@@ -238,7 +226,7 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     mag_v = np.maximum(np.abs(wv1), np.abs(wv2))
     codes = (mag_u <= tol.hol).astype(np.uint8)
     codes[mag_v <= tol.hol] += 2
-    return HolomorphicityReport(residual=residual, codes=codes)
+    return HolomorphicityReport(max_residual=float(np.nanmax(residual)), codes=codes)
 
 
 def gauss_conformality_check(fd, sign="plus"):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line tool and the file formats."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,30 @@ def test_gauss_writes_machine_readable_findings(tmp_path, capsys):
     assert np.isfinite(doc["chart_generalized_vs_surface"])
     assert doc["max_rep_det"] < 1e-8
     assert doc["chart_spread"][0] == pytest.approx(doc["chart_spread"][1], rel=1e-6)
+
+
+# tracemalloc peak of a 201 x 201 gauss run over the surface's
+# points.nbytes, as measured by this test (GAUSS_PEAK) plus a 2% margin.
+# No map keeps its (nu, nv, 2, 2) representatives or a residual grid, and
+# the tangent route runs while the fewest grids are live; with every map
+# keeping them and the tangent route run last, the same run read 15.02.
+GAUSS_PEAK = 11.36
+GAUSS_PEAK_RATIO_BOUND = round(1.02 * GAUSS_PEAK, 2)
+GAUSS_201 = ["gauss", "--omega=2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1",
+             "--domain", "0.1", "0.9", "0.1", "0.9", "--nu", "201", "--nv", "201"]
+
+
+def test_gauss_peak_memory_stays_flat(capsys):
+    assert main(GAUSS_201) == 0     # the first run builds the argument parser
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(GAUSS_201) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    points_nbytes = 201 * 201 * 4 * 8
+    assert peak / points_nbytes <= GAUSS_PEAK_RATIO_BOUND, peak / points_nbytes
 
 
 def test_gauss_flags_degenerate_family_as_constant(capsys):

@@ -2,9 +2,12 @@
 no module of the package or of the tests imports a name it never reads,
 no function of the package takes a parameter it never reads,
 no module of the package imports another's private name,
-and no numerical threshold of the package is a bare literal."""
+no numerical threshold of the package is a bare literal,
+and every public name of the package is read by the package or listed
+with the reason it is kept."""
 
 import ast
+import collections
 import pathlib
 import sys
 
@@ -115,3 +118,54 @@ def test_small_thresholds_are_named():
             for path in sorted(SRC.glob("*.py")) if path.name != "config.py"
             for line, value in _stray_thresholds(path)]
     assert not hits, hits
+
+
+# public names that no code of the package reads, each with its reason;
+# any other public name with no reader is either used or deleted
+UNREAD_BY_THE_PACKAGE = {
+    "second_form_residual": "timed by name in perfbench/spans.py",
+    "lawson_shift_residual": "timed by name in perfbench/spans.py",
+    "extract_weierstrass_data": "timed by name in perfbench/spans.py",
+    "projected_gauss_minimal": "timed by name in perfbench/spans.py",
+    "lax_matrices": "test oracle: the Lax coefficient pairs as 2x2 matrices",
+    "null_coefficient": "test oracle: the coefficient of the null-leg system",
+    "oracle_frame": "test oracle: closed-form frame legs of the gallery",
+    "METRIC4": "test oracle: metric signs of the component representation",
+    "METRIC3": "test oracle: metric signs of the Minkowski coordinates",
+}
+
+
+def _reads(node):
+    """Every name node reads: loaded names, attributes and imported names."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.ImportFrom):
+            yield from (alias.name for alias in n.names)
+
+
+def _public_definitions(tree):
+    """(name, statement) of each public function, class and constant a
+    module defines at its top level."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, stmt) for name in names if not name.startswith("_"))
+
+
+def test_public_names_are_read_by_the_package():
+    # a public name that only tests reach is API nobody runs; the ones
+    # kept on purpose are listed with their reason
+    trees = [_tree(path) for path in MODULES if path.parent == SRC]
+    read = collections.Counter(name for tree in trees for name in _reads(tree))
+    unread = {name for tree in trees for name, stmt in _public_definitions(tree)
+              if read[name] == collections.Counter(_reads(stmt))[name]}
+    assert sorted(unread - UNREAD_BY_THE_PACKAGE.keys()) == [], "no reader in the package"
+    assert sorted(UNREAD_BY_THE_PACKAGE.keys() - unread) == [], "listed, but read or gone"

@@ -200,9 +200,9 @@ def test_read_json_pauses_the_collector_and_restores_its_state(tmp_path, monkeyp
     real_load = json.load
     during = []
 
-    def spy(fh):
+    def spy(fh, **kw):
         during.append(gc.isenabled())
-        return real_load(fh)
+        return real_load(fh, **kw)
 
     monkeypatch.setattr(json, "load", spy)
     if enabled:

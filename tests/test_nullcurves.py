@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from adscmc.algebra import act, adjugate, det2, mat_of_vec, pack2
 from adscmc.config import DEFAULT_TOL
-from adscmc.gaussmaps import frame_gauss_coordinates
 from adscmc.lax import extract_weierstrass_data
 from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, IntegrationError, assemble_mu,
                                assemble_nu, check_drift, frame_metric_grid, integrate_frame,
@@ -95,9 +94,8 @@ def test_kind_tags_are_enforced():
 
 @pytest.mark.parametrize("consume", [
     assemble_mu,
-    lambda f1, f2: frame_gauss_coordinates((f1, f2)),
     extract_weierstrass_data,
-], ids=["assemble_mu", "frame_gauss_coordinates", "extract_weierstrass_data"])
+], ids=["assemble_mu", "extract_weierstrass_data"])
 def test_swapped_legs_are_rejected(consume):
     f1 = integrate_frame(KIND_F1, "u", "1", (0.0, 1.0), 11)
     f2 = integrate_frame(KIND_F2_MU, "v", "1", (0.0, 1.0), 11)
