@@ -77,6 +77,12 @@ def test_bad_domain_is_a_usage_error():
     assert main(["gallery", "horosphere", "--domain", "1", "0", "0", "1"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--nu", "--nv"])
+def test_grid_below_five_nodes_is_a_usage_error(capsys, flag):
+    assert main(["gallery", "horosphere", flag, "4"]) == 2
+    assert "--nu and --nv must be at least 5" in capsys.readouterr().err
+
+
 def test_incompatible_lax_data_exits_one(capsys):
     code = main(["lax", "--omega", "0", "--H", "1", "--Q", "1", "--R", "1",
                  "--domain", "0", "1", "0", "1", "--nu", "11", "--nv", "11"])

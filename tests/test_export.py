@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from adscmc import export, printf
 from adscmc.cli import main
-from adscmc.export import CSV_HEADER, dumps, export_csv, export_json, export_obj, read_json
+from adscmc.export import (CSV_HEADER, dumps, export_csv, export_json, export_obj,
+                           export_surface, read_json)
 from adscmc.gallery import oracle_surface
 from adscmc.geometry import fundamental_data
 from adscmc.nullcurves import KIND_F1, KIND_F2_MU, assemble_mu, integrate_frame
@@ -180,6 +181,25 @@ def test_unknown_ambient_is_rejected(tmp_path):
         read_json(str(path))
     msg = str(err.value)
     assert str(path) in msg and "meta.ambient" in msg and "'ads'" in msg
+
+
+def _seven_by_seven(name):
+    return oracle_surface(name, (-0.5, 0.5, -0.5, 0.5), 7, 7)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: export_json(_seven_by_seven("minimal-enneper"), "plus", path),
+     "projection applies only to quadric surfaces"),
+    (lambda path: read_json(str(_doctored(path.parent, lambda doc: doc.update(schema=2)))),
+     "unsupported schema 2"),
+    (lambda path: export_surface(_seven_by_seven("horosphere"), None, "csv", path),
+     "CSV export needs measured fundamental data"),
+    (lambda path: export_surface(_seven_by_seven("horosphere"), None, "ply", path),
+     "unknown format 'ply'; use obj, json, or csv"),
+])
+def test_unsupported_request_is_rejected(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path / "out")
 
 
 @pytest.fixture
@@ -530,6 +550,59 @@ def test_negative_zero_reads_back_signed(tmp_path, read_fallbacks):
     for p in (path, spaced):
         _assert_same_bits(read_json(str(p))[0].points, points)
     assert read_fallbacks == {"files": 1, "numbers": 0}
+
+
+def _compact(tmp_path, edit):
+    """_doctored, written by json without spaces, so that its vertices
+    span is one read_rows takes, and the vertices json reads from it."""
+    path = _doctored(tmp_path, edit)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(doc, separators=(",", ":")))
+    return path, np.asarray(doc.get("vertices"), dtype=float)
+
+
+def test_a_vertices_key_after_the_span_takes_the_fallback(tmp_path, read_fallbacks):
+    path, want = _compact(tmp_path, lambda doc: doc.update(report={"vertices": 1}))
+    surface, _, report = read_json(str(path))
+    _assert_same_bits(surface.points.reshape(want.shape), want)
+    assert report == {"vertices": 1} and read_fallbacks["files"] == 1
+
+
+def test_a_span_at_the_start_of_the_file_reads_as_json_reads_it(tmp_path, read_fallbacks):
+    def edit(doc):
+        vertices = doc.pop("vertices")
+        rest = dict(doc)
+        doc.clear()
+        doc.update(vertices=vertices, **rest)
+    path, want = _compact(tmp_path, edit)
+    assert path.read_bytes().startswith(b'{"vertices":[[')
+    _assert_same_bits(read_json(str(path))[0].points.reshape(want.shape), want)
+    assert read_fallbacks["files"] == 0
+
+
+def test_a_file_cut_after_the_span_raises_a_json_error(tmp_path, read_fallbacks):
+    path, _ = _compact(tmp_path, lambda doc: doc.update(report={"a": 1}))
+    text = path.read_text()
+    path.write_text(text[:text.rindex(',"report"')])
+    with pytest.raises(json.JSONDecodeError):
+        read_json(str(path))
+    assert read_fallbacks["files"] == 1
+
+
+def test_vertices_only_inside_meta_are_missing(tmp_path, read_fallbacks):
+    path, _ = _compact(tmp_path, lambda doc: doc["meta"].update(vertices=doc.pop("vertices")))
+    with pytest.raises(ValueError) as err:
+        read_json(str(path))
+    assert str(path) in str(err.value) and "'vertices' is missing" in str(err.value)
+    assert read_fallbacks["files"] == 1
+
+
+def test_a_short_row_is_a_ragged_list(tmp_path):
+    path = _doctored(tmp_path, lambda doc: doc["vertices"][3].pop())
+    with pytest.raises(ValueError) as err:
+        read_json(str(path))
+    msg = str(err.value)
+    assert str(path) in msg and "'vertices'" in msg and "found a ragged list" in msg
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -575,3 +575,15 @@ def test_unsheared_control_passes_the_same_gate():
     ok, _, _, _ = report.worst(h_error=report.stats_h_error(0.0))
     assert ok
     assert report.stats["ambient"] == "E31"
+
+
+@pytest.mark.parametrize("us, vs, message", [
+    (np.array([0.0, 0.1, 0.2, 0.3, 0.5]), np.linspace(0, 1, 5), "u nodes must be uniformly spaced"),
+    (np.linspace(0, 1, 4), np.linspace(0, 1, 5), "at least a 5x5 grid"),
+    (np.linspace(0, 1, 5), np.linspace(0, 1, 4), "at least a 5x5 grid"),
+])
+def test_grid_that_cannot_be_measured_is_rejected(us, vs, message):
+    surface = SurfaceGrid(us, vs, np.zeros((len(us), len(vs), 3)),
+                          np.zeros((len(us), len(vs)), dtype=bool), "control")
+    with pytest.raises(ValueError, match=message):
+        fundamental_data(surface)

@@ -84,6 +84,12 @@ def test_nan_initial_frame_is_rejected():
                       init=(np.full((2, 2), np.nan), np.eye(2)))
 
 
+@pytest.mark.parametrize("nu, nv", [(1, 5), (5, 1)])
+def test_frame_grid_below_two_nodes_is_rejected(nu, nv):
+    with pytest.raises(ValueError, match="need at least a 2x2 frame grid"):
+        integrate_lax(LIOUVILLE, (0.1, 0.5, 0.1, 0.5), nu, nv)
+
+
 def test_gate_can_be_disabled():
     bad = GmcData.build("0", 1.0, "1", "1")
     with pytest.warns(RuntimeWarning, match="path defect"):

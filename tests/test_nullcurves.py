@@ -241,3 +241,9 @@ def test_minimal_cousin_is_the_flat_limit_of_the_leg_product(data):
     central = [gap(0.5 * (_flat_quotient(data, eps, n) + _flat_quotient(data, -eps, n)))
                / eps ** 2 for eps in (0.1, 0.01, 0.001)]
     assert 0.1 < min(central) and max(central) < (1.0 + 1e-3) * min(central)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_leg_below_two_nodes_is_rejected(n):
+    with pytest.raises(ValueError, match="need at least 2 nodes"):
+        integrate_frame(KIND_F1, "1", "0", (0.0, 1.0), n)

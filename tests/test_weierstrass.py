@@ -315,3 +315,15 @@ def test_field_evaluations_follow_levels_not_grid_size(monkeypatch):
             seen.append(len(levels))
     assert seen[:3] == [2, 2, 2]
     assert max(seen[3:]) > 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: integrate_minimal(ENNEPER, (-0.5, 0.5, -0.5, 0.5), 1, 5), "a 2x2 grid"),
+    (lambda: integrate_minimal(ENNEPER, (-0.5, 0.5, -0.5, 0.5), 5, 1), "a 2x2 grid"),
+    # f = g = 0 makes both tangents vanish
+    (lambda: minimal_normal(WeierstrassData.build("0", "0", "0", "0"), 0.1, 0.2),
+     "normal solve degenerate: metric factor vanishes"),
+])
+def test_degenerate_minimal_input_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
