@@ -22,12 +22,13 @@ components of the surface that was exported.  That includes the sign
 of zero: the writer prints -0.0 as "-0", which json reads as the int 0,
 so the reader reads every "-0" of a file as -0.0.
 
-read_json reads the file once.  The vertices span of a file this module
-wrote is converted by printf.read_rows, the inverse of the formatter,
-and the rest of the file (schema, meta, mask, report) by json with the
-span replaced by [].  A file the converter declines (whitespace in the
-span, a value that is no number, ragged rows) is parsed by json as a
-whole, and its grid checked as before, with the same errors.
+read_json reads the file once, as bytes, and does not touch the cyclic
+collector.  The vertices span of a file this module wrote is converted
+by printf.read_rows, the inverse of the formatter, and the rest of the
+file (schema, meta, mask, report) by json with the span replaced by [].
+A file the converter declines (whitespace in the span, a value that is
+no number, ragged rows, a span at the very start of the file) is parsed
+by json as a whole, and its grid checked as before, with the same errors.
 
 The bulk arrays (OBJ vertices and faces, JSON vertices, CSV rows) are
 written in blocks of _BLOCK_ROWS rows by one vectorized formatter
@@ -41,11 +42,9 @@ file (JSON meta and report, gauss findings) go through ``dumps``, which
 writes non-finite floats as null.
 """
 
-import gc
 import io
 import itertools
 import json
-import os
 import sys
 
 import numpy as np
@@ -225,28 +224,28 @@ _VERTICES = b'"vertices":'
 
 def _load(data):
     """json.load of the bytes data, decoded as open() decodes a file,
-    with each -0 read as the float -0.0 (json reads it as the int 0)."""
-    return json.load(io.TextIOWrapper(io.BytesIO(data)),
-                     parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    with each -0 read as the float -0.0 (json reads it as the int 0).
+    Bytes without a -0 keep json's own integer parse."""
+    hook = (lambda s: -0.0 if s == "-0" else int(s)) if b"-0" in data else None
+    return json.load(io.TextIOWrapper(io.BytesIO(data)), parse_int=hook)
 
 
 def _whole_document(buf):
     """The document of the file in buf parsed by json as a whole."""
-    from .printf import READ_PAD
-    return _load(memoryview(buf)[READ_PAD:]), None
+    return _load(buf)
 
 
 def _document(buf):
-    """The document of the file in buf and its vertex rows, or None for
-    them when they are only in the document.
+    """The document of the file in buf, its "vertices" an array when
+    printf.read_rows reads them.
 
     A compact vertices span, "vertices":[[..],..,[..]] as export_json
-    writes it, is read by printf.read_rows, and the rest of the file is
-    parsed by json with the span replaced by []; the key must appear
-    once.  Any other file is parsed whole.
+    writes it, is read by read_rows, and the rest of the file is parsed
+    by json with the span replaced by []; the key must appear once.  Any
+    other file is parsed whole.
     """
-    from .printf import READ_PAD, read_rows
-    key = buf.find(b'"vertices"', READ_PAD)
+    from .printf import read_rows
+    key = buf.find(b'"vertices"')
     lo = key + len(_VERTICES)
     if key < 0 or buf[key:lo + 2] != _VERTICES + b"[[":
         return _whole_document(buf)
@@ -260,28 +259,19 @@ def _document(buf):
     if verts is None:
         return _whole_document(buf)
     try:
-        doc = _load(bytes(buf[READ_PAD:lo]) + b"[]" + bytes(buf[hi:]))
+        doc = _load(buf[:lo] + b"[]" + buf[hi:])
     except ValueError:      # a syntax or decoding error, raised again at its place
         return _whole_document(buf)
     if not isinstance(doc, dict) or doc.get("vertices") != []:
         return _whole_document(buf)
-    return doc, verts
-
-
-def _read_padded(path):
-    """The bytes of the file, after printf.READ_PAD zero bytes."""
-    from .printf import READ_PAD
-    with open(path, "rb") as fh:
-        buf = bytearray(READ_PAD + os.fstat(fh.fileno()).st_size)
-        got = fh.readinto(memoryview(buf)[READ_PAD:])
-        del buf[READ_PAD + got:]
-        buf += fh.read()        # the rest of a file of no known size, a pipe
-    return buf
+    doc["vertices"] = verts
+    return doc
 
 
 def read_json(path):
     """Rebuild (surface, meta, report) from an exported JSON grid.
 
+    The file is read once, as bytes, and the collector is not touched.
     The vertices are kept as written, so the grid holds exactly the
     values of the surface that was exported, the sign of each zero
     included: json reads the "-0" that the writer prints for -0.0 as the
@@ -297,16 +287,8 @@ def read_json(path):
     the parsed rows, so a true mixed into numeric rows is still read as
     1.0.  Vertices of the wrong shape raise the same error on both paths.
     """
-    buf = _read_padded(path)
-    # a parsed document holds no reference cycles, yet the collector would
-    # rescan its growing row lists about a quarter of the parse time
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        doc, verts = _document(buf)
-    finally:
-        if enabled:
-            gc.enable()
+    with open(path, "rb") as fh:
+        doc = _document(fh.read())
     if doc.get("schema") != 1:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
     meta = doc.get("meta")
@@ -329,8 +311,7 @@ def read_json(path):
                          f"with u0 < u1 and v0 < v1, found {domain!r}")
     quadric = meta["ambient"] == "h31" and "projected" not in meta
     assembly, k = ("mu", 4) if quadric else ("minimal", 3)
-    verts = _grid_field(path, doc if verts is None else {"vertices": verts}, "vertices",
-                        (nu * nv, k), numeric=True)
+    verts = _grid_field(path, doc, "vertices", (nu * nv, k), numeric=True)
     if "mask" in doc:
         mask = _grid_field(path, doc, "mask", (nu * nv,), numeric=False).reshape(nu, nv)
     else:

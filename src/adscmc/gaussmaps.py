@@ -220,13 +220,12 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     wv1 = _wronskian(a1, c1, hv, 1)
     wv2 = _wronskian(a2, c2, hv, 1)
 
-    gaps = [np.abs(wr - p) for wr, p in zip((wu1, wu2, wv1, wv2), pred)]
-    residual = np.fmax(np.fmax(gaps[0], gaps[1]), np.fmax(gaps[2], gaps[3]))
-    mag_u = np.maximum(np.abs(wu1), np.abs(wu2))
-    mag_v = np.maximum(np.abs(wv1), np.abs(wv2))
-    codes = (mag_u <= tol.hol).astype(np.uint8)
-    codes[mag_v <= tol.hol] += 2
-    return HolomorphicityReport(max_residual=float(np.nanmax(residual)), codes=codes)
+    # each gap is reduced on its own, so no residual grid is kept
+    max_residual = np.fmax.reduce([np.fmax.reduce(np.abs(wr - p), axis=None)
+                                   for wr, p in zip((wu1, wu2, wv1, wv2), pred)])
+    codes = ((np.abs(wu1) <= tol.hol) & (np.abs(wu2) <= tol.hol)).astype(np.uint8)
+    codes[(np.abs(wv1) <= tol.hol) & (np.abs(wv2) <= tol.hol)] += 2
+    return HolomorphicityReport(max_residual=float(max_residual), codes=codes)
 
 
 def gauss_conformality_check(fd, sign="plus"):

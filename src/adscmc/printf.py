@@ -276,8 +276,8 @@ def write_rows(fh, rowfmt, blocks, sep=""):
 
 # Reading: each number of a span is read from the 24 bytes that end where
 # its digits end, taken as three little-endian words, the first character
-# in the low byte of the first word.  A buffer holds READ_PAD bytes before
-# a span so that every such window lies inside it.
+# in the low byte of the first word.  A span starting within READ_PAD bytes
+# of its buffer is declined, so that every such window lies inside it.
 READ_PAD = 24
 # span bytes per block, whose words stay in cache between passes: on a
 # 301 x 301 grid file 128 KiB read within 4% of 256 KiB and 32 KiB read
@@ -428,11 +428,11 @@ def read_rows(buf, lo, hi):
     """The rows of the JSON array buf[lo:hi] of equally long rows of
     numbers, as a float64 array of the values json reads, or None.
 
-    buf is a bytearray with at least READ_PAD bytes before lo.  The span
-    must be compact, "[[" row "],[" row .. "]]", with numbers separated
-    by single commas.  None when it is not, or when a number is no JSON
-    number, is an integer of more than 18 digits or is not finite.  A
-    "-0" reads as -0.0.
+    buf is bytes or bytearray; a span starting within READ_PAD bytes of
+    it is declined.  The span must be compact, "[[" row "],[" row .. "]]",
+    with numbers separated by single commas.  None when it is not, or
+    when a number is no JSON number, is an integer of more than 18
+    digits or is not finite.  A "-0" reads as -0.0.
 
     The span is cut at its commas in blocks of _READ_BLOCK bytes.  Each
     token is read from three words (_mantissas) and scaled by a

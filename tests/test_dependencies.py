@@ -2,6 +2,7 @@
 no module of the package or of the tests imports a name it never reads,
 no function of the package takes a parameter it never reads,
 no module of the package imports another's private name,
+no module reaches printf but through write_rows and read_rows,
 no numerical threshold of the package is a bare literal,
 and every public name of the package is read by the package or listed
 with the reason it is kept."""
@@ -96,6 +97,18 @@ def test_no_module_imports_a_private_name():
     # a helper that another module needs is public under a public name
     hits = [f"{path.name}:{line} imports {name}" for path in sorted(SRC.glob("*.py"))
             for line, name in _private_imports(path)]
+    assert not hits, hits
+
+
+# the formatter's entry points; its tables and bounds stay its own
+PRINTF_ENTRY_POINTS = {"write_rows", "read_rows"}
+
+
+def test_printf_is_reached_only_through_its_entry_points():
+    hits = [f"{path.name}:{node.lineno} imports {alias.name}"
+            for path in sorted(SRC.glob("*.py")) for node in ast.walk(_tree(path))
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module == "printf"
+            for alias in node.names if alias.name not in PRINTF_ENTRY_POINTS]
     assert not hits, hits
 
 
