@@ -45,6 +45,7 @@ writes non-finite floats as null.
 import io
 import itertools
 import json
+import re
 import sys
 
 import numpy as np
@@ -222,11 +223,20 @@ def _is_grid_number(x):
 _VERTICES = b'"vertices":'
 
 
+# the integer literal -0: no digit, point or exponent follows it, while
+# the -0 of -0.5 or of an exponent e-05 starts no integer literal
+_NEGATIVE_ZERO = re.compile(rb"-0(?![0-9.eE])")
+
+
+def _signed_int(literal):
+    return -0.0 if literal == "-0" else int(literal)
+
+
 def _load(data):
     """json.load of the bytes data, decoded as open() decodes a file,
     with each -0 read as the float -0.0 (json reads it as the int 0).
-    Bytes without a -0 keep json's own integer parse."""
-    hook = (lambda s: -0.0 if s == "-0" else int(s)) if b"-0" in data else None
+    Bytes without an integer -0 keep json's own integer parse."""
+    hook = _signed_int if _NEGATIVE_ZERO.search(data) else None
     return json.load(io.TextIOWrapper(io.BytesIO(data)), parse_int=hook)
 
 

@@ -208,12 +208,14 @@ def test_malformed_json_raises_a_json_error(tmp_path):
         read_json(str(path))
 
 
-def test_a_file_without_negative_zero_keeps_the_json_integer_parse(tmp_path, monkeypatch):
+def test_a_file_without_an_integer_negative_zero_keeps_the_json_integer_parse(
+        tmp_path, monkeypatch):
+    # the -0 of the domain's -0.5 and of an exponent e-05 is no integer -0
     def edit(doc):
-        doc["meta"]["domain"] = [0, 1, 0, 1]
         doc["vertices"] = [[1, 2, 3, 4]] * 49
+        doc["report"] = {"max_sff": 1e-05}
     path = _doctored(tmp_path, edit)
-    assert b"-0" not in path.read_bytes()
+    assert b"-0.5" in path.read_bytes() and b"1e-05" in path.read_bytes()
     real_load, hooks = json.load, []
 
     def spy(fh, **kw):
@@ -552,12 +554,9 @@ def test_a_vertices_key_after_the_span_takes_the_fallback(tmp_path, read_fallbac
 
 
 def test_a_span_at_the_start_of_the_file_reads_as_json_reads_it(tmp_path, read_fallbacks):
-    def edit(doc):
-        vertices = doc.pop("vertices")
-        rest = dict(doc)
-        doc.clear()
-        doc.update(vertices=vertices, **rest)
-    path, want = _compact(tmp_path, edit)
+    # every key but the vertices moves after them
+    path, want = _compact(tmp_path, lambda doc: doc.update(
+        {key: doc.pop(key) for key in list(doc) if key != "vertices"}))
     assert path.read_bytes().startswith(b'{"vertices":[[')
     _assert_same_bits(read_json(str(path))[0].points.reshape(want.shape), want)
     # read_rows declines a span that starts within printf.READ_PAD bytes
