@@ -228,15 +228,12 @@ _VERTICES = b'"vertices":'
 _NEGATIVE_ZERO = re.compile(rb"-0(?![0-9.eE])")
 
 
-def _signed_int(literal):
-    return -0.0 if literal == "-0" else int(literal)
-
-
 def _load(data):
     """json.load of the bytes data, decoded as open() decodes a file,
     with each -0 read as the float -0.0 (json reads it as the int 0).
     Bytes without an integer -0 keep json's own integer parse."""
-    hook = _signed_int if _NEGATIVE_ZERO.search(data) else None
+    hook = ((lambda s: -0.0 if s == "-0" else int(s))
+            if _NEGATIVE_ZERO.search(data) else None)
     return json.load(io.TextIOWrapper(io.BytesIO(data)), parse_int=hook)
 
 
