@@ -157,6 +157,25 @@ def test_extracted_data_round_trips():
     assert np.max(np.abs(data.g(ts) - 1.0)) < 1e-7
 
 
+# sha256 of q, q', f, f', r, r', g, g' read back off the legs (sin u,
+# 1 + u^2/4) and (v^2 + 0.3, e^(v/3)) at 401 nodes on [-0.5, 0.5], each
+# evaluated at 977 points that are mostly off the nodes.  At 201 nodes
+# the v leg misses LEG_NULLITY_BOUND (1.04e-8), so extraction raises.
+EXTRACTION_DIGEST = "db19cee549494d197a8a438c0a3fcb40e194e8f98958c7f596fd312638244209"
+
+
+def test_extracted_data_keeps_its_bits():
+    f1 = integrate_frame(KIND_F1, "sin(u)", "1+u^2/4", (-0.5, 0.5), 401)
+    f2 = integrate_frame(KIND_F2_MU, "v^2+0.3", "exp(v/3)", (-0.5, 0.5), 401)
+    data = extract_weierstrass_data(f1, f2)
+    ts = np.linspace(-0.5, 0.5, 977)
+    digest = hashlib.sha256()
+    for leg in (data.q, data.f, data.r, data.g):
+        digest.update(leg(ts).tobytes())
+        digest.update(leg.derivative(ts).tobytes())
+    assert digest.hexdigest() == EXTRACTION_DIGEST
+
+
 def test_both_routes_build_congruent_surfaces():
     # the split data (omega, H, Q, R) = (2 ln(1+uv), 1, 1, 1) and the
     # null-curve data (q, f, r, g) = (u, 1, v, 1) describe the same
