@@ -16,8 +16,8 @@ from .algebra import (METRIC3, METRIC4, act, adjugate, check_unimodular,
 from .config import DEFAULT_TOL, Tolerances
 from .export import (export_csv, export_json, export_obj, export_surface,
                      read_json)
-from .fields import (EvalError, ExprError, ScalarField1D, ScalarField2D,
-                     as_field1d, as_field2d, eval_expression,
+from .fields import (EvalError, ExprError, SampledField1D, ScalarField1D,
+                     ScalarField2D, as_field1d, as_field2d, eval_expression,
                      eval_with_derivatives, fd_derivative, parse_expression,
                      print_expression)
 from .gallery import GALLERY_NAMES, GalleryEntry, gallery, oracle_frame, oracle_surface

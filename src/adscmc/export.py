@@ -179,10 +179,11 @@ def _grid_field(path, doc, key, shape, numeric):
     file and the field, with the expected and found shapes or the first
     offending flat index.
 
-    The dtype is numpy's inference over the parsed lists, with no loop
-    over the entries; a JSON true mixed into numeric rows is therefore
-    still read as 1.0, while a string, a null, an all-bool grid or a
-    non-finite number is rejected.
+    The dtype is numpy's inference over the parsed lists, and only a
+    grid it does not infer as finite numbers is searched entry by entry;
+    a JSON true mixed into numeric rows is therefore still read as 1.0
+    and an integer beyond int64 as its float, while a string, a null, an
+    all-bool grid or a non-finite number is rejected.
     """
     if key not in doc:
         raise ValueError(f"{path}: field {key!r} is missing")
@@ -199,8 +200,12 @@ def _grid_field(path, doc, key, shape, numeric):
             return arr
         else:
             entries = itertools.chain.from_iterable(doc[key]) if numeric else doc[key]
-            is_entry = _is_grid_number if numeric else (lambda x: type(x) is bool)
-            i, value = next((i, x) for i, x in enumerate(entries) if not is_entry(x))
+            is_entry = _is_number if numeric else (lambda x: type(x) is bool)
+            bad = next(((i, x) for i, x in enumerate(entries) if not is_entry(x)), None)
+            if bad is None:
+                # integers of 2**64 and above leave numpy an object array
+                return arr.astype(float)
+            i, value = bad
             raise ValueError(f"{path}: field {key!r} should hold "
                              f"{'finite numbers' if numeric else 'true or false'}, "
                              f"found {value!r} at flat index {i}")
@@ -212,12 +217,6 @@ def _is_number(x):
     """A JSON number (not a bool) that is finite as a float64."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) \
         and abs(x) <= sys.float_info.max
-
-
-def _is_grid_number(x):
-    """A JSON number numpy infers as int64 or float64 and that is finite:
-    grids whose entries all are read by _grid_field's inference alone."""
-    return _is_number(x) and (isinstance(x, float) or -2 ** 63 <= x < 2 ** 63)
 
 
 _VERTICES = b'"vertices":'

@@ -23,38 +23,36 @@ Derivative slots are formed where an operand is a full jet, the other
 lifted to (f, 0, 0, 0).  A variable-free exponent takes the power rule,
 which holds at negative bases (u^-1 at u < 0); a zero coefficient gives
 a zero slot (u^0, u^1 at u = 0).  A variable exponent takes
-f^g = exp(g ln f).  No derivative is found by finite differences.
+f^g = exp(g ln f).  No closed-form derivative is found by finite
+differences.
 
-Only one-variable fields are sampled: they interpolate with the 4-point
-cubic Lagrange rule on a uniform grid and differentiate with 4th-order
-finite differences.
+A field of one variable is either closed form (ScalarField1D, which
+every command evaluates) or sampled on a uniform grid (SampledField1D,
+the legs read back off integrated frames).  Both are called at points
+and have a derivative; a sampled one interpolates its samples and their
+4th-order differences with the 4-point cubic Lagrange rule.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-FUNCTIONS = ("sin", "cos", "sinh", "cosh", "tanh", "exp", "ln", "sqrt", "abs")
-
+# each function with its first and second derivatives, as functions of
+# the argument value
 _FN = {
-    "sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
-    "tanh": np.tanh, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "abs": np.abs,
-}
-_BIN = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
-
-# first and second derivatives, as functions of the argument value
-_FN_D = {
-    "sin": (np.cos, lambda x: -np.sin(x)),
-    "cos": (lambda x: -np.sin(x), lambda x: -np.cos(x)),
-    "sinh": (np.cosh, np.sinh),
-    "cosh": (np.sinh, np.cosh),
-    "tanh": (lambda x: 1.0 - np.tanh(x) ** 2,
+    "sin": (np.sin, np.cos, lambda x: -np.sin(x)),
+    "cos": (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)),
+    "sinh": (np.sinh, np.cosh, np.sinh),
+    "cosh": (np.cosh, np.sinh, np.cosh),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2,
              lambda x: -2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2)),
-    "exp": (np.exp, np.exp),
-    "ln": (lambda x: 1.0 / x, lambda x: -1.0 / x ** 2),
-    "sqrt": (lambda x: 0.5 / np.sqrt(x), lambda x: -0.25 * x ** -1.5),
-    "abs": (np.sign, lambda x: np.zeros_like(np.asarray(x, dtype=float))),
+    "exp": (np.exp, np.exp, np.exp),
+    "ln": (np.log, lambda x: 1.0 / x, lambda x: -1.0 / x ** 2),
+    "sqrt": (np.sqrt, lambda x: 0.5 / np.sqrt(x), lambda x: -0.25 * x ** -1.5),
+    "abs": (np.abs, np.sign, lambda x: np.zeros_like(np.asarray(x, dtype=float))),
 }
+FUNCTIONS = tuple(_FN)
+_BIN = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
 class ExprError(ValueError):
@@ -299,11 +297,11 @@ def _jet(ast, env, du, dv):
     if isinstance(ast, Neg):
         return tuple(-x for x in _jet(ast.arg, env, du, dv))
     if isinstance(ast, Fn):
+        fn, p1, p2 = _FN[ast.name]
         a = _jet(ast.arg, env, du, dv)
-        val = _FN[ast.name](a[0])
+        val = fn(a[0])
         if len(a) == 1:
             return (val,)
-        p1, p2 = _FN_D[ast.name]
         d1 = p1(a[0])
         return (val, d1 * a[1], d1 * a[2], p2(a[0]) * a[1] * a[2] + d1 * a[3])
     a, b = _jet(ast.left, env, du, dv), _jet(ast.right, env, du, dv)
@@ -344,35 +342,7 @@ def eval_with_derivatives(ast, env, du, dv):
 
 
 # ---------------------------------------------------------------------------
-# interpolation helpers
-
-def _cubic_weights(x):
-    """Lagrange weights on nodes -1, 0, 1, 2 at local coordinate x."""
-    return (
-        -x * (x - 1.0) * (x - 2.0) / 6.0,
-        (x * x - 1.0) * (x - 2.0) / 2.0,
-        -x * (x + 1.0) * (x - 2.0) / 2.0,
-        x * (x * x - 1.0) / 6.0,
-    )
-
-
-# how far past the sampled ends an evaluation point may lie, the rounding
-# of t0 + k dt and of (t - t0) / dt: below t0 a fraction of the range,
-# above the last node a fraction of the range plus a fraction of a step
-RANGE_SLACK_BELOW = 1e-9
-RANGE_SLACK_ABOVE = 1e-12
-STEP_SLACK_ABOVE = 1e-9
-
-
-def _cubic_base(t, t0, dt, n):
-    s = (np.asarray(t, dtype=float) - t0) / dt
-    lo = -RANGE_SLACK_BELOW * max(n - 1, 1)
-    hi = (n - 1) * (1.0 + RANGE_SLACK_ABOVE) + STEP_SLACK_ABOVE
-    if np.any(s < lo) or np.any(s > hi):
-        raise ValueError("evaluation outside the sampled range")
-    i = np.clip(np.floor(s).astype(int), 1, n - 3)
-    return i, s - i
-
+# differences of uniform samples
 
 def fd_derivative(values, h, axis=0):
     """4th-order first derivative of uniform samples along an axis."""
@@ -393,58 +363,77 @@ def fd_derivative(values, h, axis=0):
 # one-variable fields
 
 class ScalarField1D:
-    """A scalar function of one variable, closed form or sampled."""
+    """A closed-form scalar function of one variable."""
 
-    def __init__(self, expr=None, var="t", samples=None, t0=None, dt=None):
-        if (expr is None) == (samples is None):
-            raise ValueError("give either an expression or samples")
+    def __init__(self, expr, var="t"):
         self.expr = expr
         self.var = var
-        if samples is not None:
-            self.samples = np.asarray(samples, dtype=float)
-            if self.samples.ndim != 1 or self.samples.size < 4:
-                raise ValueError("sampled fields need at least 4 values")
-            self.t0 = float(t0)
-            self.dt = float(dt)
-        else:
-            self.samples = None
 
     @classmethod
     def parse(cls, src, var="t"):
-        return cls(expr=parse_expression(src, variables=(var,)), var=var)
+        return cls(parse_expression(src, variables=(var,)), var)
 
     @classmethod
     def const(cls, value, var="t"):
-        return cls(expr=Num(float(value)), var=var)
-
-    @classmethod
-    def from_samples(cls, t0, dt, values):
-        return cls(samples=values, t0=t0, dt=dt)
+        return cls(Num(float(value)), var)
 
     def __call__(self, t):
-        if self.samples is None:
-            val = eval_expression(self.expr, {self.var: np.asarray(t, dtype=float)})
-            return np.broadcast_to(np.asarray(val, dtype=float), np.shape(t)) if np.shape(t) else float(val)
-        i, x = _cubic_base(t, self.t0, self.dt, self.samples.size)
-        w = _cubic_weights(x)
-        s = self.samples
-        return w[0] * s[i - 1] + w[1] * s[i] + w[2] * s[i + 1] + w[3] * s[i + 2]
+        val = eval_expression(self.expr, {self.var: np.asarray(t, dtype=float)})
+        return np.broadcast_to(np.asarray(val, dtype=float), np.shape(t)) if np.shape(t) else float(val)
 
     def derivative(self, t):
-        if self.samples is None:
-            _, d, _, _ = eval_with_derivatives(self.expr, {self.var: np.asarray(t, dtype=float)}, self.var, None)
-            return d if np.shape(t) else float(d)
-        if not hasattr(self, "_dsamples"):
-            self._dsamples = fd_derivative(self.samples, self.dt)
-        i, x = _cubic_base(t, self.t0, self.dt, self.samples.size)
-        w = _cubic_weights(x)
-        s = self._dsamples
-        return w[0] * s[i - 1] + w[1] * s[i] + w[2] * s[i + 1] + w[3] * s[i + 2]
+        _, d, _, _ = eval_with_derivatives(self.expr, {self.var: np.asarray(t, dtype=float)}, self.var, None)
+        return d if np.shape(t) else float(d)
+
+
+# how far past the sampled ends an evaluation point may lie, the rounding
+# of t0 + k dt and of (t - t0) / dt: below t0 a fraction of the range,
+# above the last node a fraction of the range plus a fraction of a step
+RANGE_SLACK_BELOW = 1e-9
+RANGE_SLACK_ABOVE = 1e-12
+STEP_SLACK_ABOVE = 1e-9
+
+
+class SampledField1D:
+    """A scalar function of one variable sampled at t0 + k dt, k = 0, 1, ...
+
+    Values interpolate the samples, and the derivative interpolates
+    their 4th-order differences, both with the 4-point cubic rule.
+    """
+
+    def __init__(self, t0, dt, samples):
+        self.samples = np.asarray(samples, dtype=float)
+        if self.samples.ndim != 1 or self.samples.size < 5:
+            raise ValueError("sampled fields need at least 5 values")
+        self.t0 = float(t0)
+        self.dt = float(dt)
+        self.dsamples = fd_derivative(self.samples, self.dt)
+
+    def _cubic(self, s, t):
+        """The cubic through the 4 samples of s around t, at t."""
+        x = (np.asarray(t, dtype=float) - self.t0) / self.dt
+        n = s.size
+        if (np.any(x < -RANGE_SLACK_BELOW * (n - 1))
+                or np.any(x > (n - 1) * (1.0 + RANGE_SLACK_ABOVE) + STEP_SLACK_ABOVE)):
+            raise ValueError("evaluation outside the sampled range")
+        i = np.clip(np.floor(x).astype(int), 1, n - 3)
+        x = x - i
+        # Lagrange weights on the nodes i - 1, i, i + 1, i + 2
+        return (-x * (x - 1.0) * (x - 2.0) / 6.0 * s[i - 1]
+                + (x * x - 1.0) * (x - 2.0) / 2.0 * s[i]
+                - x * (x + 1.0) * (x - 2.0) / 2.0 * s[i + 1]
+                + x * (x * x - 1.0) / 6.0 * s[i + 2])
+
+    def __call__(self, t):
+        return self._cubic(self.samples, t)
+
+    def derivative(self, t):
+        return self._cubic(self.dsamples, t)
 
 
 def as_field1d(src, var="t"):
     """Coerce an expression string, a number, or a field to a field."""
-    if isinstance(src, ScalarField1D):
+    if isinstance(src, (ScalarField1D, SampledField1D)):
         return src
     if isinstance(src, str):
         return ScalarField1D.parse(src, var=var)

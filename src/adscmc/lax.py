@@ -39,7 +39,7 @@ import numpy as np
 
 from .algebra import adjugate, check_unimodular, pack2
 from .config import DEFAULT_TOL
-from .fields import ScalarField1D, as_field1d, as_field2d, fd_derivative
+from .fields import SampledField1D, as_field1d, as_field2d, fd_derivative
 from .geometry import row_blocks
 from .nullcurves import (check_drift, check_leg_pair, magnus_increments, magnus_march,
                          product_surface, stage_times)
@@ -255,8 +255,7 @@ def _leg_data(curve, tol):
         raise ZeroDivisionError(
             "direction entry of the connection vanishes on the range "
             f"(min |.| = {bad:.3e}); data only recoverable locally")
-    return (ScalarField1D.from_samples(curve.t0, step, a / c),
-            ScalarField1D.from_samples(curve.t0, step, c))
+    return SampledField1D(curve.t0, step, a / c), SampledField1D(curve.t0, step, c)
 
 
 def extract_weierstrass_data(f1, f2, tol=DEFAULT_TOL):

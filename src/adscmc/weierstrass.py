@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import cross3, scalar_product3
 from .config import DEFAULT_TOL
-from .fields import ScalarField1D, as_field1d
+from .fields import SampledField1D, ScalarField1D, as_field1d
 from .geometry import SurfaceGrid
 
 
@@ -76,10 +76,10 @@ class QuadratureError(RuntimeError):
 class WeierstrassData:
     """Null-direction data: q, f depend on u; r, g depend on v."""
 
-    q: ScalarField1D
-    f: ScalarField1D
-    r: ScalarField1D
-    g: ScalarField1D
+    q: ScalarField1D | SampledField1D
+    f: ScalarField1D | SampledField1D
+    r: ScalarField1D | SampledField1D
+    g: ScalarField1D | SampledField1D
 
     @classmethod
     def build(cls, q, f, r, g):

@@ -187,3 +187,8 @@ def test_projection_lenient_mode_masks_poles():
     out = project_h31(pts, "minus")
     assert np.all(np.isnan(out[0]))
     assert np.all(np.isfinite(out[1]))
+
+
+def test_projection_names_the_poles_it_takes():
+    with pytest.raises(ValueError, match="pole must be 'plus' or 'minus'"):
+        project_h31(np.array([1.0, 0.0, 0.0, 0.0]), "north")

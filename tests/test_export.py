@@ -96,6 +96,10 @@ def test_numpy_bools_are_json_literals():
         '{"a":true,"b":[false,true]}'
 
 
+def test_none_is_json_null():
+    assert dumps({"a": None}) == '{"a":null}'
+
+
 def _doctored(tmp_path, edit):
     """A 7 x 7 horosphere grid file with its parsed document edited."""
     path = tmp_path / "grid.json"
@@ -281,6 +285,17 @@ def test_integer_vertices_read_as_floats(tmp_path):
     path = _doctored(tmp_path, lambda doc: doc.update(vertices=[[0, 1, 0, 0]] * 49))
     surface, _, _ = read_json(str(path))
     assert surface.points.dtype == float and (surface.points[..., 1] == 1.0).all()
+
+
+@pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")], ids=["compact", "spaced"])
+def test_an_integer_beyond_int64_reads_as_its_float(tmp_path, separators):
+    # numpy keeps 2**64 and above as objects, so no dtype says the grid is
+    # numeric; the entry is still a finite number
+    path = _doctored(tmp_path, _set("vertices", 11, 2 ** 70))
+    path.write_text(json.dumps(json.loads(path.read_text()), separators=separators))
+    surface, _, _ = read_json(str(path))
+    assert surface.points.dtype == float
+    assert surface.points.reshape(-1)[11] == float(2 ** 70)
 
 
 def _written(rowfmt, rows, sep=""):
@@ -643,6 +658,20 @@ def test_spans_with_a_non_number_are_declined(token):
     span = ("[[1," + token + "],[2,3]]").encode().decode("unicode_escape").encode("utf-8")
     buf = bytearray(printf.READ_PAD) + span
     assert printf.read_rows(buf, printf.READ_PAD, len(buf)) is None
+
+
+def _first_token_read(token):
+    buf = bytearray(printf.READ_PAD) + ("[[" + token + ",1],[2,3]]").encode()
+    return printf.read_rows(buf, printf.READ_PAD, len(buf))
+
+
+def test_a_token_longer_than_a_read_block_is_read_as_json_reads_it():
+    # the first read block holds no comma; the integer token is declined
+    # like any of more than 18 digits, the float token reads as its float
+    assert printf._READ_BLOCK < 200_000
+    assert _first_token_read("9" * 200_000) is None
+    token = "0." + "3" * 199_999
+    _assert_same_bits(_first_token_read(token), np.array([[float(token), 1.0], [2.0, 3.0]]))
 
 
 @pytest.mark.parametrize("span", ["[[1,2],[3]]", "[[1,2],[3,4,5]]", "[[1,2] ,[3,4]]",
