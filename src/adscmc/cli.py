@@ -163,11 +163,13 @@ def _cmd_measure(args):
 
 def _cmd_gauss(args):
     frames, surface = _lax_surface(args)
-    fd = fundamental_data(surface)
+    # the frame routes run first, so the frames are freed before the
+    # surface is measured, and each map is dropped once its gap to the
+    # surface map is read; the findings keep their key order
     hol = holomorphicity_check(frames, sign=args.sign, tol=args.tol)
-    # the tangent route holds the most grids at once, so it runs while
-    # the fewest other grids are live
-    gen = generalized_gauss(fd, sign=args.sign, tol=args.tol)
+    frame = frame_gauss_coordinates(frames, sign=args.sign, tol=args.tol)
+    del frames
+    fd = fundamental_data(surface)
     hyp = hyperbolic_gauss(fd, sign=args.sign, tol=args.tol)
 
     def chart_gap(a):
@@ -175,16 +177,20 @@ def _cmd_gauss(args):
         sel = a.valid() & hyp.valid()
         return max(stat_max(a.g1 - hyp.g1, sel), stat_max(a.g2 - hyp.g2, sel))
 
+    frame_gap = chart_gap(frame)
+    del frame
+    gen = generalized_gauss(fd, sign=args.sign, tol=args.tol)
+    gen_gap, max_rep_det = chart_gap(gen), max(hyp.max_rep_det, gen.max_rep_det)
+    del gen
     findings = {
         "schema": 1,
         "command": "gauss",
         "sign": args.sign,
         "classification": hol.label,
         "max_identity_residual": hol.max_residual,
-        "chart_frame_vs_surface": chart_gap(
-            frame_gauss_coordinates(frames, sign=args.sign, tol=args.tol)),
-        "chart_generalized_vs_surface": chart_gap(gen),
-        "max_rep_det": max(hyp.max_rep_det, gen.max_rep_det),
+        "chart_frame_vs_surface": frame_gap,
+        "chart_generalized_vs_surface": gen_gap,
+        "max_rep_det": max_rep_det,
         "max_conformality_residual": stat_max(gauss_conformality_check(fd, sign=args.sign),
                                               fd.core(args.tol)),
         "chart_spread": list(hyp.spread()),

@@ -16,11 +16,16 @@ line.  A third route needs neither the normal nor frames: mat(phi_u)
 has a common column direction and mat(phi_v) a common row direction,
 and the outer product of those directions represents the plus line
 (swap the two matrices for the minus line).  It differences the
-tangents again with fd.tangents(), the bits fundamental_data measured
-with, since a measurement stores no tangent planes.  The surface routes
-take a measurement fd alone and read its grid fd.surface; the frame
-routes take integrated Lax frames only.  Every route builds the map of
-one sign per call.
+points again with central_difference, the bits fundamental_data
+measured with, since a measurement stores no tangent planes.  The
+surface routes take a measurement fd alone and read its grid
+fd.surface; the frame routes take integrated Lax frames only.  Every
+route builds the map of one sign per call, in the row blocks of
+geometry.row_blocks: a block's representatives, tangents and Wronskians
+span its rows alone (the differences read a clipped halo of rows
+around them), and only the returned (nu, nv) grids span the whole grid.
+Every value is the same elementwise arithmetic whatever the block size,
+so the blocks leave no seam.
 
 For Lax frames all three routes land on the same chart values, which is
 the substance of the consistency checks in the test suite.  Wronskians
@@ -94,14 +99,29 @@ def _sign_index(sign):
     return 0 if sign == "plus" else 1
 
 
+def _in_row_blocks(nu, nv, block):
+    """The GaussMapGrid of block(a, b) -> (g1, g2, mask, max |det|) of rows
+    [a, b), run over row_blocks; np.fmax keeps stat_max's NaN rule."""
+    g1, g2 = np.empty((nu, nv)), np.empty((nu, nv))
+    mask = np.empty((nu, nv), dtype=bool)
+    max_rep_det = np.nan
+    for a, b in row_blocks(nu, nv):
+        g1[a:b], g2[a:b], mask[a:b], rep_det = block(a, b)
+        max_rep_det = np.fmax(max_rep_det, rep_det)
+    return GaussMapGrid(g1=g1, g2=g2, mask=mask, max_rep_det=float(max_rep_det))
+
+
 def hyperbolic_gauss(fd, sign="plus", tol=DEFAULT_TOL):
     """Chart coordinates of [phi +- N] from the measured normal."""
     _require_h31(fd.surface)
     s = (1.0, -1.0)[_sign_index(sign)]
-    rep = mat_of_vec(fd.surface.points + s * fd.normal)
-    g1, g2, bad = chart_coordinates(rep, tol)
-    return GaussMapGrid(g1=g1, g2=g2, mask=bad | ~np.isfinite(g1) | ~np.isfinite(g2),
-                        max_rep_det=stat_max(det2(rep), True))
+
+    def block(a, b):
+        rep = mat_of_vec(fd.surface.points[a:b] + s * fd.normal[a:b])
+        g1, g2, bad = chart_coordinates(rep, tol)
+        return g1, g2, bad | ~np.isfinite(g1) | ~np.isfinite(g2), stat_max(det2(rep), True)
+
+    return _in_row_blocks(*fd.surface.shape, block)
 
 
 def _outer(col, row):
@@ -125,9 +145,12 @@ def frame_gauss_coordinates(frames, sign="plus", tol=DEFAULT_TOL):
     """
     _require_frames(frames)
     k = _sign_index(sign)
-    rep = _outer(frames.phi1[..., :, k], frames.phi2[..., :, k])
-    g1, g2, bad = chart_coordinates(rep, tol)
-    return GaussMapGrid(g1=g1, g2=g2, mask=bad, max_rep_det=stat_max(det2(rep), True))
+
+    def block(a, b):
+        rep = _outer(frames.phi1[a:b, :, :, k], frames.phi2[a:b, :, :, k])
+        return *chart_coordinates(rep, tol), stat_max(det2(rep), True)
+
+    return _in_row_blocks(len(frames.us), len(frames.vs), block)
 
 
 def _stable_column(m):
@@ -142,23 +165,30 @@ def generalized_gauss(fd, sign="plus", tol=DEFAULT_TOL):
 
     mat(phi_u) is rank one with the column direction of the plus line
     and the row direction of the minus line; mat(phi_v) carries the
-    other half of each.  The tangents come from fd.tangents(), and each
-    component grid is dropped once its matrix form is built.
+    other half of each.  Each row block differences its points again
+    with central_difference, over a one-row halo in u, to the bits
+    fundamental_data measured with.
     """
     _require_h31(fd.surface)
-    xu, xv = fd.tangents()
-    xu = mat_of_vec(xu)
-    xv = mat_of_vec(xv)
-    cm, rm = (xv, xu) if _sign_index(sign) else (xu, xv)
-    with np.errstate(invalid="ignore"):
-        col = _stable_column(cm)
-        # a common row direction is a common column of the transpose
-        row = _stable_column(np.swapaxes(rm, -1, -2))
-        max_rep_det = stat_max(det2(_outer(col, row)), True)
-    g1, bad_c = _ratio(col, tol)
-    g2, bad_r = _ratio(row, tol)
-    return GaussMapGrid(g1=g1, g2=g2, mask=bad_c | bad_r | ~np.isfinite(g1) | ~np.isfinite(g2),
-                        max_rep_det=max_rep_det)
+    points = fd.surface.points
+    nu, nv = fd.surface.shape
+    minus = _sign_index(sign)
+
+    def block(a, b):
+        lo, hi = max(a - 1, 0), min(b + 1, nu)
+        xu = mat_of_vec(central_difference(points[lo:hi], fd.hu, 0)[a - lo:b - lo])
+        xv = mat_of_vec(central_difference(points[a:b], fd.hv, 1))
+        cm, rm = (xv, xu) if minus else (xu, xv)
+        with np.errstate(invalid="ignore"):
+            col = _stable_column(cm)
+            # a common row direction is a common column of the transpose
+            row = _stable_column(np.swapaxes(rm, -1, -2))
+            rep_det = stat_max(det2(_outer(col, row)), True)
+        g1, bad_c = _ratio(col, tol)
+        g2, bad_r = _ratio(row, tol)
+        return g1, g2, bad_c | bad_r | ~np.isfinite(g1) | ~np.isfinite(g2), rep_det
+
+    return _in_row_blocks(nu, nv, block)
 
 
 # the classification of a point, indexed by anti + 2 holo
@@ -207,24 +237,34 @@ def holomorphicity_check(frames, sign="plus", tol=DEFAULT_TOL):
     _require_frames(frames)
     col = _sign_index(sign)
     us, vs = frames.us, frames.vs
+    nu, nv = len(us), len(vs)
     hu = float(us[1] - us[0])
     hv = float(vs[1] - vs[0])
-    u, v = us[:, None], vs[None, :]
-    plus, minus, q, r = lax_terms(frames.data, frames.data.omega(u, v), u, v)
-    pred = (plus, q, r, plus) if col else (q, minus, minus, r)
+    v = vs[None, :]
+    codes = np.empty((nu, nv), dtype=np.uint8)
+    max_residual = np.nan
+    for a, b in row_blocks(nu, nv):
+        u = us[a:b, None]
+        plus, minus, q, r = lax_terms(frames.data, frames.data.omega(u, v), u, v)
+        pred = (plus, q, r, plus) if col else (q, minus, minus, r)
+        # the u differences of rows [a, b) read rows [a - 2, b + 2), and the
+        # one-sided ones at the grid's ends read five rows: a slab of at
+        # least five rows, clipped into the grid, gives each row its stencil
+        lo, hi = max(min(a - 2, nu - 5), 0), min(max(b + 2, 5), nu)
+        a1, c1 = frames.phi1[lo:hi, :, 0, col], frames.phi1[lo:hi, :, 1, col]
+        a2, c2 = frames.phi2[lo:hi, :, 0, col], frames.phi2[lo:hi, :, 1, col]
+        wu1 = _wronskian(a1, c1, hu, 0)[a - lo:b - lo]
+        wu2 = _wronskian(a2, c2, hu, 0)[a - lo:b - lo]
+        a1, c1, a2, c2 = (e[a - lo:b - lo] for e in (a1, c1, a2, c2))
+        wv1 = _wronskian(a1, c1, hv, 1)
+        wv2 = _wronskian(a2, c2, hv, 1)
 
-    a1, c1 = frames.phi1[..., 0, col], frames.phi1[..., 1, col]
-    a2, c2 = frames.phi2[..., 0, col], frames.phi2[..., 1, col]
-    wu1 = _wronskian(a1, c1, hu, 0)
-    wu2 = _wronskian(a2, c2, hu, 0)
-    wv1 = _wronskian(a1, c1, hv, 1)
-    wv2 = _wronskian(a2, c2, hv, 1)
-
-    # each gap is reduced on its own, so no residual grid is kept
-    max_residual = np.fmax.reduce([np.fmax.reduce(np.abs(wr - p), axis=None)
-                                   for wr, p in zip((wu1, wu2, wv1, wv2), pred)])
-    codes = ((np.abs(wu1) <= tol.hol) & (np.abs(wu2) <= tol.hol)).astype(np.uint8)
-    codes[(np.abs(wv1) <= tol.hol) & (np.abs(wv2) <= tol.hol)] += 2
+        # each gap is reduced on its own, so no residual grid is kept
+        for wr, p in zip((wu1, wu2, wv1, wv2), pred):
+            max_residual = np.fmax(max_residual, np.fmax.reduce(np.abs(wr - p), axis=None))
+        block_codes = codes[a:b]
+        block_codes[...] = (np.abs(wu1) <= tol.hol) & (np.abs(wu2) <= tol.hol)
+        block_codes[(np.abs(wv1) <= tol.hol) & (np.abs(wv2) <= tol.hol)] += 2
     return HolomorphicityReport(max_residual=float(max_residual), codes=codes)
 
 

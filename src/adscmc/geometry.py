@@ -49,10 +49,11 @@ difference n_u reads it; the rows two blocks share get the same bits
 from either.  The metric signs of raw are applied by negating its
 negative planes in place, and the normal is raw divided in place.
 fd.normal is the (nu, nv, c) moveaxis view of its planes, not a copy,
-and the one stored array with a component axis: fd.tangents()
-differences the points again, to the bits the blocks used, for their one
-reader, gaussmaps.generalized_gauss.  The products sum in a fixed order,
-component 0 paired with 2, then 1 (and 3), then + 0.0, which is how
+and the one stored array with a component axis: no tangent is stored,
+and gaussmaps.generalized_gauss differences the points of each of its
+row blocks again with central_difference, to the bits the blocks used.
+The products sum in a fixed order, component 0 paired with 2, then 1
+(and 3), then + 0.0, which is how
 np.einsum("...i,...i->...", METRIC * x, y) sums contiguous components
 from a +0.0 accumulator.  The pinned field digests, stdout and golden
 files hold einsum's values: another order changes the last bit at
@@ -125,8 +126,8 @@ def central_difference(a, h, axis):
 
 
 # points per block of every blocked layer, through row_blocks: u rows in
-# fundamental_data, lax.gmc_residual and gaussmaps.gauss_conformality_check,
-# v nodes in lax._sweep, frames in nullcurves.check_drift.  Of 1024 to
+# fundamental_data, lax.gmc_residual and every gaussmaps route, v nodes in
+# lax._sweep, frames in nullcurves.check_drift.  Of 1024 to
 # 16384, 8192 was the fastest fundamental_data at 4001 x 41 (E31), 201^2
 # and 301^2 (H31) on a 2-core x86 container: best of 30 calls 49.8, 12.8,
 # 34.6 ms, against 56.5, 14.8, 40.5 at 4096, 52.8, 17.7, 37.9 at 16384 and
@@ -161,9 +162,9 @@ class FundamentalData:
     NaN wherever the finite-difference stencil or the degeneracy mask
     leaves them undefined.  mask is True at points with no valid
     first-order data.  The normal is the only stored array with a
-    component axis; the tangents phi_u and phi_v are differenced again
-    on demand (tangents), and no shape operator S is stored:
-    det S = K_shape - kbar.
+    component axis; the tangents phi_u and phi_v are not stored (a
+    reader differences surface.points with central_difference), and no
+    shape operator S is stored: det S = K_shape - kbar.
     """
 
     surface: SurfaceGrid
@@ -187,12 +188,6 @@ class FundamentalData:
     def kbar(self):
         """Ambient curvature, named by the normal's component count."""
         return AMBIENTS[self.normal.shape[-1]][1]
-
-    def tangents(self):
-        """(phi_u, phi_v), each (nu, nv, c): the central differences of the
-        points, bit for bit those fundamental_data measured with."""
-        points = self.surface.points
-        return central_difference(points, self.hu, 0), central_difference(points, self.hv, 1)
 
     def valid(self):
         return ~self.mask

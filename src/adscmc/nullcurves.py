@@ -207,7 +207,7 @@ def integrate_frame(kind, s, w, t_range, n, init=None, tol=DEFAULT_TOL):
     check_unimodular(init, tol, what="initial frame")
 
     h = (t1 - t0) / (n - 1)
-    ts = stage_times(t0 + np.arange(n - 1) * (t1 - t0) / (n - 1), h)
+    ts = stage_times(np.linspace(t0, t1, n)[:-1], h)
     steps = magnus_increments(_null_entries(s(ts), w(ts)), h)
     out = np.stack(list(magnus_march(init, steps)))
     drift = check_drift(out, tol, f"on the {kind} leg")

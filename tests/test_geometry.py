@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adscmc import geometry
+from adscmc import gaussmaps, geometry
 from adscmc.gallery import DEFAULT_DOMAIN
-from adscmc.gaussmaps import gauss_conformality_check
 from adscmc.geometry import (
     DEFAULT_TOL,
     FundamentalData,
@@ -23,7 +22,7 @@ from adscmc.geometry import (
     second_form_residual,
     umbilic_detect,
 )
-from adscmc.lax import GmcData, gmc_residual
+from adscmc.lax import GmcData, LaxFrames, gmc_residual, integrate_lax
 
 from conftest import E31_NAMES, H31_NAMES, STD_DOMAIN, each_row_block
 
@@ -128,17 +127,6 @@ def test_normal_has_the_positive_frame_orientation(name, std_surfaces):
     assert np.all(_frame_det(surface, flipped.normal)[finite] < 0.0)
 
 
-@pytest.mark.parametrize("name", ["enneper-isothermic", "minimal-enneper"])
-def test_tangents_are_views_of_the_differenced_planes(name, std_surfaces):
-    # the Gauss maps difference the tangents again through fd.tangents(),
-    # so they must be exactly the central differences of the points (the
-    # planes the block kernel differenced; they are no longer stored)
-    _, surface, fd = std_surfaces[name]
-    for got, h, axis in zip(fd.tangents(), (fd.hu, fd.hv), (0, 1)):
-        want = central_difference(surface.points, h, axis)
-        assert np.array_equal(got, want, equal_nan=True)
-
-
 # the (nu, nv) grids a measurement stores besides its mask and normal
 GRID_FIELDS = ("metric", "omega", "H", "Q", "R", "K", "K_shape", "conf_u", "conf_v",
                "gauss_eq", "sff")
@@ -164,8 +152,9 @@ def test_measurement_stores_one_component_plane(name, std_surfaces):
 def test_tangents_are_the_block_kernel_differences(name, domain, gallery_module,
                                                    monkeypatch):
     # each block differences the tangents of its rows [a - 1, b + 1) for
-    # the normal (the last two operands of cross4 / cross3); fd.tangents()
-    # must give those bits at every block size
+    # the normal (the last two operands of cross4 / cross3); the central
+    # differences of the points, which gaussmaps.generalized_gauss takes
+    # again, must give those bits at every block size
     surface = gallery_module.oracle_surface(name, domain, SEAM_NU, SEAM_NV)
     cross = "cross4" if surface.ambient == "H31" else "cross3"
     kernel = getattr(geometry, cross)
@@ -178,7 +167,9 @@ def test_tangents_are_the_block_kernel_differences(name, domain, gallery_module,
     monkeypatch.setattr(geometry, cross, spy)
     for rows in each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
         seen.clear()
-        tangents = [np.moveaxis(t, -1, 0) for t in fundamental_data(surface).tangents()]
+        fd = fundamental_data(surface)
+        tangents = [np.moveaxis(central_difference(surface.points, h, axis), -1, 0)
+                    for h, axis in ((fd.hu, 0), (fd.hv, 1))]
         blocks = geometry.row_blocks(SEAM_NU, SEAM_NV)
         assert len(seen) == len(blocks), rows
         for (a, b), block in zip(blocks, seen):
@@ -430,15 +421,49 @@ def test_row_blocks_leave_no_seam(name, domain, flip, gallery_module, monkeypatc
                                   equal_nan=True), (rows, field)
 
 
+# the frame routes of gaussmaps read Lax frames, the others a measurement
+FRAME_ROUTES = ("frame_gauss_coordinates", "holomorphicity_check")
+SURFACE_ROUTES = ("hyperbolic_gauss", "generalized_gauss", "gauss_conformality_check")
+LIOUVILLE = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
+
+
+def _patterned_frames():
+    """Lax frames of random entries, constant in u on rows 8-16 and in v on
+    columns 3-9: the Wronskian gaps peak at no fixed row, and the
+    classification takes all four labels."""
+    phi = np.random.default_rng(7).normal(size=(2, SEAM_NU, SEAM_NV, 2, 2))
+    phi[:, 8:17] = phi[:, 8:9]
+    phi[:, :, 3:10] = phi[:, :, 3:4]
+    return LaxFrames(np.linspace(0.1, 0.9, SEAM_NU), np.linspace(0.1, 0.9, SEAM_NV),
+                     phi[0], phi[1], 0.0, LIOUVILLE)
+
+
+def _route_values(result):
+    """Each array and maximum a Gauss-map route returns, by name, as bytes."""
+    if isinstance(result, np.ndarray):
+        return {"residual": result.tobytes()}
+    return {key: np.asarray(value).tobytes() for key, value in vars(result).items()}
+
+
+@pytest.mark.parametrize("route", SURFACE_ROUTES + FRAME_ROUTES)
 @pytest.mark.parametrize("sign", ["plus", "minus"])
-def test_gauss_conformality_blocks_leave_no_seam(sign, gallery_module, monkeypatch):
-    surface = gallery_module.oracle_surface("enneper-isothermic", DEFAULT_DOMAIN,
-                                            SEAM_NU, SEAM_NV)
-    fd = fundamental_data(surface)
-    want = gauss_conformality_check(fd, sign)
-    for rows in each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
-        got = gauss_conformality_check(fd, sign)
-        assert np.array_equal(got, want, equal_nan=True), rows
+def test_gauss_map_blocks_leave_no_seam(sign, route, gallery_module, monkeypatch):
+    # the surface routes run on the Enneper grid, whose degenerate line
+    # carries masked points; blocks of 2 rows leave a 1-row tail block
+    if route in FRAME_ROUTES:
+        sources = [integrate_lax(LIOUVILLE, (0.1, 0.9, 0.1, 0.9), SEAM_NU, SEAM_NV),
+                   _patterned_frames()]
+    else:
+        sources = [fundamental_data(gallery_module.oracle_surface(
+            "enneper-isothermic", DEFAULT_DOMAIN, SEAM_NU, SEAM_NV))]
+    build = getattr(gaussmaps, route)
+    for source in sources:
+        want = _route_values(build(source, sign))
+        for rows in each_row_block(monkeypatch, SEAM_NU, SEAM_NV):
+            got = _route_values(build(source, sign))
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key] == want[key], (rows, key)
 
 
 def test_gmc_residual_blocks_leave_no_seam(monkeypatch):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from adscmc import nullcurves
 from adscmc.algebra import act, adjugate, det2, mat_of_vec, pack2
 from adscmc.config import DEFAULT_TOL
 from adscmc.lax import extract_weierstrass_data
 from adscmc.nullcurves import (KIND_F1, KIND_F2_MU, IntegrationError, assemble_mu,
                                assemble_nu, check_drift, frame_metric_grid, integrate_frame,
-                               null_coefficient)
+                               null_coefficient, stage_times)
 from adscmc.weierstrass import WeierstrassData, integrate_minimal, minimal_metric_factor
 
 from conftest import each_row_block
@@ -59,6 +60,21 @@ def test_determinant_drift_stays_tiny():
     curve = integrate_frame(KIND_F1, "u", "1", (-2.0, 2.0), 4000)
     assert curve.det_drift < 1e-10
     assert np.max(np.abs(det2(curve.samples) - 1.0)) < 1e-10
+
+
+def test_leg_steps_start_at_the_leg_nodes(monkeypatch):
+    # the Magnus steps start at FrameCurve.ts, the nodes the grid and the
+    # Lax edges use; t0 + k (t1 - t0) / (n - 1) misses them by rounding
+    starts = []
+
+    def spy(t, h):
+        starts.append(np.copy(t))
+        return stage_times(t, h)
+
+    monkeypatch.setattr(nullcurves, "stage_times", spy)
+    curve = integrate_frame(KIND_F1, "u", "1", (-0.5, 0.5), 101)
+    assert len(starts) == 1
+    assert starts[0].tobytes() == curve.ts[:-1].tobytes()
 
 
 def test_custom_initial_frame():
