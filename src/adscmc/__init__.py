@@ -22,9 +22,9 @@ from .fields import (EvalError, ExprError, SampledField1D, ScalarField1D,
                      print_expression)
 from .gallery import GALLERY_NAMES, GalleryEntry, gallery, oracle_frame, oracle_surface
 from .gaussmaps import (GaussMapGrid, HolomorphicityReport, chart_coordinates,
-                        frame_gauss_coordinates, gauss_conformality_check,
-                        generalized_gauss, holomorphicity_check,
-                        hyperbolic_gauss)
+                        chordal_distance, frame_gauss_coordinates,
+                        gauss_conformality_check, generalized_gauss,
+                        holomorphicity_check, hyperbolic_gauss)
 from .geometry import (FundamentalData, GeometryReport, SurfaceGrid,
                        fundamental_data, geometry_report, lawson_shift,
                        lawson_shift_residual, second_form_residual,

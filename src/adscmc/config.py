@@ -24,7 +24,9 @@ class Tolerances:
     drift: float = 1e-6
     # Lorentz (anti)holomorphicity residual at grid spacing 1e-2
     hol: float = 1e-4
-    # chart denominators at or below this mark a chart pole
+    # denominators at or below this mark a pole, in algebra.project_h31,
+    # lax._leg_data and weierstrass.projected_gauss_minimal; the Gauss-map
+    # charts of gaussmaps read a pole as +-inf instead
     pole: float = 1e-10
     # conformality residual gate for second-order stencils at desk
     # resolution (h ~ 3e-2); the stencil floor is ~h^2/3 times the

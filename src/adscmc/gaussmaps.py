@@ -1,36 +1,38 @@
 """Null-line Gauss maps of surfaces in the unimodular quadric.
 
 For a surface phi with unit normal N, the lines spanned by phi + N and
-phi - N lie on the light cone; each line is recorded by a rank-one
-matrix representative and read off in an affine chart.  Writing a
-representative m = [[m11, m12], [m21, m22]], the chart used throughout
-is
+phi - N lie on the light cone.  Such a line is a point of the torus
+RP^1 x RP^1 at the ideal boundary, the column line and the row line of
+a rank-one representative m.  One rule reads every factor: its line is
+the line of its own vector (x, y), with chart value x / y, +-inf at the
+point at infinity and NaN only where the vector is zero or undefined.
+G1 is read from the larger column of m and G2 from its larger row.
+Routes are compared by chordal_distance on RP^1, not by chart
+differences, which a pole amplifies.
 
-    (G1, G2) = (m12 / m22, m21 / m22),
-
-masked where m22 is too small.  For integrated Lax frames the same pair
-can be read without any differentiation straight from frame entries:
-with frames F1 = [[a1, b1], [c1, d1]], F2 likewise, the product assembly
-gives (a1/c1, a2/c2) for the plus line and (b1/d1, b2/d2) for the minus
-line.  A third route needs neither the normal nor frames: mat(phi_u)
-has a common column direction and mat(phi_v) a common row direction,
-and the outer product of those directions represents the plus line
-(swap the two matrices for the minus line).  It differences the
-points again with central_difference, the bits fundamental_data
+For integrated Lax frames F1 = [[a1, b1], [c1, d1]], F2 likewise, the
+product assembly gives the factors straight from the frame columns,
+with no differentiation: (a1/c1, a2/c2) for the plus line and
+(b1/d1, b2/d2) for the minus line.  A third route needs neither the
+normal nor frames: mat(phi_u) has a common column direction and
+mat(phi_v) a common row direction, and those are the factors of the
+plus line (swap the two matrices for the minus line).  It differences
+the points again with central_difference, the bits fundamental_data
 measured with, since a measurement stores no tangent planes.  The
 surface routes take a measurement fd alone and read its grid
 fd.surface; the frame routes take integrated Lax frames only.  Every
-route builds the map of one sign per call, in the row blocks of
-geometry.row_blocks: a block's representatives, tangents and Wronskians
-span its rows alone (the differences read a clipped halo of rows
-around them), and only the returned (nu, nv) grids span the whole grid.
-Every value is the same elementwise arithmetic whatever the block size,
-so the blocks leave no seam.
+route builds the map of one sign per call.  The surface routes and the
+Wronskians run in the row blocks of geometry.row_blocks: a block's
+representatives, tangents and Wronskians span its rows alone (the
+differences read a clipped halo of rows around them), and only the
+returned (nu, nv) grids span the whole grid.  Every value is the same
+elementwise arithmetic whatever the block size, so the blocks leave no
+seam.
 
-For Lax frames all three routes land on the same chart values, which is
-the substance of the consistency checks in the test suite.  Wronskians
-of the entries of integrated Lax frames decide whether the map depends
-on u alone, on v alone, or on neither (holomorphicity_check); the chart
+For Lax frames all three routes land on the same lines, which is the
+substance of the consistency checks in the test suite.  Wronskians of
+the entries of integrated Lax frames decide whether the map depends on
+u alone, on v alone, or on neither (holomorphicity_check); the chart
 metric pulled back by the plus map is -K times the surface metric when
 H = 1, which gauss_conformality_check verifies coefficientwise.
 """
@@ -46,45 +48,66 @@ from .geometry import central_difference, row_blocks, stat_max
 from .lax import LaxFrames, lax_terms
 
 
+def chordal_distance(a, b):
+    """Chordal distance on RP^1 between the lines of chart values a and b.
+
+    It is |sin| of the angle between the two lines, 0 to 1, that is
+    |a - b| / sqrt((1 + a^2)(1 + b^2)), with +-inf the one point at
+    infinity; NaN where either value is NaN.  A value beyond +-1 is read
+    as the line of (1, 1 / a), so nothing overflows.  It is plain
+    arithmetic: numpy's arctan and sin loops map some 250 kB of code.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    fa, fb = np.abs(a) > 1.0, np.abs(b) > 1.0
+    # 1 / a is read only where |a| > 1
+    with np.errstate(divide="ignore", over="ignore"):
+        sa, sb = np.where(fa, 1.0 / a, a), np.where(fb, 1.0 / b, b)
+    cross = np.where(fa ^ fb, sa * sb - 1.0, sa - sb)
+    return np.abs(cross) / np.sqrt((1.0 + sa * sa) * (1.0 + sb * sb))
+
+
 @dataclass
 class GaussMapGrid:
-    """Chart coordinates of a null-line map over a parameter grid.
+    """Chart values of the two factors of a null-line map over a grid.
 
-    The route's rank-<=1 representatives are not kept: max_rep_det is the
-    largest finite |det| among them, their distance from rank one.
+    g1 and g2 are +-inf at the point at infinity and NaN where the
+    factor is undefined, as on the stencil border.  max_rep_det is the
+    largest finite |det| among the route's representatives, their
+    distance from rank one; a route that reads its factors straight from
+    vectors builds none and reports 0.0.
     """
 
     g1: np.ndarray
     g2: np.ndarray
-    mask: np.ndarray   # True where a chart denominator vanished
     max_rep_det: float
 
-    def valid(self):
-        return ~self.mask
-
-    def spread(self):
-        """(max - min) of each coordinate over unmasked points."""
-        ok = self.valid()
-        if not ok.any():
-            return float("nan"), float("nan")
-        return (float(np.ptp(self.g1[ok])), float(np.ptp(self.g2[ok])))
+    def gap(self, other):
+        """Largest chordal distance between the factors of the two maps where
+        both are defined, read in row blocks; np.fmax keeps stat_max's NaN rule."""
+        return float(np.fmax.reduce([stat_max(chordal_distance(x[a:b], y[a:b]), True)
+                                     for a, b in row_blocks(*self.g1.shape)
+                                     for x, y in ((self.g1, other.g1), (self.g2, other.g2))]))
 
 
-def _ratio(pair, tol):
-    """pair[..., 0] / pair[..., 1], NaN where |pair[..., 1]| is not above
-    tol.pole, and that mask."""
-    den = pair[..., 1]
-    with np.errstate(invalid="ignore"):
-        bad = ~(np.abs(den) > tol.pole)
-        return np.where(bad, np.nan, pair[..., 0] / np.where(bad, 1.0, den)), bad
+def _chart(vec):
+    """vec[..., 0] / vec[..., 1]: +-inf for a zero y, NaN for a zero vector."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return vec[..., 0] / vec[..., 1]
 
 
-def chart_coordinates(rep, tol=DEFAULT_TOL):
-    """Read (G1, G2) = (m12/m22, m21/m22) off representatives."""
+def _column_chart(m):
+    """Chart value of the common column line of a near-rank-one matrix
+    grid, read off its larger column."""
+    pick = np.abs(m[..., 1, 1]) + np.abs(m[..., 0, 1]) \
+        > np.abs(m[..., 1, 0]) + np.abs(m[..., 0, 0])
+    return _chart(np.where(pick[..., None], m[..., :, 1], m[..., :, 0]))
+
+
+def chart_coordinates(rep):
+    """Read (G1, G2) off rank-one representatives: G1 from the larger
+    column, G2 from the larger row, the larger column of the transpose."""
     rep = np.asarray(rep, dtype=float)
-    g1, bad = _ratio(rep[..., :, 1], tol)
-    g2, _ = _ratio(rep[..., 1, :], tol)
-    return g1, g2, bad
+    return _column_chart(rep), _column_chart(np.swapaxes(rep, -1, -2))
 
 
 def _require_h31(surface):
@@ -100,32 +123,26 @@ def _sign_index(sign):
 
 
 def _in_row_blocks(nu, nv, block):
-    """The GaussMapGrid of block(a, b) -> (g1, g2, mask, max |det|) of rows
+    """The GaussMapGrid of block(a, b) -> (g1, g2, max |det|) of rows
     [a, b), run over row_blocks; np.fmax keeps stat_max's NaN rule."""
     g1, g2 = np.empty((nu, nv)), np.empty((nu, nv))
-    mask = np.empty((nu, nv), dtype=bool)
     max_rep_det = np.nan
     for a, b in row_blocks(nu, nv):
-        g1[a:b], g2[a:b], mask[a:b], rep_det = block(a, b)
+        g1[a:b], g2[a:b], rep_det = block(a, b)
         max_rep_det = np.fmax(max_rep_det, rep_det)
-    return GaussMapGrid(g1=g1, g2=g2, mask=mask, max_rep_det=float(max_rep_det))
+    return GaussMapGrid(g1=g1, g2=g2, max_rep_det=float(max_rep_det))
 
 
-def hyperbolic_gauss(fd, sign="plus", tol=DEFAULT_TOL):
-    """Chart coordinates of [phi +- N] from the measured normal."""
+def hyperbolic_gauss(fd, sign="plus"):
+    """Chart values of [phi +- N] from the measured normal."""
     _require_h31(fd.surface)
     s = (1.0, -1.0)[_sign_index(sign)]
 
     def block(a, b):
         rep = mat_of_vec(fd.surface.points[a:b] + s * fd.normal[a:b])
-        g1, g2, bad = chart_coordinates(rep, tol)
-        return g1, g2, bad | ~np.isfinite(g1) | ~np.isfinite(g2), stat_max(det2(rep), True)
+        return *chart_coordinates(rep), stat_max(det2(rep), True)
 
     return _in_row_blocks(*fd.surface.shape, block)
-
-
-def _outer(col, row):
-    return col[..., :, None] * row[..., None, :]
 
 
 def _require_frames(frames):
@@ -133,41 +150,29 @@ def _require_frames(frames):
         raise ValueError("Gauss map routes on frames need integrated coordinate frames")
 
 
-def frame_gauss_coordinates(frames, sign="plus", tol=DEFAULT_TOL):
-    """Chart coordinates straight from frame entries, no differentiation.
+def frame_gauss_coordinates(frames, sign="plus"):
+    """Chart values straight from frame entries, no differentiation.
 
     frames are integrated Lax frames; anything else, a pair of null legs
-    included, raises ValueError.  The representative is the outer
-    product of one column of each frame, the first columns for the plus
-    line and the second for the minus line, and chart_coordinates reads
-    the surface's chart values off its entries (a1 c2 / c1 c2, not
-    a1 / c1, which would round differently).
+    included, raises ValueError.  The factors are the lines of one
+    column of each frame, the first columns for the plus line and the
+    second for the minus line.
     """
     _require_frames(frames)
     k = _sign_index(sign)
-
-    def block(a, b):
-        rep = _outer(frames.phi1[a:b, :, :, k], frames.phi2[a:b, :, :, k])
-        return *chart_coordinates(rep, tol), stat_max(det2(rep), True)
-
-    return _in_row_blocks(len(frames.us), len(frames.vs), block)
+    return GaussMapGrid(g1=_chart(frames.phi1[..., k]), g2=_chart(frames.phi2[..., k]),
+                        max_rep_det=0.0)
 
 
-def _stable_column(m):
-    """Common column direction of a near-rank-one matrix grid."""
-    pick = np.abs(m[..., 1, 1]) + np.abs(m[..., 0, 1]) \
-        > np.abs(m[..., 1, 0]) + np.abs(m[..., 0, 0])
-    return np.where(pick[..., None], m[..., :, 1], m[..., :, 0])
-
-
-def generalized_gauss(fd, sign="plus", tol=DEFAULT_TOL):
-    """Chart coordinates of one null-line map from the tangents of fd.
+def generalized_gauss(fd, sign="plus"):
+    """Chart values of one null-line map from the tangents of fd.
 
     mat(phi_u) is rank one with the column direction of the plus line
     and the row direction of the minus line; mat(phi_v) carries the
     other half of each.  Each row block differences its points again
     with central_difference, over a one-row halo in u, to the bits
-    fundamental_data measured with.
+    fundamental_data measured with.  The factors are those directions,
+    so no representative is built.
     """
     _require_h31(fd.surface)
     points = fd.surface.points
@@ -179,14 +184,8 @@ def generalized_gauss(fd, sign="plus", tol=DEFAULT_TOL):
         xu = mat_of_vec(central_difference(points[lo:hi], fd.hu, 0)[a - lo:b - lo])
         xv = mat_of_vec(central_difference(points[a:b], fd.hv, 1))
         cm, rm = (xv, xu) if minus else (xu, xv)
-        with np.errstate(invalid="ignore"):
-            col = _stable_column(cm)
-            # a common row direction is a common column of the transpose
-            row = _stable_column(np.swapaxes(rm, -1, -2))
-            rep_det = stat_max(det2(_outer(col, row)), True)
-        g1, bad_c = _ratio(col, tol)
-        g2, bad_r = _ratio(row, tol)
-        return g1, g2, bad_c | bad_r | ~np.isfinite(g1) | ~np.isfinite(g2), rep_det
+        # a common row direction is a common column of the transpose
+        return _column_chart(cm), _column_chart(np.swapaxes(rm, -1, -2)), 0.0
 
     return _in_row_blocks(nu, nv, block)
 

@@ -305,27 +305,33 @@ def test_bad_tol_syntax_is_a_usage_error(capsys):
 
 
 def test_gauss_writes_machine_readable_findings(tmp_path, capsys):
-    out = tmp_path / "gauss.json"
-    code = main(["gauss", "--omega=2*ln(1+u*v)", "--H", "1", "--Q", "1", "--R", "1",
-                 "--domain", "0.1", "0.9", "0.1", "0.9",
-                 "--nu", "41", "--nv", "41", "--out", str(out)])
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["classification"] == "none"
-    assert doc["max_identity_residual"] < 1e-4
-    # chart gaps are pole-amplified maxima, so only their presence and
-    # finiteness belong at this grid size
-    assert np.isfinite(doc["chart_frame_vs_surface"])
-    assert np.isfinite(doc["chart_generalized_vs_surface"])
-    assert doc["max_rep_det"] < 1e-8
-    assert doc["chart_spread"][0] == pytest.approx(doc["chart_spread"][1], rel=1e-6)
+    # the chart-metric identity holds for H = 1 on the plus line and for
+    # H = -1 on the minus line, and is not checked on the other line
+    for h, sign, checked in (("1", "plus", True), ("1", "minus", False),
+                             ("-1", "minus", True), ("-1", "plus", False)):
+        out = tmp_path / "gauss.json"
+        code = main(["gauss", "--omega=2*ln(1+u*v)", "--H", h, "--Q", "1", "--R", "1",
+                     "--domain", "0.1", "0.9", "0.1", "0.9",
+                     "--nu", "41", "--nv", "41", "--sign", sign, "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == 2
+        assert doc["classification"] == "none"
+        assert doc["max_identity_residual"] < 1e-4
+        # chordal gaps on RP^1: 1.05e-4 and 1.32e-4 for H = 1 on the plus line
+        assert doc["chordal_frame_vs_surface"] < 1e-3
+        assert doc["chordal_generalized_vs_surface"] < 1e-3
+        assert doc["max_rep_det"] < 1e-8
+        residual = doc["max_conformality_residual"]
+        assert (residual < 1e-2) if checked else residual is None, (h, sign)
 
 
 # tracemalloc peak of a 201 x 201 gauss run over the surface's
 # points.nbytes, as measured by this test (GAUSS_PEAK) plus a 2% margin.
-# Every map is built in row blocks, so only its (nu, nv) grids span the
-# whole grid; the frames are freed before the surface is measured, and
-# each map once its chart gap is read.  With full-grid representatives,
+# Every surface map is built in row blocks and the frame map divides two
+# frame entries, so only its (nu, nv) grids span the whole grid; the
+# frames are freed before the surface is measured, and each map once its
+# chordal gap is read.  With full-grid representatives,
 # tangents and Wronskians and the frames live throughout, the same run
 # read 11.36; with every map also keeping its representatives, 15.02.
 GAUSS_PEAK = 7.12

@@ -33,7 +33,7 @@ CASES = {
     "lax-flipped": ([], ["lax", *LIOUVILLE, "--flip-normal"], 0,
         "cff580864988be1372838dfbf81891304f9c61dc19fae52c73adad74dfe4b08f"),
     "gauss": ([], ["gauss", *LIOUVILLE, "--out", "g.json"], 0,
-        "8102d1e5b5c1449967878bcfcbf1b69232dcd2cfe1b8f0e351b39539308dd86d"),
+        "2e1cb03075c40e816bc92ff78aa4a657e410b74e90fc8a58f9406e784f79a73a"),
     "verify": ([GRID], ["verify", "grid.json", "--H", "1"], 0,
         "9c712c42d638a0f025085003abe6b04dcaa3bd4a08cddec46f735b35e7966d55"),
     "project-plus-json": ([GRID], PROJECTED, 0,

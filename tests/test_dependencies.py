@@ -4,15 +4,19 @@ no function of the package takes a parameter it never reads,
 no module of the package imports another's private name,
 no module reaches printf but through write_rows and read_rows,
 no numerical threshold of the package is a bare literal,
+every Tolerances field is read by the package outside config.py,
 and every public name of the package is read by the package or listed
 with the reason it is kept."""
 
 import ast
 import collections
+import dataclasses
 import pathlib
 import sys
 
 import pytest
+
+from adscmc.config import Tolerances
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "adscmc"
@@ -131,6 +135,22 @@ def test_small_thresholds_are_named():
             for path in sorted(SRC.glob("*.py")) if path.name != "config.py"
             for line, value in _stray_thresholds(path)]
     assert not hits, hits
+
+
+def _is_tolerances(node):
+    """Whether node names a Tolerances object: tol, DEFAULT_TOL or x.tol."""
+    return (isinstance(node, ast.Name) and node.id in ("tol", "DEFAULT_TOL")) \
+        or (isinstance(node, ast.Attribute) and node.attr == "tol")
+
+
+def test_every_tolerance_is_read_by_the_package():
+    # a field no gate reads is a --tol key that changes nothing; CLI flags
+    # of the same name (args.pole) are not tolerance reads
+    read = {node.attr for path in sorted(SRC.glob("*.py")) if path.name != "config.py"
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and _is_tolerances(node.value)}
+    unread = [f.name for f in dataclasses.fields(Tolerances) if f.name not in read]
+    assert not unread, unread
 
 
 # public names that no code of the package reads, each with its reason;

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from adscmc.gaussmaps import (
     chart_coordinates,
+    chordal_distance,
     frame_gauss_coordinates,
     gauss_conformality_check,
     generalized_gauss,
@@ -25,11 +26,21 @@ SLANT_INIT = (np.array([[1.0, 0.0], [1.0, 1.0]]),
 LIOUVILLE = GmcData.build("2*ln(1+u*v)", 1.0, "1", "1")
 
 
+def _finite(gm):
+    """The points where both chart values of a map are finite."""
+    return np.isfinite(gm.g1) & np.isfinite(gm.g2)
+
+
+def _spread(g):
+    """(max - min) of a chart value over its finite points."""
+    return float(np.ptp(g[np.isfinite(g)]))
+
+
 def test_scroll_surface_chart_is_tanh(std_surfaces):
     _, surface, fd = std_surfaces["b-scroll"]
     gm = hyperbolic_gauss(fd, "plus")
     uu = surface.us[:, None] + 0.0 * surface.vs[None, :]
-    ok = gm.valid()
+    ok = _finite(gm)
     assert np.max(np.abs(gm.g1 - np.tanh(uu))[ok]) < 1e-12
     assert np.max(np.abs(gm.g2)[ok]) < 1e-12
 
@@ -41,7 +52,7 @@ def test_tangent_route_matches_normal_route_on_the_plus_line(name, gallery_modul
     fd = fundamental_data(surface)
     gen_plus = generalized_gauss(fd, "plus")
     hyp = hyperbolic_gauss(fd, "plus")
-    ok = gen_plus.valid() & hyp.valid()
+    ok = _finite(gen_plus) & _finite(hyp)
     assert np.sum(ok) > 0.9 * ok.size
     gap = max(np.max(np.abs(gen_plus.g1 - hyp.g1)[ok]),
               np.max(np.abs(gen_plus.g2 - hyp.g2)[ok]))
@@ -57,7 +68,7 @@ def test_tangent_route_matches_normal_route_on_the_minus_line(gallery_module):
     fd = fundamental_data(surface)
     gen_minus = generalized_gauss(fd, "minus")
     hyp = hyperbolic_gauss(fd, "minus")
-    ok = gen_minus.valid() & hyp.valid()
+    ok = _finite(gen_minus) & _finite(hyp)
     gap = max(np.max(np.abs(gen_minus.g1 - hyp.g1)[ok]),
               np.max(np.abs(gen_minus.g2 - hyp.g2)[ok]))
     assert gap < 1e-4
@@ -68,21 +79,19 @@ def test_orbit_plus_chart_is_constant(gallery_module):
     surface = gallery_module.oracle_surface(entry, (-0.3, 0.3, -0.3, 0.3), 101, 101)
     fd = fundamental_data(surface)
     gm = hyperbolic_gauss(fd, "plus")
-    s1, s2 = gm.spread()
-    assert s1 < 1e-12
-    assert s2 < 1e-12
+    assert _spread(gm.g1) < 1e-12
+    assert _spread(gm.g2) < 1e-12
     # the other null line sweeps the orbit, so its chart must move
     other = hyperbolic_gauss(fd, "minus")
-    assert max(other.spread()) > 1.0
+    assert max(_spread(other.g1), _spread(other.g2)) > 1.0
 
 
 def test_scroll_chart_moves_only_along_u(std_surfaces):
     _, _, fd = std_surfaces["b-scroll"]
     gm = hyperbolic_gauss(fd, "plus")
-    s1, s2 = gm.spread()
-    assert s2 < 1e-12
-    # the stencil border is masked, so the spread ends one step inside
-    assert s1 == pytest.approx(np.tanh(0.72) - np.tanh(-0.72), abs=1e-9)
+    assert _spread(gm.g2) < 1e-12
+    # the stencil border is undefined, so the spread ends one step inside
+    assert _spread(gm.g1) == pytest.approx(np.tanh(0.72) - np.tanh(-0.72), abs=1e-9)
 
 
 @pytest.mark.parametrize("name, bound", [
@@ -146,7 +155,7 @@ def test_holomorphic_chart_depends_on_u_alone():
     frames = integrate_lax(data, (0.0, 1.0, 0.0, 1.0), 41, 41,
                            init=SLANT_INIT)
     gm = frame_gauss_coordinates(frames, "plus")
-    ok = gm.valid()
+    ok = _finite(gm)
     assert np.sum(ok) > 0
     g1 = np.where(ok, gm.g1, np.nan)
     assert np.nanmax(np.abs(g1 - g1[:, :1])) < 1e-8
@@ -202,14 +211,74 @@ def test_conformality_check_rejects_a_bad_sign(std_surfaces):
 def test_chart_reads_the_line_not_the_representative(a, c, x, y, lam, flip):
     rep = np.array([a, c])[:, None] * np.array([x, y])[None, :]
     scale = -lam if flip else lam
-    g1, g2, bad = chart_coordinates(rep)
-    h1, h2, bad2 = chart_coordinates(scale * rep)
-    assert not bad and not bad2
+    g1, g2 = chart_coordinates(rep)
+    h1, h2 = chart_coordinates(scale * rep)
+    assert np.isfinite(g1) and np.isfinite(g2)
     assert h1 == pytest.approx(g1, rel=1e-12, abs=1e-15)
     assert h2 == pytest.approx(g2, rel=1e-12, abs=1e-15)
 
 
-# sha256 of g1, g2 and mask (NaN made canonical) and repr(max_rep_det) of
+@pytest.mark.parametrize("a, b", [(np.inf, 1e300), (np.inf, -1e300), (-np.inf, 1e300),
+                                  (-np.inf, -1e300), (np.inf, -np.inf)])
+def test_chordal_distance_reads_both_infinities_as_one_point(a, b):
+    # the lines of (1, 0) and (1, 1e-300) lie 1e-300 apart
+    assert chordal_distance(a, b) == pytest.approx(0.0, abs=1e-300)
+    assert chordal_distance(b, a) == pytest.approx(0.0, abs=1e-300)
+
+
+def test_chordal_distance_from_infinity_to_zero_is_one():
+    assert chordal_distance(np.inf, 0.0) == 1.0
+    assert chordal_distance(-np.inf, -0.0) == 1.0
+    assert np.isnan(chordal_distance(np.nan, 0.0))
+
+
+@given(a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3))
+def test_chordal_distance_is_the_sine_of_the_angle(a, b):
+    want = abs(a - b) / np.sqrt((1.0 + a * a) * (1.0 + b * b))
+    assert chordal_distance(a, b) == pytest.approx(want, rel=1e-9, abs=1e-15)
+    # swapping the two coordinates of both vectors is an isometry of RP^1
+    if a != 0.0 and b != 0.0:
+        assert chordal_distance(1.0 / a, 1.0 / b) == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("route", [hyperbolic_gauss, generalized_gauss],
+                         ids=lambda route: route.__name__)
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("name", H31_NAMES)
+def test_gallery_maps_are_defined_beyond_the_border(name, sign, route, std_surfaces):
+    # a chart pole reads +-inf, the point at infinity, not an undefined point
+    gm = route(std_surfaces[name][2], sign)
+    for g in (gm.g1, gm.g2):
+        assert not np.isnan(g[1:-1, 1:-1]).any()
+
+
+@pytest.fixture(scope="module")
+def liouville_gaps():
+    """{n: {sign: (frame gap, generalized gap)}} of the chordal route gaps
+    to the surface map on Liouville data over [0.1, 0.9]^2 at n x n."""
+    out = {}
+    for n in (51, 101, 201):
+        frames = integrate_lax(LIOUVILLE, (0.1, 0.9, 0.1, 0.9), n, n)
+        fd = fundamental_data(frames.assemble())
+        out[n] = {}
+        for sign in ("plus", "minus"):
+            hyp = hyperbolic_gauss(fd, sign)
+            out[n][sign] = (hyp.gap(frame_gauss_coordinates(frames, sign)),
+                            hyp.gap(generalized_gauss(fd, sign)))
+    return out
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_route_gaps_shrink_at_the_stencil_order(sign, liouville_gaps):
+    # the plus chart nears its pole at the grid's corner, where its
+    # absolute chart gap grows with the grid; on RP^1 the maps converge
+    for coarse, fine in ((51, 101), (101, 201)):
+        for before, after in zip(liouville_gaps[coarse][sign], liouville_gaps[fine][sign]):
+            assert 3.5 <= before / after <= 4.5, (coarse, before, after)
+    assert max(liouville_gaps[201][sign]) <= 1e-5
+
+
+# sha256 of g1 and g2 (NaN made canonical) and repr(max_rep_det) of
 # each map, keyed by (route, input, sign): the H31 gallery surfaces of
 # std_surfaces through both surface routes, and the Liouville Lax frames
 # on a 101 x 61 grid through the frame route; for holomorphicity_check,
@@ -217,59 +286,59 @@ def test_chart_reads_the_line_not_the_representative(a, c, x, y, lam, flip):
 # stdout digests pin only the maxima; these pin every point.
 GAUSS_DIGESTS = {
     ("hyperbolic_gauss", "enneper-isothermic", "plus"): (
-        "23f79d010a927da4bed27cc66f56750171f8dc50ce22726b93727a74c9324eab",
+        "2149ea25c45959406937950b9e3c0654bff805e903ae311af9aaafe718dbd3f9",
         "8.881784197001252e-15"),
     ("hyperbolic_gauss", "enneper-isothermic", "minus"): (
-        "d79cb352ed0a8c86a494c06da49c59bddacde6759e90f5224aa33883197a2f45",
+        "e94771f6b525370c99757010c28e86e5a2f25bc863cb1e5e332629ba30b98a6d",
         "7.105427357601002e-15"),
     ("hyperbolic_gauss", "enneper-anti", "plus"): (
-        "4526f87f0e7c1731469e3f323334851b3de6904e0337afbe2fabf7d4831f148a",
+        "8ecd1f73ed43d4c2441361ad9cc47bf9fe5121a1eb78c1abf5bf7c98f796ab6b",
         "2.6645352591003757e-15"),
     ("hyperbolic_gauss", "enneper-anti", "minus"): (
-        "774cb9d596d3e84f8531e8f64521f92b175bec8fd238aa30b0879f6f478d7e60",
+        "756b6cfd99c4841f16d042d82b201b1d431382d9a4832da6011d8020bb43f4f4",
         "4.440892098500626e-15"),
     ("hyperbolic_gauss", "b-scroll", "plus"): (
-        "3f9269f5839de0aaa0c47bf734bd1d3e4712f0378576d6fb9f21a94b07b1a4c8",
+        "5370899299a39d5e48d3065fd28f572cd17f64844297e24115199f2e6ebd8868",
         "1.4766081441778577e-15"),
     ("hyperbolic_gauss", "b-scroll", "minus"): (
-        "3b0e31f572ed8da967cc9f36b0d2d5b3753daff2244b8e1edc1b04ce1bbabe3d",
+        "1cca5b329a1b3a7840a7f0c01efe882f32324900c2ca300963dfddde970738cc",
         "3.552713678800501e-15"),
     ("hyperbolic_gauss", "horosphere", "plus"): (
-        "3c272dcce0852297015a2843636996e8b918fa471a1ea8f01b6adcf1a76d5aa1",
+        "6beb8ba6393f53a1460c2df6f942090c5558572cb93bf09e5f412075452ff210",
         "8.88178419700131e-16"),
     ("hyperbolic_gauss", "horosphere", "minus"): (
-        "dd940994cdf14f5579b633cd42a717e792d9de3f4031dd653f43c41d716ae469",
+        "46c53a680d98323bccba3d3dcdc878b7e93236af6dd6c1a1d473b25d61271c2a",
         "8.881784197001252e-16"),
     ("generalized_gauss", "enneper-isothermic", "plus"): (
-        "b261278977be71fdc12c6c17865ed99f2a1e9bbfca095e2b7ea9ebec3dae02b7",
-        "4.440892098500626e-16"),
+        "0866c9ba71b667057bc874971fa08078fdb57e636d5a8481354b99a7f78dfa13",
+        "0.0"),
     ("generalized_gauss", "enneper-isothermic", "minus"): (
-        "618d614a07b924b98d86101a8cf4a4e3768feddef84b7d9e7945960208aba843",
-        "8.881784197001252e-16"),
+        "6e0cd0a77ecf005d77ec948176527ca5ec5f58e0514044368373b8e988a54e2b",
+        "0.0"),
     ("generalized_gauss", "enneper-anti", "plus"): (
-        "723e73c5b8edb3635986c63ae83b7457cea017b6e13b5f0d713cc8026ce6d30f",
-        "2.220446049250313e-16"),
+        "2d731fe1d25d085c7c01a93b58e96daf764a61c9b5a70197e296c5b82c912ef1",
+        "0.0"),
     ("generalized_gauss", "enneper-anti", "minus"): (
-        "e58b76d43e5cdafc33c4e4178e950e319829945965f6385173337f5d236e92d1",
-        "2.220446049250313e-16"),
+        "9efed7fd8e5569d32a2c388e3bdf1af630924f3297e4cc21f39984c9a013ca80",
+        "0.0"),
     ("generalized_gauss", "b-scroll", "plus"): (
-        "b2c7f77dc13fc62b8521e012b1f8d67a4cf814f32369e5209638eb98cd3632ad",
-        "7.888609052210118e-31"),
+        "500e1a7f6d332ec79d72c8db1003c35f1136e4ad810acd2fdbc55f06d5dc9455",
+        "0.0"),
     ("generalized_gauss", "b-scroll", "minus"): (
-        "c4ac9055ab4e3054109a550cf1dc9f19eb318546fa13db2468bdfb2647501c1b",
-        "4.440892098500626e-16"),
+        "d3312990a03f9f4fcf165811f51dedbfa0cb2280a4c7309d493977063f31255f",
+        "0.0"),
     ("generalized_gauss", "horosphere", "plus"): (
-        "eb75a0449abbbc9d0056c360144fbd52dbbace51205c2c757640f165b9d83f73",
-        "2.802596928649634e-45"),
+        "6b79e77bf9fedde6299562d02dc88c09c27dfe47ab96154e8b6cab28a631dadf",
+        "0.0"),
     ("generalized_gauss", "horosphere", "minus"): (
-        "93bcd0d74f391a97f8b252d18130b888dc944ea89edbc2533e6bed6cde227f3c",
-        "5.551115123125783e-17"),
+        "53f9ef498d4e7ebae9f2d5b699442a7ecf147196cf03ed85cb5d7db69637bfde",
+        "0.0"),
     ("frame_gauss_coordinates", "liouville", "plus"): (
-        "e9880fe773c8071dc8f6d61c21333f1f962c25e9769c4e9453ea5ed1de44970d",
-        "2.7755575615628914e-17"),
+        "1a54ee81e9767373e7119b16745a13ade48145b36b5e7a65c8fd2113eae17971",
+        "0.0"),
     ("frame_gauss_coordinates", "liouville", "minus"): (
-        "323107ca62446c00d5b2a2ccd7589bbedfd36d339c0bb321b7dfc796d148f98f",
-        "2.220446049250313e-16"),
+        "770b21c26140ba40ca9ef87f821ae805cb1e3a08c607df6c48fd9e5b97ec14ef",
+        "0.0"),
     ("holomorphicity_check", "liouville", "plus"): (
         "71bc4b4157038cbc3969158f555bed006c00ce30a8fd5af12bc02c839bf262fd",
         "5.7576042378215675e-08"),
@@ -301,7 +370,7 @@ def _gauss_digest(route, name, sign, std_surfaces, frames):
         report = holomorphicity_check(frames, sign)
         return _sha(report.codes), repr(report.max_residual)
     gm = ROUTES[route](frames if name == "liouville" else std_surfaces[name][2], sign)
-    return _sha(gm.g1, gm.g2, gm.mask), repr(gm.max_rep_det)
+    return _sha(gm.g1, gm.g2), repr(gm.max_rep_det)
 
 
 @pytest.mark.parametrize("key", sorted(GAUSS_DIGESTS), ids="-".join)
